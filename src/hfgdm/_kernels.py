@@ -1,133 +1,20 @@
-"""Cyclic Jacobi eigensolver kernels.
+"""The one symmetric eigensolver.
 
-Two interchangeable implementations of the same algorithm: a numba-jitted
-scalar-loop kernel (the default when numba imports) and a vectorized
-pure-numpy fallback. Set HFGDM_NO_NUMBA=1 to force the numpy path.
-
-Both kernels sweep the strict upper triangle in cyclic order, apply
-symmetric Givens rotations, and stop when the off-diagonal Frobenius norm
-drops below OFF_TOL; the sweep budget is MAX_SWEEPS. They return the
-unsorted diagonal and a convergence flag. The numba kernel compiles
-eagerly at import (cache=True) so no timed call ever pays JIT cost.
+eigenvalues() diagonalises a symmetric matrix or a stack of them with
+LAPACK's symmetric eigenvalue routine (numpy.linalg.eigvalsh). Callers
+validate symmetry and finiteness; only the lower triangle is read.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-OFF_TOL = 1e-12
-MAX_SWEEPS = 100
+from .errors import NoConvergence
 
 
-def _jacobi_loops(a):
-    """Diagonalize symmetric a in place; returns (diagonal, converged)."""
-    n = a.shape[0]
-    for sweep in range(MAX_SWEEPS + 1):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if math.sqrt(off) < OFF_TOL:
-            return np.diag(a).copy(), True
-        if sweep == MAX_SWEEPS:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                a[p, p] -= t * apq
-                a[q, q] += t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[p, k] = a[k, p]
-                    a[k, q] = s * akp + c * akq
-                    a[q, k] = a[k, q]
-    return np.diag(a).copy(), False
-
-
-def jacobi_numpy(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Pure-numpy cyclic Jacobi; consumes a float64 copy of a."""
-    work = np.array(a, dtype=np.float64, copy=True)
-    n = work.shape[0]
-    if n <= 1:
-        return np.diag(work).copy(), True
-    idx = np.arange(n)
-    iu = np.triu_indices(n, 1)
-    for sweep in range(MAX_SWEEPS + 1):
-        off = math.sqrt(2.0 * float(np.sum(np.square(work[iu]))))
-        if off < OFF_TOL:
-            return np.diag(work).copy(), True
-        if sweep == MAX_SWEEPS:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                work[p, p] -= t * apq
-                work[q, q] += t * apq
-                work[p, q] = work[q, p] = 0.0
-                mask = (idx != p) & (idx != q)
-                akp = work[mask, p].copy()
-                akq = work[mask, q].copy()
-                work[mask, p] = work[p, mask] = c * akp - s * akq
-                work[mask, q] = work[q, mask] = s * akp + c * akq
-    return np.diag(work).copy(), False
-
-
-_force_numpy = os.environ.get("HFGDM_NO_NUMBA", "") not in ("", "0")
-NUMBA_AVAILABLE = False
-_jacobi_jit = None
-
-if not _force_numpy:
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each (n, n) matrix in an (..., n, n) array, ascending."""
     try:
-        import numba
-
-        _jacobi_jit = numba.njit(cache=True)(_jacobi_loops)
-        _jacobi_jit(np.zeros((2, 2)))  # eager compile, kept off timed paths
-        NUMBA_AVAILABLE = True
-    except Exception:  # pragma: no cover - environment without numba
-        _jacobi_jit = None
-        NUMBA_AVAILABLE = False
-
-
-def jacobi_numba(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Numba-jitted cyclic Jacobi; raises if numba is unavailable."""
-    if _jacobi_jit is None:
-        raise RuntimeError("numba kernel not available")
-    work = np.ascontiguousarray(a, dtype=np.float64).copy()
-    n = work.shape[0]
-    if n <= 1:
-        return np.diag(work).copy(), True
-    return _jacobi_jit(work)
-
-
-def jacobi_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Unsorted eigenvalues of a symmetric matrix via the selected kernel."""
-    if NUMBA_AVAILABLE:
-        return jacobi_numba(a)
-    return jacobi_numpy(a)
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None

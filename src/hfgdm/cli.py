@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -109,6 +110,13 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
             f"unknown field {sorted(unknown)[0]!r} in {where}")
 
 
+def _finite(token: str, parse=float):
+    """Parse a JSON number token; NaN, Infinity and overflow are errors."""
+    if not math.isfinite(float(token)):
+        raise SchemaViolation("json", f"number {token} is not a finite float")
+    return parse(token)
+
+
 def _pair_key_to_indices(key: str, ids: tuple[str, ...],
                          where: str) -> tuple[int, int]:
     parts = key.split(":")
@@ -125,7 +133,8 @@ def parse_input(path: str) -> InputDocument:
 
     A path that does not exist on disk but names a bundled fixture
     (smartphone.json) resolves to the bundled copy, so documented example
-    invocations work from any directory.
+    invocations work from any directory. NaN, Infinity and numbers that
+    overflow a float are rejected, so no non-finite value enters a run.
     """
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -135,7 +144,8 @@ def parse_input(path: str) -> InputDocument:
     else:
         raise FileNotFoundError(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite, parse_constant=_finite,
+                         parse_int=lambda token: _finite(token, int))
     except json.JSONDecodeError as e:
         raise SchemaViolation(
             "json", f"invalid JSON at line {e.lineno}: {e.msg}") from None

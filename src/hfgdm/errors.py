@@ -92,7 +92,7 @@ class ComputationError(RuntimeError):
 
 
 class NoConvergence(ComputationError):
-    """The eigensolver exhausted its sweep budget before converging."""
+    """The eigensolver failed to converge."""
 
 
 class IdentityViolated(ComputationError):

@@ -7,6 +7,11 @@ is the mean Laplacian eigenvalue. Bound checkers evaluate the classical
 spectral bounds on both quantities, and eigen_identities asserts the
 trace and Frobenius identities the spectra must satisfy.
 
+Every spectrum comes from _kernels.eigenvalues. The per-relation
+functions solve a relation's three channel matrices, or their three
+Laplacians, as one (3, n, n) stack, and the Laplacian checks share one
+set of derived terms (_laplacian_terms).
+
 A reported bound violation is a finding, not an error, in the random
 survey; the bundled fixtures are expected to satisfy every bound.
 """
@@ -18,9 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .core import CHANNELS, ChannelMatrix, HFPR, channel, degree_vector, random_hfpr
-from .errors import DimensionMismatch, IdentityViolated, NoConvergence, NotSymmetric
+from ._kernels import eigenvalues
+from .core import CHANNELS, ChannelMatrix, HFPR, channel, random_hfpr
+from .errors import (
+    DimensionMismatch,
+    IdentityViolated,
+    NotSymmetric,
+    ParameterOutOfRange,
+)
 
 SYMMETRY_TOL = 1e-9
 IDENTITY_TOL = 1e-8
@@ -96,74 +106,98 @@ def _as_symmetric_array(m) -> np.ndarray:
     a = m.values if isinstance(m, ChannelMatrix) else np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise ParameterOutOfRange(
+            f"matrix entry ({i}, {j}) = {float(a[i, j])} is not finite")
     if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within 1e-9")
     return a
 
 
-def _eigenvalues(a: np.ndarray) -> np.ndarray:
-    w, converged = _kernels.jacobi_eigenvalues(a)
-    if not converged:
-        raise NoConvergence(
-            f"Jacobi sweep budget ({_kernels.MAX_SWEEPS}) exhausted")
-    return w
-
-
 def symmetric_eigenvalues(m) -> Spectrum:
     """Eigenvalues of a ChannelMatrix or real symmetric array, descending."""
-    a = _as_symmetric_array(m)
-    w = np.sort(_eigenvalues(a))[::-1]
-    return Spectrum(tuple(float(x) for x in w))
+    w = eigenvalues(_as_symmetric_array(m))
+    return Spectrum(tuple(w[::-1].tolist()))
+
+
+def _channels(h: HFPR) -> np.ndarray:
+    """The validated channel matrices of h as a (3, n, n) stack."""
+    return np.stack([channel(h, name).values for name in CHANNELS])
+
+
+def _laplacians(a: np.ndarray) -> np.ndarray:
+    """diag(degrees) - adjacency for each matrix of an (..., n, n) stack."""
+    return a.sum(axis=-1)[..., None] * np.eye(a.shape[-1]) - a
+
+
+def _upper_weights(a: np.ndarray) -> np.ndarray:
+    """Strict upper triangle of each matrix of an (..., n, n) stack."""
+    iu, ju = np.triu_indices(a.shape[-1], 1)
+    return a[..., iu, ju]
 
 
 def energy(h: HFPR) -> EnergyTriple:
     """Sum of absolute adjacency eigenvalues, one value per channel."""
-    vals = []
-    for name in CHANNELS:
-        w = _eigenvalues(channel(h, name).values)
-        vals.append(float(np.abs(w).sum()))
-    return EnergyTriple(*vals)
+    w = eigenvalues(_channels(h))
+    return EnergyTriple(*np.abs(w).sum(axis=-1).tolist())
 
 
 def laplacian(c: ChannelMatrix) -> np.ndarray:
     """Laplacian matrix diag(degrees) - adjacency for one channel."""
-    return np.diag(degree_vector(c)) - c.values
+    return _laplacians(c.values)
+
+
+@dataclass(frozen=True)
+class _LaplacianTerms:
+    """A relation's Laplacian spectra and the terms built on them.
+
+    Each field has one row or entry per channel: w the eigenvalues
+    (ascending), d the degrees, s and w2 the sums of the upper-triangle
+    weights and of their squares, psi = w - 2s/n the spectrum shifted by
+    its mean (descending), aux = w2 + sum (d - 2s/n)^2 / 2 and
+    energy = sum |psi|.
+    """
+
+    w: np.ndarray
+    d: np.ndarray
+    s: np.ndarray
+    w2: np.ndarray
+    psi: np.ndarray
+    aux: np.ndarray
+    energy: np.ndarray
+
+
+def _laplacian_terms(h: HFPR) -> _LaplacianTerms:
+    adj = _channels(h)
+    lap = _laplacians(adj)
+    w = eigenvalues(lap)
+    d = lap.diagonal(axis1=-2, axis2=-1)
+    upper = _upper_weights(adj)
+    s = upper.sum(axis=-1)
+    w2 = np.square(upper).sum(axis=-1)
+    shift = (2.0 * s / h.n)[:, None]
+    psi = (w - shift)[:, ::-1]
+    aux = w2 + 0.5 * np.square(d - shift).sum(axis=-1)
+    return _LaplacianTerms(w, d, s, w2, psi, aux, np.abs(psi).sum(axis=-1))
 
 
 def laplacian_energy(h: HFPR) -> EnergyTriple:
     """Sum of |eigenvalue - 2S/n| over each channel's Laplacian spectrum."""
-    vals = []
-    for name in CHANNELS:
-        c = channel(h, name)
-        w = _eigenvalues(laplacian(c))
-        shift = _mean_shift(c)
-        vals.append(float(np.abs(w - shift).sum()))
-    return EnergyTriple(*vals)
+    return EnergyTriple(*_laplacian_terms(h).energy.tolist())
 
 
-def _upper_weights(a: np.ndarray) -> np.ndarray:
-    return a[np.triu_indices(a.shape[0], 1)]
-
-
-def _mean_shift(c: ChannelMatrix) -> float:
-    n = c.n
-    return 2.0 * float(_upper_weights(c.values).sum()) / n if n else 0.0
-
-
-def _energy_channel_summary(c: ChannelMatrix) -> SpectralSummary:
-    a = c.values
-    p = c.n
-    w = _eigenvalues(a)
+def _energy_channel_summary(name: str, w: np.ndarray, w2: float,
+                            prod: float) -> SpectralSummary:
+    p = w.size
     e = float(np.abs(w).sum())
-    w2 = float(np.sum(np.square(_upper_weights(a))))
-    iu = np.triu_indices(p, 1)
-    prod = float(np.sum(a[iu] * a.T[iu]))
-    det = float(np.prod(w)) if p else 1.0
+    det = float(np.prod(w))
     det_term = 0.0 if det == 0.0 else abs(det) ** (2.0 / p)
     lo = math.sqrt(p * (p - 1) * det_term + 2.0 * prod)
     hi_frob = math.sqrt(2.0 * p * w2)
-    mean_sq = 2.0 * w2 / p if p else 0.0
-    hi_ms = mean_sq + math.sqrt(max(p - 1, 0) * max(2.0 * w2 - mean_sq ** 2, 0.0))
+    mean_sq = 2.0 * w2 / p
+    hi_ms = mean_sq + math.sqrt((p - 1) * max(2.0 * w2 - mean_sq ** 2, 0.0))
     ms_applicable = 2.0 * w2 >= p
     checks = (
         BoundCheck(
@@ -184,9 +218,9 @@ def _energy_channel_summary(c: ChannelMatrix) -> SpectralSummary:
     )
     bound_hi = min(hi_frob, hi_ms) if ms_applicable else hi_frob
     return SpectralSummary(
-        channel=c.channel,
+        channel=name,
         value=e,
-        shifted=tuple(float(x) for x in np.sort(w)[::-1]),
+        shifted=tuple(w[::-1].tolist()),
         aux=w2,
         bound_lo=lo,
         bound_hi=bound_hi,
@@ -195,19 +229,13 @@ def _energy_channel_summary(c: ChannelMatrix) -> SpectralSummary:
     )
 
 
-def _laplacian_channel_summary(c: ChannelMatrix) -> SpectralSummary:
-    n = c.n
-    w = _eigenvalues(laplacian(c))
-    shift = _mean_shift(c)
-    psi = np.sort(w - shift)[::-1]
-    le = float(np.abs(psi).sum())
-    w2 = float(np.sum(np.square(_upper_weights(c.values))))
-    dev = float(np.sum(np.square(degree_vector(c) - shift)))
-    aux = w2 + 0.5 * dev
+def _laplacian_channel_summary(name: str, psi: np.ndarray, le: float,
+                               aux: float) -> SpectralSummary:
+    n = psi.size
     lo_spread = 2.0 * math.sqrt(aux)
     hi_frob = math.sqrt(2.0 * n * aux)
-    psi1 = float(psi[0]) if n else 0.0
-    hi_shift = psi1 + math.sqrt(max(n - 1, 0) * max(2.0 * aux - psi1 ** 2, 0.0))
+    psi1 = float(psi[0])
+    hi_shift = psi1 + math.sqrt((n - 1) * max(2.0 * aux - psi1 ** 2, 0.0))
     checks = (
         BoundCheck(
             quantity="laplacian_energy_spread_lower",
@@ -232,9 +260,9 @@ def _laplacian_channel_summary(c: ChannelMatrix) -> SpectralSummary:
         ),
     )
     return SpectralSummary(
-        channel=c.channel,
+        channel=name,
         value=le,
-        shifted=tuple(float(x) for x in psi),
+        shifted=tuple(psi.tolist()),
         aux=aux,
         bound_lo=lo_spread,
         bound_hi=min(hi_frob, hi_shift),
@@ -253,7 +281,14 @@ def check_energy_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
     W = sum of squared upper-triangle weights, asserted only under its
     classical applicability hypothesis 2W >= p.
     """
-    return tuple(_energy_channel_summary(channel(h, name)) for name in CHANNELS)
+    adj = _channels(h)
+    w = eigenvalues(adj)
+    upper = _upper_weights(adj)
+    w2 = np.square(upper).sum(axis=-1)
+    prod = (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1)
+    return tuple(
+        _energy_channel_summary(name, w[k], float(w2[k]), float(prod[k]))
+        for k, name in enumerate(CHANNELS))
 
 
 def check_laplacian_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
@@ -264,8 +299,11 @@ def check_laplacian_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
     max-shift upper bound psi1 + sqrt((n-1)(2*aux - psi1^2)) where psi1 is
     the largest shifted eigenvalue (not the largest absolute value).
     """
+    t = _laplacian_terms(h)
     return tuple(
-        _laplacian_channel_summary(channel(h, name)) for name in CHANNELS)
+        _laplacian_channel_summary(
+            name, t.psi[k], float(t.energy[k]), float(t.aux[k]))
+        for k, name in enumerate(CHANNELS))
 
 
 def eigen_identities(h: HFPR) -> tuple[SpectralSummary, ...]:
@@ -276,38 +314,31 @@ def eigen_identities(h: HFPR) -> tuple[SpectralSummary, ...]:
     their squares sum to 2 * aux. Raises IdentityViolated on the first
     residual over budget; returns the per-channel summaries otherwise.
     """
+    t = _laplacian_terms(h)
+    d2 = np.square(t.d).sum(axis=-1)
+    residuals = {
+        "laplacian_trace": np.abs(t.w.sum(axis=-1) - 2.0 * t.s),
+        "laplacian_square":
+            np.abs(np.square(t.w).sum(axis=-1) - (2.0 * t.w2 + d2)),
+        "shifted_sum": np.abs(t.psi.sum(axis=-1)),
+        "shifted_square": np.abs(np.square(t.psi).sum(axis=-1) - 2.0 * t.aux),
+    }
     out = []
-    for name in CHANNELS:
-        c = channel(h, name)
-        n = c.n
-        w = _eigenvalues(laplacian(c))
-        d = degree_vector(c)
-        upper = _upper_weights(c.values)
-        w2 = float(np.sum(np.square(upper)))
-        s = float(upper.sum())
-        shift = 2.0 * s / n if n else 0.0
-        psi = np.sort(w - shift)[::-1]
-        aux = w2 + 0.5 * float(np.sum(np.square(d - shift)))
-        residuals = (
-            ("laplacian_trace", abs(float(w.sum()) - 2.0 * s)),
-            ("laplacian_square",
-             abs(float(np.sum(np.square(w))) - (2.0 * w2 + float(np.sum(np.square(d)))))),
-            ("shifted_sum", abs(float(psi.sum()))),
-            ("shifted_square", abs(float(np.sum(np.square(psi))) - 2.0 * aux)),
-        )
-        for identity, residual in residuals:
+    for k, name in enumerate(CHANNELS):
+        rows = tuple((identity, float(r[k])) for identity, r in residuals.items())
+        for identity, residual in rows:
             if residual > IDENTITY_TOL:
                 raise IdentityViolated(name, identity, residual)
         out.append(SpectralSummary(
             channel=name,
-            value=float(np.abs(psi).sum()),
-            shifted=tuple(float(x) for x in psi),
-            aux=aux,
+            value=float(t.energy[k]),
+            shifted=tuple(t.psi[k].tolist()),
+            aux=float(t.aux[k]),
             bound_lo=None,
             bound_hi=None,
             checks=(),
             satisfied=True,
-            residuals=residuals,
+            residuals=rows,
         ))
     return tuple(out)
 
@@ -343,12 +374,11 @@ def bounds_survey(seed: int = 42, count: int = 1000,
         n = int(rng.integers(lo, hi + 1))
         h = random_hfpr(n, rng)
         rows.extend(_instance_rows(k, h))
-        eigen_identities(h)
     return rows
 
 
 def _instance_rows(key: int, h) -> list[SurveyRow]:
-    """Bound rows for one relation.
+    """Bound rows for one relation, which must also pass eigen_identities.
 
     Bound columns always carry the computed expressions so the report is
     inspectable; `satisfied` is the assertion, and for the mean-square
@@ -362,13 +392,10 @@ def _instance_rows(key: int, h) -> list[SurveyRow]:
                 seed=key, n=h.n, channel=summary.channel, quantity=c.quantity,
                 value=c.value, bound_lo=c.lower, bound_hi=c.upper,
                 satisfied=c.satisfied))
+    eigen_identities(h)
     return rows
 
 
 def fixture_survey_rows(experts) -> list[SurveyRow]:
     """Bound rows for explicit relations; seed column carries the index."""
-    rows: list[SurveyRow] = []
-    for k, h in enumerate(experts):
-        rows.extend(_instance_rows(k, h))
-        eigen_identities(h)
-    return rows
+    return [row for k, h in enumerate(experts) for row in _instance_rows(k, h)]

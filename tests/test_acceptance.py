@@ -356,7 +356,7 @@ def test_criterion_6_closure_premise_requires_shared_weights():
 # --------------------------------------------------------------- criterion 7
 
 def test_criterion_7_eigensolver_oracle_equivalence():
-    """Jacobi eigenvalues agree with characteristic-polynomial closed
+    """Library eigenvalues agree with characteristic-polynomial closed
     forms on 1000 random 2x2 and 1000 random 3x3 symmetric matrices to
     1e-9."""
     rng = np.random.default_rng(606)

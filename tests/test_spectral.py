@@ -7,6 +7,7 @@ import pytest
 from hfgdm import (
     CHANNELS,
     NotSymmetric,
+    ParameterOutOfRange,
     bounds_survey,
     channel,
     check_energy_bounds,
@@ -60,6 +61,18 @@ class TestSymmetricEigenvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             symmetric_eigenvalues(np.array([[0.0, 0.2], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, at):
+        # LAPACK would return a finite, wrong spectrum for a NaN entry, and
+        # NaN slips past the symmetry tolerance, so finiteness is checked
+        # first and names the entry.
+        a = np.array([[0.0, 0.3], [0.3, 1.0]])
+        a[at] = bad
+        with pytest.raises(ParameterOutOfRange,
+                           match=rf"entry \({at[0]}, {at[1]}\) = .*not finite"):
+            symmetric_eigenvalues(a)
 
 
 class TestEnergy:
