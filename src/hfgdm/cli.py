@@ -21,16 +21,16 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import fixtures
-from .core import HFPR, make_hfpr, random_hfpr
+from .core import HFPR, VertexAttribute, make_hfpr, random_hfpr
 from .errors import ComputationError, SchemaViolation, ValidationError
 from .pipeline import (
     CLOSENESS_MODES,
-    CONVENTIONS,
     MODES,
     NORMALIZATIONS,
     Overrides,
@@ -42,15 +42,16 @@ from .similarity import pair_similarity
 from .spectral import bounds_survey, energy, fixture_survey_rows, laplacian_energy
 
 _TOP_KEYS = {"alternatives", "experts", "config", "published", "vertex_attrs"}
-_CONFIG_KEYS = {"mode", "score_normalization", "eta", "gamma_grid",
-                "closeness", "blend_convention", "overrides"}
-_OVERRIDE_KEYS = {"pair_similarity", "ca", "c1", "c", "aggregated"}
-_PUBLISHED_KEYS = {"pair_similarity", "similarity_degrees", "ca", "ranking"}
 
 
 @dataclass(frozen=True)
 class InputDocument:
-    """One parsed and validated scenario document."""
+    """One parsed and validated scenario document.
+
+    published holds converted values: pair_similarity maps expert index
+    pairs to floats, similarity_degrees and ca are float arrays, ranking
+    is a tuple of labels.
+    """
 
     alternatives: tuple[str, ...]
     expert_ids: tuple[str, ...]
@@ -102,8 +103,8 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, allowed, where: str) -> None:
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise SchemaViolation(
             f"{where}.{sorted(unknown)[0]}",
@@ -117,15 +118,72 @@ def _finite(token: str, parse=float):
     return parse(token)
 
 
-def _pair_key_to_indices(key: str, ids: tuple[str, ...],
-                         where: str) -> tuple[int, int]:
-    parts = key.split(":")
-    if len(parts) != 2 or parts[0] not in ids or parts[1] not in ids \
-            or parts[0] == parts[1]:
-        raise SchemaViolation(
-            f"{where}.{key}",
-            f"pair key {key!r} must be two distinct expert ids joined by ':'")
-    return ids.index(parts[0]), ids.index(parts[1])
+def _convert(value, convert, where: str, message: str):
+    """convert(value), reporting a TypeError or ValueError from it as a
+    SchemaViolation at field `where`. A ValidationError is a ValueError
+    too; it already names its problem and passes through unchanged."""
+    try:
+        return convert(value)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError):
+        raise SchemaViolation(where, message) from None
+
+
+def _reals(x, ndim: int | None = None) -> np.ndarray:
+    """A finite float array; any shape unless ndim is given."""
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all() or ndim not in (None, a.ndim):
+        raise ValueError("not a finite numeric array of that rank")
+    return a
+
+
+def _labels(x) -> tuple[str, ...]:
+    if not (x and isinstance(x, list) and all(isinstance(s, str) for s in x)):
+        raise TypeError("not a nonempty list of strings")
+    return tuple(x)
+
+
+# Readers map a document key to (converter, what the value must be). A
+# converter of None hands the value on as given: PipelineConfig checks it
+# against its choices.
+_NUMBER = (lambda x: float(_reals(x, 0)), "a number")
+_VECTOR = (lambda x: _reals(x, 1), "a list of numbers")
+_ARRAY = (_reals, "a numeric array")
+
+
+def _pair_map(mapping, ids: tuple[str, ...], where: str) -> dict:
+    """An {"id:id": number} object as {(i, j): float} over expert indices."""
+    out = {}
+    for key, value in _require_mapping(mapping, where).items():
+        parts = key.split(":")
+        if len(parts) != 2 or parts[0] not in ids or parts[1] not in ids \
+                or parts[0] == parts[1]:
+            raise SchemaViolation(
+                f"{where}.{key}",
+                f"pair key {key!r} must be two distinct expert ids joined by ':'")
+        out[ids.index(parts[0]), ids.index(parts[1])] = _convert(
+            value, _NUMBER[0], f"{where}.{key}", f"{where}.{key} must be a number")
+    return out
+
+
+_CONFIG_READERS = dict.fromkeys(
+    ("mode", "score_normalization", "closeness", "blend_convention"),
+    (None, None)) | {"eta": _NUMBER, "gamma_grid": _VECTOR}
+# Document key -> PipelineConfig field, where the two differ. Defaults
+# live in PipelineConfig alone.
+_CONFIG_FIELD = {"closeness": "closeness_mode"}
+
+
+def _read(obj, where: str, readers: dict) -> dict:
+    """Check obj's keys against readers and convert each value present."""
+    _check_keys(_require_mapping(obj, where), readers, where)
+    out = {}
+    for key, value in obj.items():
+        convert, what = readers[key]
+        out[key] = value if convert is None else _convert(
+            value, convert, f"{where}.{key}", f"{where}.{key} must be {what}")
+    return out
 
 
 def parse_input(path: str) -> InputDocument:
@@ -135,6 +193,8 @@ def parse_input(path: str) -> InputDocument:
     (smartphone.json) resolves to the bundled copy, so documented example
     invocations work from any directory. NaN, Infinity and numbers that
     overflow a float are rejected, so no non-finite value enters a run.
+    Every field is converted here, overrides and published values too; a
+    value of the wrong type is a SchemaViolation naming its field.
     """
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,6 +209,8 @@ def parse_input(path: str) -> InputDocument:
     except json.JSONDecodeError as e:
         raise SchemaViolation(
             "json", f"invalid JSON at line {e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise SchemaViolation("json", "JSON nested too deeply") from None
 
     raw = _require_mapping(raw, "document")
     _check_keys(raw, _TOP_KEYS, "document")
@@ -156,12 +218,8 @@ def parse_input(path: str) -> InputDocument:
         if required not in raw:
             raise SchemaViolation(required, f"missing field {required!r}")
 
-    alternatives = raw["alternatives"]
-    if not isinstance(alternatives, list) or not alternatives \
-            or not all(isinstance(x, str) for x in alternatives):
-        raise SchemaViolation(
-            "alternatives", "alternatives must be a nonempty list of labels")
-    alternatives = tuple(alternatives)
+    alternatives = _convert(raw["alternatives"], _labels, "alternatives",
+                            "alternatives must be a nonempty list of labels")
     n = len(alternatives)
 
     vertex_attrs = raw.get("vertex_attrs")
@@ -169,6 +227,10 @@ def parse_input(path: str) -> InputDocument:
         if not isinstance(vertex_attrs, list) or len(vertex_attrs) != n:
             raise SchemaViolation(
                 "vertex_attrs", f"vertex_attrs must list {n} entries")
+        vertex_attrs = _convert(
+            vertex_attrs, lambda v: tuple(VertexAttribute(*a) for a in v),
+            "vertex_attrs",
+            "vertex_attrs entries must be [mu1, gamma1] or [mu1, gamma1, beta1]")
 
     experts_raw = raw["experts"]
     if not isinstance(experts_raw, list) or not experts_raw:
@@ -184,61 +246,44 @@ def parse_input(path: str) -> InputDocument:
         if "hfpr" not in item:
             raise SchemaViolation(f"experts[{k}].hfpr", "missing hfpr matrix")
         ids.append(item["id"])
-        try:
-            matrix = np.asarray(item["hfpr"], dtype=float)
-        except (TypeError, ValueError):
-            raise SchemaViolation(
-                f"experts[{k}].hfpr", "hfpr must be an n x n x 3 numeric array"
-            ) from None
+        # make_hfpr checks every entry, non-finite ones included.
+        matrix = _convert(item["hfpr"], partial(np.asarray, dtype=float),
+                          f"experts[{k}].hfpr",
+                          "hfpr must be an n x n x 3 numeric array")
         relations.append(
             make_hfpr(matrix, labels=alternatives, vertex_attrs=vertex_attrs))
     if len(set(ids)) != len(ids):
         raise SchemaViolation("experts", "expert ids must be unique")
     ids = tuple(ids)
 
-    config_raw = raw.get("config", {})
-    config_raw = _require_mapping(config_raw, "config")
-    _check_keys(config_raw, _CONFIG_KEYS, "config")
-    overrides = Overrides()
-    if "overrides" in config_raw:
-        ov_raw = _require_mapping(config_raw["overrides"], "config.overrides")
-        _check_keys(ov_raw, _OVERRIDE_KEYS, "config.overrides")
-        pair = None
-        if "pair_similarity" in ov_raw:
-            mapping = _require_mapping(
-                ov_raw["pair_similarity"], "config.overrides.pair_similarity")
-            pair = {
-                _pair_key_to_indices(k, ids, "config.overrides.pair_similarity"):
-                    float(v)
-                for k, v in mapping.items()}
-        aggregated = None
-        if "aggregated" in ov_raw:
-            aggregated = make_hfpr(
-                np.asarray(ov_raw["aggregated"], dtype=float),
-                labels=alternatives)
-        overrides = Overrides(
-            pair_similarity=pair,
-            c1=ov_raw.get("c1"),
-            ca=ov_raw.get("ca"),
-            c=ov_raw.get("c"),
-            aggregated=aggregated,
-        )
+    def pairs(where):
+        return (lambda mapping: _pair_map(mapping, ids, where),
+                "an object of pair similarities")
 
+    override_readers = {
+        "c1": _ARRAY,
+        "pair_similarity": pairs("config.overrides.pair_similarity"),
+        "ca": _ARRAY,
+        "c": _ARRAY,
+        "aggregated": (lambda v: make_hfpr(np.asarray(v, dtype=float),
+                                           labels=alternatives),
+                       "an n x n x 3 numeric array"),
+    }
+    config_readers = dict(_CONFIG_READERS, overrides=(
+        lambda v: Overrides(**_read(v, "config.overrides", override_readers)),
+        None))
+    config = _read(raw.get("config", {}), "config", config_readers)
     config = PipelineConfig(
-        mode=config_raw.get("mode", "energy"),
-        score_normalization=config_raw.get("score_normalization", "auto"),
-        eta=float(config_raw.get("eta", 0.5)),
-        gamma_grid=tuple(config_raw.get("gamma_grid",
-                                        (0.0, 0.3, 0.5, 0.7, 1.0))),
-        closeness_mode=config_raw.get("closeness", "relative"),
-        blend_convention=config_raw.get("blend_convention", "auto"),
-        overrides=overrides,
-    )
+        **{_CONFIG_FIELD.get(k, k): v for k, v in config.items()})
 
     published = raw.get("published")
     if published is not None:
-        published = _require_mapping(published, "published")
-        _check_keys(published, _PUBLISHED_KEYS, "published")
+        published = _read(published, "published", {
+            "pair_similarity": pairs("published.pair_similarity"),
+            "similarity_degrees": _VECTOR,
+            "ca": _VECTOR,
+            "ranking": (_labels, "a nonempty list of strings"),
+        })
 
     return InputDocument(
         alternatives=alternatives,
@@ -279,10 +324,9 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
         })
 
     if "pair_similarity" in published and "pair_similarity" not in overridden:
-        for key, pub in published["pair_similarity"].items():
-            i, j = _pair_key_to_indices(key, doc.expert_ids,
-                                        "published.pair_similarity")
-            add(f"pair_similarity {key}",
+        ids = doc.expert_ids
+        for (i, j), pub in published["pair_similarity"].items():
+            add(f"pair_similarity {ids[i]}:{ids[j]}",
                 pair_similarity(doc.experts[i], doc.experts[j]), pub)
     if "similarity_degrees" in published \
             and report.similarity_degrees is not None \
@@ -296,7 +340,7 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
                                         published["ca"]):
             add(f"ca {ident}", computed, pub)
     if "ranking" in published:
-        want = tuple(published["ranking"])
+        want = published["ranking"]
         got = {_ranking_str(report.labels, r.ranking) for r in report.records}
         out.append({
             "quantity": "ranking (all gamma values)",
@@ -416,26 +460,21 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise
 
 
+# run flag -> the PipelineConfig field it sets
+_FLAG_FIELD = {"mode": "mode", "normalization": "score_normalization",
+               "eta": "eta", "gamma": "gamma_grid",
+               "closeness": "closeness_mode"}
+
+
 def _merged_config(doc: InputDocument, args) -> PipelineConfig:
-    config = doc.config
-    kwargs = {}
-    if getattr(args, "mode", None):
-        kwargs["mode"] = args.mode
-    if getattr(args, "normalization", None):
-        kwargs["score_normalization"] = args.normalization
-    if getattr(args, "eta", None) is not None:
-        kwargs["eta"] = args.eta
-    if getattr(args, "gamma", None):
-        try:
-            kwargs["gamma_grid"] = tuple(
-                float(x) for x in args.gamma.split(","))
-        except ValueError:
-            raise SchemaViolation(
-                "--gamma", f"cannot parse gamma grid {args.gamma!r}") from None
-    if getattr(args, "closeness", None):
-        kwargs["closeness_mode"] = args.closeness
-    overrides = config.overrides
-    if getattr(args, "override_similarity", None):
+    changes = {field: getattr(args, flag)
+               for flag, field in _FLAG_FIELD.items()
+               if getattr(args, flag) not in (None, "")}
+    if "gamma_grid" in changes:
+        changes["gamma_grid"] = _convert(
+            args.gamma, lambda text: tuple(float(x) for x in text.split(",")),
+            "--gamma", f"cannot parse gamma grid {args.gamma!r}")
+    if args.override_similarity:
         if args.override_similarity != "paper":
             raise SchemaViolation(
                 "--override-similarity",
@@ -446,25 +485,9 @@ def _merged_config(doc: InputDocument, args) -> PipelineConfig:
             raise SchemaViolation(
                 "published.pair_similarity",
                 "input document carries no published pairwise similarities")
-        pair = {
-            _pair_key_to_indices(k, doc.expert_ids, "published.pair_similarity"):
-                float(v)
-            for k, v in published["pair_similarity"].items()}
-        overrides = Overrides(
-            pair_similarity=pair, c1=overrides.c1, ca=overrides.ca,
-            c=overrides.c, aggregated=overrides.aggregated)
-    if kwargs or overrides is not config.overrides:
-        config = PipelineConfig(
-            mode=kwargs.get("mode", config.mode),
-            score_normalization=kwargs.get("score_normalization",
-                                           config.score_normalization),
-            eta=kwargs.get("eta", config.eta),
-            gamma_grid=kwargs.get("gamma_grid", config.gamma_grid),
-            closeness_mode=kwargs.get("closeness_mode", config.closeness_mode),
-            blend_convention=config.blend_convention,
-            overrides=overrides,
-        )
-    return config
+        changes["overrides"] = replace(
+            doc.config.overrides, pair_similarity=published["pair_similarity"])
+    return replace(doc.config, **changes)
 
 
 def cmd_run(args) -> int:
@@ -549,6 +572,7 @@ def cmd_generate(args) -> int:
     if args.experts < 2:
         raise SchemaViolation("--experts", "need at least 2 experts")
     labels = [f"t{i + 1}" for i in range(args.n)]
+    defaults = PipelineConfig()
     experts = []
     for e in range(args.experts):
         rng = np.random.default_rng([args.seed, e])
@@ -560,13 +584,9 @@ def cmd_generate(args) -> int:
     payload = {
         "alternatives": labels,
         "experts": experts,
-        "config": {
-            "mode": "energy",
-            "score_normalization": "auto",
-            "eta": 0.5,
-            "gamma_grid": [0.0, 0.3, 0.5, 0.7, 1.0],
-            "closeness": "relative",
-        },
+        "config": {key: getattr(defaults, _CONFIG_FIELD.get(key, key))
+                   for key in ("mode", "score_normalization", "eta",
+                               "gamma_grid", "closeness")},
     }
     _write_output(_emit_json(payload) + "\n", args.out)
     return 0

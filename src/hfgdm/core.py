@@ -130,7 +130,7 @@ class ChannelMatrix:
         a = np.asarray(self.values, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-        if a.size and (a.min() < -TOL or a.max() > 1.0 + TOL):
+        if not np.all((a >= -TOL) & (a <= 1.0 + TOL)):  # NaN fails too
             raise TripleOutOfRange("channel entries must lie in [0, 1]")
         if np.any(np.diag(a) != 0.0):
             raise DiagonalNotZero("channel diagonal must be exactly zero")

@@ -12,13 +12,17 @@ class ValidationError(ValueError):
     """An input violates a documented precondition or invariant."""
 
 
-class TripleOutOfRange(ValidationError):
-    """A (mu, gamma, beta) value leaves [0,1] or its sum exceeds 1."""
+class _EntryError(ValidationError):
+    """A violation located at matrix entry (i, j)."""
 
     def __init__(self, message: str, i: int | None = None, j: int | None = None):
         super().__init__(message)
         self.i = i
         self.j = j
+
+
+class TripleOutOfRange(_EntryError):
+    """A (mu, gamma, beta) value leaves [0,1] or its sum exceeds 1."""
 
 
 class DiagonalNotZero(ValidationError):
@@ -29,22 +33,12 @@ class DiagonalNotZero(ValidationError):
         self.i = i
 
 
-class AsymmetricEntry(ValidationError):
+class AsymmetricEntry(_EntryError):
     """entries[i][j] does not match entries[j][i] componentwise."""
 
-    def __init__(self, message: str, i: int | None = None, j: int | None = None):
-        super().__init__(message)
-        self.i = i
-        self.j = j
 
-
-class EdgeExceedsVertexBound(ValidationError):
+class EdgeExceedsVertexBound(_EntryError):
     """An edge triple breaks the bound imposed by its endpoint attributes."""
-
-    def __init__(self, message: str, i: int | None = None, j: int | None = None):
-        super().__init__(message)
-        self.i = i
-        self.j = j
 
 
 class NotSymmetric(ValidationError):

@@ -23,7 +23,7 @@ picks vector for three experts and scalar otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,22 +84,23 @@ class ScoreSet:
     convention: str
 
     def __post_init__(self):
+        # Each check is written so that NaN fails it.
         l = self.c1.shape[0]
         for name, a in (("c1", self.c1), ("ca_effective", self.ca_effective),
                         ("c2", self.c2), ("c", self.c)):
             if a.shape != (l, 3):
                 raise OverrideShapeMismatch(f"{name} must have shape ({l}, 3)")
-            if a.min() < -_SCORE_TOL:
+            if not a.min() >= -_SCORE_TOL:
                 raise ParameterOutOfRange(f"{name} components must be nonnegative")
         if self.ca.shape != (l,):
             raise OverrideShapeMismatch(f"ca must have shape ({l},)")
-        if abs(self.ca.sum() - 1.0) > _SCORE_TOL:
+        if not abs(self.ca.sum() - 1.0) <= _SCORE_TOL:
             raise ParameterOutOfRange(f"ca must sum to 1, got {self.ca.sum()!r}")
         want_c2 = self.eta * self.c1 + (1.0 - self.eta) * self.ca_effective
-        if np.max(np.abs(self.c2 - want_c2)) > _BLEND_TOL:
+        if not np.max(np.abs(self.c2 - want_c2)) <= _BLEND_TOL:
             raise ParameterOutOfRange("c2 does not satisfy the blend identity")
         want_c = self.gamma_blend * self.c1 + (1.0 - self.gamma_blend) * self.c2
-        if np.max(np.abs(self.c - want_c)) > _BLEND_TOL:
+        if not np.max(np.abs(self.c - want_c)) <= _BLEND_TOL:
             raise ParameterOutOfRange("c does not satisfy the blend identity")
         for name in ("c1", "ca", "ca_effective", "c2", "c"):
             object.__setattr__(self, name, _freeze(getattr(self, name).copy()))
@@ -107,32 +108,22 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class Overrides:
-    """Optional checkpoint injections, keyed by pipeline stage.
+    """Optional checkpoint injections, one field per stage, in stage order.
 
     pair_similarity maps expert index pairs (either orientation) to the
     injected stage-iii values; c1, ca, c are score arrays; aggregated is a
     full replacement relation for stage vii.
     """
 
-    pair_similarity: dict | None = None
     c1: object | None = None
+    pair_similarity: dict | None = None
     ca: object | None = None
     c: object | None = None
     aggregated: HFPR | None = None
 
     def stage_names(self) -> tuple[str, ...]:
-        out = []
-        if self.c1 is not None:
-            out.append("c1")
-        if self.pair_similarity is not None:
-            out.append("pair_similarity")
-        if self.ca is not None:
-            out.append("ca")
-        if self.c is not None:
-            out.append("c")
-        if self.aggregated is not None:
-            out.append("aggregated")
-        return tuple(out)
+        return tuple(f.name for f in fields(self)
+                     if getattr(self, f.name) is not None)
 
 
 @dataclass(frozen=True)
@@ -221,6 +212,18 @@ class RankingReport:
     overridden: tuple[str, ...]
 
 
+def _check_experts(experts) -> None:
+    """Nonempty, one relation size, and symmetric: what every stage needs."""
+    if len(experts) == 0:
+        raise NeedTwoExperts("need at least 1 relation")
+    ns = {h.n for h in experts}
+    if len(ns) != 1:
+        raise DimensionMismatch(f"mixed relation sizes {sorted(ns)}")
+    for h in experts:
+        if not h.symmetric:
+            raise NotSymmetric("the pipeline rejects asymmetric relations")
+
+
 def uncertainty_scores(experts, mode: str = "energy",
                        normalization: str = "auto") -> np.ndarray:
     """Stage-ii score triples from per-expert energies.
@@ -236,11 +239,7 @@ def uncertainty_scores(experts, mode: str = "energy",
     if normalization not in NORMALIZATIONS:
         raise ParameterOutOfRange(
             f"normalization {normalization!r} not one of {NORMALIZATIONS}")
-    if len(experts) == 0:
-        raise NeedTwoExperts("need at least 1 relation")
-    ns = {h.n for h in experts}
-    if len(ns) != 1:
-        raise DimensionMismatch(f"mixed relation sizes {sorted(ns)}")
+    _check_experts(experts)
     measure = energy if mode == "energy" else laplacian_energy
     raw = np.array([measure(h).as_array() for h in experts])
     if normalization == "auto":
@@ -256,22 +255,26 @@ def uncertainty_scores(experts, mode: str = "energy",
     return raw / denom
 
 
+def _degrees_and_weights(experts, pairwise):
+    """Mean similarity degrees and their normalization, the stage-iv weights."""
+    l = len(experts)
+    if l < 2:
+        raise NeedTwoExperts(f"need at least 2 relations, got {l}")
+    degrees = tuple(mean_similarity_degree(experts, b, pairwise=pairwise)
+                    for b in range(l))
+    total = sum(degrees)
+    if total <= 0.0:
+        raise ZeroDenominator("similarity degrees sum to zero")
+    return degrees, np.array(degrees) / total
+
+
 def similarity_weights(experts, pairwise=None) -> np.ndarray:
     """Stage-iv weights: normalized mean similarity degrees.
 
     pairwise optionally injects stage-iii values as a mapping from expert
     index pairs to floats; anything not injected is computed.
     """
-    l = len(experts)
-    if l < 2:
-        raise NeedTwoExperts(f"need at least 2 relations, got {l}")
-    degrees = np.array([
-        mean_similarity_degree(experts, b, pairwise=pairwise)
-        for b in range(l)])
-    total = degrees.sum()
-    if total <= 0.0:
-        raise ZeroDenominator("similarity degrees sum to zero")
-    return degrees / total
+    return _degrees_and_weights(experts, pairwise)[1]
 
 
 def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
@@ -320,16 +323,8 @@ def aggregate_hfpr(experts, c) -> HFPR:
     for gamma and beta with columns 1 and 2. The result is validated as an
     HFPR; it always passes when every weight column sums to at most 1.
     """
-    l = len(experts)
-    if l == 0:
-        raise NeedTwoExperts("need at least 1 relation")
-    ns = {h.n for h in experts}
-    if len(ns) != 1:
-        raise DimensionMismatch(f"mixed relation sizes {sorted(ns)}")
-    for h in experts:
-        if not h.symmetric:
-            raise NotSymmetric("the pipeline rejects asymmetric relations")
-    weights = _score_matrix(c, l, "c")
+    _check_experts(experts)
+    weights = _score_matrix(c, len(experts), "c")
     stacked = np.stack([h.values for h in experts])
     vals = np.einsum("bc,bijc->ijc", weights, stacked)
     return make_hfpr(vals, labels=experts[0].labels)
@@ -368,15 +363,8 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     recomputed from the injected values.
     """
     config = config or PipelineConfig()
+    _check_experts(experts)
     l = len(experts)
-    if l == 0:
-        raise NeedTwoExperts("need at least 1 relation")
-    ns = {h.n for h in experts}
-    if len(ns) != 1:
-        raise DimensionMismatch(f"mixed relation sizes {sorted(ns)}")
-    for h in experts:
-        if not h.symmetric:
-            raise NotSymmetric("the pipeline rejects asymmetric relations")
     ov = config.overrides
 
     energies = tuple(energy(h) for h in experts)
@@ -400,19 +388,13 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
                 f"ca override must have shape ({l},), got {ca.shape}")
         degrees = None
     else:
-        degrees = tuple(
-            mean_similarity_degree(experts, b, pairwise=pairwise)
-            for b in range(l))
-        total = sum(degrees)
-        if total <= 0.0:
-            raise ZeroDenominator("similarity degrees sum to zero")
-        ca = np.array(degrees) / total
+        degrees, ca = _degrees_and_weights(experts, pairwise)
 
     convention = config.blend_convention
     if convention == "auto":
         convention = "vector" if l == 3 else "scalar"
 
-    if ov.aggregated is not None and ov.aggregated.n != next(iter(ns)):
+    if ov.aggregated is not None and ov.aggregated.n != experts[0].n:
         raise OverrideShapeMismatch(
             "aggregated override does not match the relation size")
 

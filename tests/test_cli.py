@@ -1,4 +1,8 @@
 """Command-line interface: parsing, output formats, exit codes."""
+import contextlib
+import copy
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hfgdm.cli as cli
 from hfgdm import energy
@@ -19,6 +25,9 @@ RUN_JSON_ARGS = ["run", "smartphone.json", "--format", "json"]
 # Directory that holds the imported ``hfgdm`` package, for child processes.
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parent.parent)
 CSV_HEADER = "seed,n,channel,quantity,value,bound_lo,bound_hi,satisfied"
+DATA = Path(__file__).resolve().parent / "data"
+SHARED_DOC = str(DATA / "shared_weights.json")
+SMARTPHONE = json.loads(read_text("smartphone.json"))
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +71,16 @@ class TestParseInput:
         path.write_text("{not json")
         with pytest.raises(SchemaViolation, match="invalid JSON"):
             parse_input(str(path))
+
+    def test_nesting_beyond_the_decoder_exits_2(self, tmp_path, capsys):
+        # json.loads recurses once per bracket and runs out of stack.
+        path = tmp_path / "deep.json"
+        path.write_text('{"alternatives": ' + "[" * 100_000
+                        + "]" * 100_000 + "}")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "JSON nested too deeply" in captured.err
 
     def test_unknown_fields_rejected_everywhere(self, tmp_path):
         base = json.loads(read_text("smartphone.json"))
@@ -433,3 +452,173 @@ class TestSubprocess:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["alternatives"] == ["p1", "p2", "p3", "p4"]
+
+
+def main_output(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def edited(path, value):
+    """The bundled document with the field at path (a key tuple) set."""
+    doc = copy.deepcopy(SMARTPHONE)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+    parent[path[-1]] = value
+    return doc
+
+
+# One wrong-typed field each. Every one of these used to escape as an
+# uncaught TypeError, ValueError or AttributeError: "internal error", exit 1.
+WRONG_TYPED = [
+    (("config", "eta"), "abc"),
+    (("config", "eta"), [1]),
+    (("config", "eta"), None),
+    (("config", "gamma_grid"), "ab"),
+    (("config", "gamma_grid"), 5),
+    (("config", "overrides", "c1"), "x"),
+    (("config", "overrides", "ca"), [[1], [1, 2]]),
+    (("config", "overrides", "aggregated"), [[1], [1, 2]]),
+    (("config", "overrides", "pair_similarity"), {"e1:e2": "x"}),
+    (("published", "ca"), ["x", 0.3, 0.4]),
+    (("published", "pair_similarity"), [1, 2]),
+    (("published", "ranking"), 5),
+    (("vertex_attrs",), [1, 2, 3, 4]),
+]
+
+
+@pytest.mark.parametrize("path, value", WRONG_TYPED,
+                         ids=[f"{'.'.join(p)}={v!r}" for p, v in WRONG_TYPED])
+def test_wrong_typed_field_exits_2_naming_it(tmp_path, path, value):
+    doc = write_doc(tmp_path, edited(path, value))
+    rc, out, err = main_output(["run", doc])
+    assert rc == 2
+    assert out == ""
+    assert ".".join(path) in err
+    assert "internal error" not in err
+
+
+def test_energy_and_fixture_survey_check_published_and_overrides(tmp_path):
+    for path, value in [(("published", "ranking"), 5),
+                        (("config", "overrides", "c1"), "x")]:
+        doc = write_doc(tmp_path, edited(path, value))
+        for argv in (["energy", doc], ["verify-bounds", "--fixtures", doc]):
+            rc, out, err = main_output(argv)
+            assert (rc, out) == (2, "")
+            assert ".".join(path) in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in JSON output")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+FUZZED_FIELDS = (
+    [("config", key) for key in ("mode", "score_normalization", "eta",
+                                 "gamma_grid", "closeness",
+                                 "blend_convention")]
+    + [("config", "overrides", key) for key in ("c1", "pair_similarity",
+                                                "ca", "c", "aggregated")]
+    + [("published", key) for key in ("pair_similarity",
+                                      "similarity_degrees", "ca", "ranking")]
+    + [("vertex_attrs",), ("alternatives",), ("experts",)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@given(path=st.sampled_from(FUZZED_FIELDS), value=json_values)
+@settings(max_examples=150, deadline=None)
+def test_any_one_field_exits_0_or_2(fuzz_path, path, value):
+    """Whatever one field holds, the CLI either succeeds with well-formed
+    output or rejects the document as invalid input."""
+    fuzz_path.write_text(json.dumps(edited(path, value)))
+    doc = str(fuzz_path)
+    for argv in (["run", doc], ["run", doc, "--format", "json"],
+                 ["run", doc, "--override-similarity", "paper"]):
+        rc, out, err = main_output(argv)
+        assert rc in (0, 2), (argv, err)
+        if rc == 2:
+            assert out == ""
+        elif "json" in argv:
+            json.loads(out, parse_constant=_reject_constant)
+
+
+# Committed outputs of the documented invocations. Tables must match byte
+# for byte; JSON and CSV must keep every key, string and row, with numbers
+# within 1e-12 (output is byte-deterministic per machine; another numpy or
+# LAPACK build may move a last digit). To regenerate one after an intended
+# change, redirect the listed invocation into its file, e.g.
+# `python -m hfgdm run smartphone.json > tests/data/golden/run_smartphone.txt`.
+GOLDENS = {
+    "run_smartphone.txt": ["run", "smartphone.json"],
+    "run_smartphone.json": ["run", "smartphone.json", "--format", "json"],
+    "run_smartphone_laplacian.txt": ["run", "smartphone.json",
+                                     "--mode", "laplacian"],
+    "run_smartphone_laplacian.json": ["run", "smartphone.json", "--mode",
+                                      "laplacian", "--format", "json"],
+    "run_smartphone_paper.txt": ["run", "smartphone.json",
+                                 "--override-similarity", "paper"],
+    "run_smartphone_paper.json": ["run", "smartphone.json",
+                                  "--override-similarity", "paper",
+                                  "--format", "json"],
+    "energy_smartphone.txt": ["energy", "smartphone.json"],
+    "energy_smartphone.json": ["energy", "smartphone.json",
+                               "--format", "json"],
+    "verify_bounds_fixtures.csv": ["verify-bounds", "--fixtures"],
+    "run_shared_weights.txt": ["run", SHARED_DOC],
+    "run_shared_weights.json": ["run", SHARED_DOC, "--format", "json"],
+}
+
+
+def assert_json_close(got, want, where="$"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_json_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_json_close(g, w, f"{where}[{k}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool)
+        assert abs(got - want) <= 1e-12, (where, got, want)
+    else:
+        assert got == want, where
+
+
+def _csv_cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_output_matches_golden(name):
+    rc, out, _ = main_output(GOLDENS[name])
+    assert rc == 0
+    want = (DATA / "golden" / name).read_text(encoding="utf-8")
+    if name.endswith(".txt"):
+        assert out == want
+    elif name.endswith(".json"):
+        assert_json_close(json.loads(out), json.loads(want))
+    else:
+        got_rows = list(csv.reader(io.StringIO(out)))
+        want_rows = list(csv.reader(io.StringIO(want)))
+        assert len(got_rows) == len(want_rows)
+        for got, want in zip(got_rows, want_rows):
+            assert_json_close([_csv_cell(c) for c in got],
+                              [_csv_cell(c) for c in want])

@@ -207,6 +207,14 @@ class TestChannel:
             ChannelMatrix(values=np.array([[0.0, 0.1], [0.2, 0.0]]),
                           channel="membership")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_channel_matrix_rejects_non_finite(self, bad):
+        # NaN compares False both ways, so it must fail the range check
+        # itself rather than slip past it into an all-NaN Laplacian.
+        with pytest.raises(TripleOutOfRange, match=r"\[0, 1\]"):
+            ChannelMatrix(values=np.array([[0.0, bad], [bad, 0.0]]),
+                          channel="membership")
+
 
 class TestDegreeVector:
     def test_membership_degrees(self, m1):

@@ -366,6 +366,24 @@ class TestRun:
             assert rec.aggregated is m2
         assert rep.records[0].f == rep.records[1].f
 
+    def test_overflowing_pair_override_is_rejected(self, experts, m2):
+        # The degrees overflow to inf and ca = inf / inf is NaN. With the
+        # aggregate injected nothing downstream would trip over it, so the
+        # score invariants themselves must fail on NaN.
+        huge = {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308}
+        cfg = PipelineConfig(overrides=Overrides(pair_similarity=huge,
+                                                 aggregated=m2))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ParameterOutOfRange):
+            run(experts, cfg)
+
+    def test_stage_names_follow_stage_order(self, m2):
+        ov = Overrides(aggregated=m2, c=[[1, 0, 0]], ca=[1.0],
+                       pair_similarity={}, c1=[[1, 0, 0]])
+        assert ov.stage_names() == ("c1", "pair_similarity", "ca", "c",
+                                    "aggregated")
+        assert Overrides(ca=[1.0]).stage_names() == ("ca",)
+
     def test_override_shape_errors(self, experts):
         with pytest.raises(OverrideShapeMismatch):
             run(experts, PipelineConfig(overrides=Overrides(ca=[0.5, 0.5])))
