@@ -12,10 +12,8 @@ from .core import (
     CHANNELS,
     ChannelMatrix,
     HFPR,
-    HesitancyTriple,
     VertexAttribute,
     channel,
-    degree_vector,
     make_hfpr,
     random_hfpr,
 )
@@ -55,7 +53,6 @@ from .pipeline import (
 from .similarity import (
     NEGATIVE_IDEAL,
     POSITIVE_IDEAL,
-    aggregate_similarity_weights,
     closeness,
     ideal_similarity,
     mean_similarity_degree,

@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -131,9 +130,15 @@ def _convert(value, convert, where: str, message: str):
 
 
 def _reals(x, ndim: int | None = None) -> np.ndarray:
-    """A finite float array; any shape unless ndim is given."""
+    """A finite float array of JSON numbers; any shape unless ndim is given.
+
+    numpy would read a numeric string or a boolean as a number; the
+    schema does not.
+    """
     a = np.asarray(x, dtype=float)
-    if not np.isfinite(a).all() or ndim not in (None, a.ndim):
+    if (not np.isfinite(a).all() or ndim not in (None, a.ndim)
+            or any(isinstance(v, (str, bool))
+                   for v in np.asarray(x, dtype=object).flat)):
         raise ValueError("not a finite numeric array of that rank")
     return a
 
@@ -228,7 +233,9 @@ def parse_input(path: str) -> InputDocument:
             raise SchemaViolation(
                 "vertex_attrs", f"vertex_attrs must list {n} entries")
         vertex_attrs = _convert(
-            vertex_attrs, lambda v: tuple(VertexAttribute(*a) for a in v),
+            vertex_attrs,
+            lambda v: tuple(VertexAttribute(*_reals(x, 1).tolist())
+                            for x in v),
             "vertex_attrs",
             "vertex_attrs entries must be [mu1, gamma1] or [mu1, gamma1, beta1]")
 
@@ -246,10 +253,9 @@ def parse_input(path: str) -> InputDocument:
         if "hfpr" not in item:
             raise SchemaViolation(f"experts[{k}].hfpr", "missing hfpr matrix")
         ids.append(item["id"])
-        # make_hfpr checks every entry, non-finite ones included.
-        matrix = _convert(item["hfpr"], partial(np.asarray, dtype=float),
-                          f"experts[{k}].hfpr",
-                          "hfpr must be an n x n x 3 numeric array")
+        where = f"experts[{k}].hfpr"
+        matrix = _convert(item["hfpr"], _reals, where,
+                          f"{where} must be an n x n x 3 numeric array")
         relations.append(
             make_hfpr(matrix, labels=alternatives, vertex_attrs=vertex_attrs))
     if len(set(ids)) != len(ids):
@@ -265,8 +271,7 @@ def parse_input(path: str) -> InputDocument:
         "pair_similarity": pairs("config.overrides.pair_similarity"),
         "ca": _ARRAY,
         "c": _ARRAY,
-        "aggregated": (lambda v: make_hfpr(np.asarray(v, dtype=float),
-                                           labels=alternatives),
+        "aggregated": (lambda v: make_hfpr(_reals(v), labels=alternatives),
                        "an n x n x 3 numeric array"),
     }
     config_readers = dict(_CONFIG_READERS, overrides=(

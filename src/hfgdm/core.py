@@ -8,8 +8,9 @@ such triples with an exactly zero diagonal; one relation encodes one
 expert's pairwise preferences over the alternatives.
 
 All types are immutable after construction and safe to share between
-workers. Construction-time validation reports the first offending entry in
-row-major scan order.
+workers. make_hfpr validates a relation once, at construction, with array
+checks over all entries; the first offending entry in row-major scan order
+still wins. Later stages trust the HFPR type and do not check it again.
 """
 
 from __future__ import annotations
@@ -25,44 +26,13 @@ from .errors import (
     EdgeExceedsVertexBound,
     ParameterOutOfRange,
     TripleOutOfRange,
+    ValidationError,
 )
 
 TOL = 1e-9
 
 CHANNELS = ("membership", "nonmembership", "hesitancy")
 _CHANNEL_INDEX = {name: k for k, name in enumerate(CHANNELS)}
-
-
-def _check_triple(mu: float, gamma: float, beta: float,
-                  i: int | None = None, j: int | None = None) -> None:
-    at = "" if i is None else f" at entry ({i}, {j})"
-    for name, v in (("mu", mu), ("gamma", gamma), ("beta", beta)):
-        if not (-TOL <= v <= 1.0 + TOL):
-            raise TripleOutOfRange(f"{name} = {v!r}{at} outside [0, 1]", i, j)
-    s = mu + gamma + beta
-    if s > 1.0 + TOL:
-        raise TripleOutOfRange(
-            f"mu + gamma + beta = {s!r}{at} exceeds 1", i, j)
-
-
-@dataclass(frozen=True)
-class HesitancyTriple:
-    """One (mu, gamma, beta) value; the atom of every matrix."""
-
-    mu: float
-    gamma: float
-    beta: float
-
-    def __post_init__(self):
-        _check_triple(self.mu, self.gamma, self.beta)
-
-    @property
-    def pi(self) -> float:
-        """Hesitant residue 1 - mu - gamma - beta, always recomputed."""
-        return 1.0 - self.mu - self.gamma - self.beta
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.mu, self.gamma, self.beta)
 
 
 @dataclass(frozen=True)
@@ -83,7 +53,7 @@ class VertexAttribute:
                 f"mu1 + gamma1 = {self.mu1 + self.gamma1!r} exceeds 1")
         if self.beta1 is None:
             object.__setattr__(self, "beta1", derived)
-        elif abs(self.beta1 - derived) > TOL:
+        elif not abs(self.beta1 - derived) <= TOL:  # NaN fails too
             raise ParameterOutOfRange(
                 f"beta1 = {self.beta1!r} but 1 - mu1 - gamma1 = {derived!r}")
 
@@ -111,14 +81,15 @@ class HFPR:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def triple(self, i: int, j: int) -> HesitancyTriple:
-        mu, gamma, beta = self.values[i, j]
-        return HesitancyTriple(float(mu), float(gamma), float(beta))
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
-    """A real symmetric n x n matrix for one channel of an HFPR."""
+    """A real symmetric n x n matrix for one channel of an HFPR.
+
+    With channel, spectral.laplacian and spectral.symmetric_eigenvalues it
+    forms the public single-matrix API; the per-relation spectra read
+    HFPR.values directly.
+    """
 
     values: np.ndarray
     channel: str
@@ -147,10 +118,12 @@ def make_hfpr(entries, labels=None, vertex_attrs=None,
               require_symmetry: bool = True) -> HFPR:
     """Validate and build an HFPR from an (n, n, 3) array of triples.
 
-    Checks run in row-major entry order and the first violation wins:
-    component range and triple sum, exact-zero diagonal, componentwise
-    symmetry against the upper-triangle twin (tolerance 1e-9, reported at
-    the lower-triangle entry), then the optional vertex bounds
+    Each rule is checked over all entries at once. The first offending
+    entry in row-major order is reported, under the first rule it breaks
+    in this order: component range (NaN fails it) and triple sum,
+    exact-zero diagonal, componentwise symmetry against the upper-triangle
+    twin (tolerance 1e-9, reported at the lower-triangle entry), then the
+    optional vertex bounds
     mu_ij <= min(mu1_i, mu1_j), gamma_ij <= max(gamma1_i, gamma1_j),
     beta_ij <= min(beta1_i, beta1_j).
 
@@ -183,35 +156,58 @@ def make_hfpr(entries, labels=None, vertex_attrs=None,
             raise DimensionMismatch(
                 f"{len(attrs)} vertex attributes for an n = {n} relation")
 
-    asym_at: tuple[int, int] | None = None
-    for i in range(n):
-        for j in range(n):
-            mu, gamma, beta = (float(a[i, j, 0]), float(a[i, j, 1]),
-                               float(a[i, j, 2]))
-            _check_triple(mu, gamma, beta, i, j)
-            if i == j:
-                if mu != 0.0 or gamma != 0.0 or beta != 0.0:
-                    raise DiagonalNotZero(
-                        f"diagonal entry ({i}, {i}) = "
-                        f"({mu}, {gamma}, {beta}) must be exactly (0, 0, 0)",
-                        i)
-                continue
-            if j < i and np.max(np.abs(a[i, j] - a[j, i])) > TOL:
-                if require_symmetry:
-                    raise AsymmetricEntry(
-                        f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
-                if asym_at is None:
-                    asym_at = (i, j)
-            if attrs is not None:
-                vi, vj = attrs[i], attrs[j]
-                if (mu > min(vi.mu1, vj.mu1) + TOL
-                        or gamma > max(vi.gamma1, vj.gamma1) + TOL
-                        or beta > min(vi.beta1, vj.beta1) + TOL):
-                    raise EdgeExceedsVertexBound(
-                        f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
+    mu, gamma, beta = a.transpose(2, 0, 1)
+    row, col = np.indices((n, n))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf + -inf give NaN
+        asymmetric = (col < row) & (
+            np.abs(a - a.transpose(1, 0, 2)).max(axis=2) > TOL)
+        rules = {
+            "range": ~((a >= -TOL) & (a <= 1.0 + TOL)).all(axis=2),
+            "sum": mu + gamma + beta > 1.0 + TOL,
+            "diagonal": (row == col) & (a != 0.0).any(axis=2),
+            "asymmetry": asymmetric & require_symmetry,
+        }
+        if attrs is not None:
+            mu1, gamma1, beta1 = np.array(
+                [(v.mu1, v.gamma1, v.beta1) for v in attrs], dtype=float).T
+            # A diagonal entry breaks no vertex bound unless it is
+            # nonzero, and then the diagonal rule reports it first.
+            rules["vertex"] = (
+                (mu > np.minimum.outer(mu1, mu1) + TOL)
+                | (gamma > np.maximum.outer(gamma1, gamma1) + TOL)
+                | (beta > np.minimum.outer(beta1, beta1) + TOL))
+    failing = np.logical_or.reduce(list(rules.values()))
+    if failing.any():
+        i, j = divmod(int(failing.argmax()), n)
+        rule = next(name for name, mask in rules.items() if mask[i, j])
+        raise _entry_error(rule, a, i, j)
 
     return HFPR(values=_freeze(a.copy()), labels=labels, vertex_attrs=attrs,
-                symmetric=asym_at is None)
+                symmetric=not asymmetric.any())
+
+
+def _entry_error(rule: str, a: np.ndarray, i: int, j: int) -> ValidationError:
+    """The error for the first rule of make_hfpr that entry (i, j) breaks."""
+    mu, gamma, beta = (float(v) for v in a[i, j])
+    if rule == "range":
+        name, v = next((name, v) for name, v in
+                       (("mu", mu), ("gamma", gamma), ("beta", beta))
+                       if not (-TOL <= v <= 1.0 + TOL))
+        return TripleOutOfRange(
+            f"{name} = {v!r} at entry ({i}, {j}) outside [0, 1]", i, j)
+    if rule == "sum":
+        return TripleOutOfRange(
+            f"mu + gamma + beta = {mu + gamma + beta!r} at entry ({i}, {j}) "
+            "exceeds 1", i, j)
+    if rule == "diagonal":
+        return DiagonalNotZero(
+            f"diagonal entry ({i}, {i}) = ({mu}, {gamma}, {beta}) "
+            "must be exactly (0, 0, 0)", i)
+    if rule == "asymmetry":
+        return AsymmetricEntry(
+            f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
+    return EdgeExceedsVertexBound(
+        f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
 
 
 def channel(h: HFPR, which: str) -> ChannelMatrix:
@@ -222,11 +218,6 @@ def channel(h: HFPR, which: str) -> ChannelMatrix:
         raise ParameterOutOfRange(
             f"channel {which!r} not one of {CHANNELS}") from None
     return ChannelMatrix(values=h.values[:, :, k], channel=which)
-
-
-def degree_vector(c: ChannelMatrix) -> np.ndarray:
-    """Row sums of a channel matrix: the vertex degrees."""
-    return c.values.sum(axis=1)
 
 
 def random_hfpr(n: int, rng: np.random.Generator, labels=None) -> HFPR:

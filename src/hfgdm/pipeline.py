@@ -263,6 +263,9 @@ def _degrees_and_weights(experts, pairwise):
     degrees = tuple(mean_similarity_degree(experts, b, pairwise=pairwise)
                     for b in range(l))
     total = sum(degrees)
+    if not np.isfinite(total):
+        raise ParameterOutOfRange(
+            f"similarity degrees sum to {total!r}, not a finite number")
     if total <= 0.0:
         raise ZeroDenominator("similarity degrees sum to zero")
     return degrees, np.array(degrees) / total

@@ -70,14 +70,6 @@ def mean_similarity_degree(experts, b: int, pairwise=None) -> float:
     return total / (l - 1)
 
 
-def aggregate_similarity_weights(experts, agg: HFPR) -> np.ndarray:
-    """Normalized similarities of each expert to an aggregated relation."""
-    if len(experts) == 0:
-        raise NeedTwoExperts("need at least 1 relation")
-    s = np.array([pair_similarity(h, agg) for h in experts])
-    return s / s.sum()
-
-
 def ideal_similarity(agg: HFPR, i: int, which: str) -> float:
     """Similarity of row i (0-based) to the positive or negative ideal.
 
@@ -103,7 +95,9 @@ def closeness(s_plus: float, s_minus: float, mode: str = "relative") -> float:
     """Ranking score from the two ideal similarities.
 
     relative mode: s+ / (s+ + s-); ratio mode: s+ / s-. Higher is better
-    in both; they induce identical rankings for fixed positive inputs.
+    in both; for fixed positive inputs they induce rankings identical up
+    to rounding (scores 1 ulp apart in one mode can tie or swap in the
+    other).
     """
     if mode not in ("relative", "ratio"):
         raise ParameterOutOfRange(f"mode = {mode!r} not one of relative|ratio")

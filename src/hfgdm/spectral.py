@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import CHANNELS, ChannelMatrix, HFPR, channel, random_hfpr
+from .core import CHANNELS, ChannelMatrix, HFPR, random_hfpr
 from .errors import (
+    AsymmetricEntry,
     DimensionMismatch,
     IdentityViolated,
     NotSymmetric,
@@ -123,8 +124,11 @@ def symmetric_eigenvalues(m) -> Spectrum:
 
 
 def _channels(h: HFPR) -> np.ndarray:
-    """The validated channel matrices of h as a (3, n, n) stack."""
-    return np.stack([channel(h, name).values for name in CHANNELS])
+    """The channel matrices of h, which make_hfpr validated, as a
+    contiguous (3, n, n) stack."""
+    if not h.symmetric:
+        raise AsymmetricEntry("channel matrix is not symmetric")
+    return np.ascontiguousarray(h.values.transpose(2, 0, 1))
 
 
 def _laplacians(a: np.ndarray) -> np.ndarray:

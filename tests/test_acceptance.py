@@ -29,7 +29,7 @@ from hfgdm import (
 from hfgdm.cli import main
 from hfgdm.errors import TripleOutOfRange
 from hfgdm.pipeline import Overrides, PipelineConfig, run
-from hfgdm.spectral import bounds_survey, channel, eigen_identities
+from hfgdm import bounds_survey, channel, eigen_identities
 
 from conftest import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
 from test_kernels import eigs_2x2, eigs_3x3

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -463,13 +464,25 @@ def main_output(argv):
 
 
 def edited(path, value):
-    """The bundled document with the field at path (a key tuple) set."""
+    """The bundled document with the field at path (a key tuple) set.
+
+    An int in path indexes a list."""
     doc = copy.deepcopy(SMARTPHONE)
     parent = doc
     for key in path[:-1]:
-        parent = parent.setdefault(key, {})
+        parent = parent[key] if isinstance(key, int) else \
+            parent.setdefault(key, {})
     parent[path[-1]] = value
     return doc
+
+
+def field_name(path):
+    """A key tuple as the document field name an error message uses."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path).lstrip(".")
+
+
+E1_HFPR = SMARTPHONE["experts"][0]["hfpr"]
 
 
 # One wrong-typed field each. Every one of these used to escape as an
@@ -488,18 +501,49 @@ WRONG_TYPED = [
     (("published", "pair_similarity"), [1, 2]),
     (("published", "ranking"), 5),
     (("vertex_attrs",), [1, 2, 3, 4]),
+    # numpy reads these as numbers; the schema does not.
+    (("config", "eta"), "0.5"),
+    (("config", "eta"), True),
+    (("config", "overrides", "pair_similarity"), {"e1:e2": "0.9"}),
+    (("published", "ca"), [True, 0.3, 0.4]),
+    (("experts", 0, "hfpr"), [[[str(x) for x in t] for t in row]
+                              for row in E1_HFPR]),
+    (("experts", 0, "hfpr"), [[[False if x == 0 else x for x in t]
+                               for t in row] for row in E1_HFPR]),
 ]
 
 
-@pytest.mark.parametrize("path, value", WRONG_TYPED,
-                         ids=[f"{'.'.join(p)}={v!r}" for p, v in WRONG_TYPED])
+def case_id(path, value):
+    text = repr(value)
+    if len(text) > 60:
+        text = text[:57] + "..."
+    return f"{field_name(path)}={text}"
+
+
+@pytest.mark.parametrize(
+    "path, value", WRONG_TYPED,
+    ids=[case_id(p, v) for p, v in WRONG_TYPED])
 def test_wrong_typed_field_exits_2_naming_it(tmp_path, path, value):
     doc = write_doc(tmp_path, edited(path, value))
     rc, out, err = main_output(["run", doc])
     assert rc == 2
     assert out == ""
-    assert ".".join(path) in err
+    assert field_name(path) in err
     assert "internal error" not in err
+
+
+def test_overflowing_similarity_degrees_exit_2_with_one_error_line(tmp_path):
+    # Pair similarities of 1e308 sum to an infinite degree total; that
+    # must be one error naming the degrees, not a numpy warning first.
+    huge = {"e1:e2": 1e308, "e1:e3": 1e308, "e2:e3": 1e308}
+    doc = write_doc(tmp_path, edited(
+        ("config", "overrides", "pair_similarity"), huge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = main_output(["run", doc])
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: similarity degrees")
 
 
 def test_energy_and_fixture_survey_check_published_and_overrides(tmp_path):

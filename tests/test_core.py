@@ -1,4 +1,11 @@
-"""Domain-type construction, validation order, and channel extraction."""
+"""Domain-type construction, validation order, and channel extraction.
+
+make_hfpr checks every rule over the whole array at once. The row-major
+double loop it replaced is kept here as make_hfpr_reference, and a fuzz
+test requires the two to agree on every outcome.
+"""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,50 +13,118 @@ from hypothesis import strategies as st
 
 from hfgdm import (
     CHANNELS,
+    HFPR,
     AsymmetricEntry,
     ChannelMatrix,
     DiagonalNotZero,
     DimensionMismatch,
     EdgeExceedsVertexBound,
-    HesitancyTriple,
     ParameterOutOfRange,
     TripleOutOfRange,
     ValidationError,
     VertexAttribute,
     channel,
-    degree_vector,
     make_hfpr,
     random_hfpr,
 )
 
 from conftest import M1_ROWS, build
 
+TOL = 1e-9
 
-class TestHesitancyTriple:
-    def test_pi_is_residue(self):
-        t = HesitancyTriple(0.4, 0.2, 0.3)
-        assert t.pi == pytest.approx(0.1, abs=1e-12)
-        assert t.as_tuple() == (0.4, 0.2, 0.3)
 
-    def test_component_out_of_range(self):
-        with pytest.raises(TripleOutOfRange):
-            HesitancyTriple(1.2, 0.0, 0.0)
-        with pytest.raises(TripleOutOfRange):
-            HesitancyTriple(-0.1, 0.0, 0.0)
+def _check_triple(mu, gamma, beta, i, j):
+    for name, v in (("mu", mu), ("gamma", gamma), ("beta", beta)):
+        if not (-TOL <= v <= 1.0 + TOL):
+            raise TripleOutOfRange(
+                f"{name} = {v!r} at entry ({i}, {j}) outside [0, 1]", i, j)
+    s = mu + gamma + beta
+    if s > 1.0 + TOL:
+        raise TripleOutOfRange(
+            f"mu + gamma + beta = {s!r} at entry ({i}, {j}) exceeds 1", i, j)
 
-    def test_sum_above_one(self):
-        with pytest.raises(TripleOutOfRange):
-            HesitancyTriple(0.6, 0.3, 0.2)
 
-    def test_tolerance_band(self):
-        HesitancyTriple(0.5, 0.5, 1e-10)  # sum 1 + 1e-10: admitted
-        with pytest.raises(TripleOutOfRange):
-            HesitancyTriple(0.5, 0.5, 1e-8)
+def make_hfpr_reference(entries, vertex_attrs=None, require_symmetry=True):
+    """make_hfpr as a row-major scan that stops at the first violation.
 
-    @given(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
-           .filter(lambda t: sum(t) <= 1.0))
-    def test_pi_in_unit_interval(self, t):
-        assert -1e-12 <= HesitancyTriple(*t).pi <= 1.0 + 1e-12
+    Each entry is checked in turn: component range and triple sum, the
+    exact-zero diagonal, symmetry against the upper-triangle twin, then
+    the vertex bounds. Shapes and labels are taken as valid.
+    """
+    a = np.asarray(entries, dtype=float)
+    n = a.shape[0]
+    attrs = None
+    if vertex_attrs is not None:
+        attrs = tuple(VertexAttribute(*v) for v in vertex_attrs)
+    asym_at = None
+    for i in range(n):
+        for j in range(n):
+            mu, gamma, beta = (float(a[i, j, 0]), float(a[i, j, 1]),
+                               float(a[i, j, 2]))
+            _check_triple(mu, gamma, beta, i, j)
+            if i == j:
+                if mu != 0.0 or gamma != 0.0 or beta != 0.0:
+                    raise DiagonalNotZero(
+                        f"diagonal entry ({i}, {i}) = "
+                        f"({mu}, {gamma}, {beta}) must be exactly (0, 0, 0)",
+                        i)
+                continue
+            if j < i and np.max(np.abs(a[i, j] - a[j, i])) > TOL:
+                if require_symmetry:
+                    raise AsymmetricEntry(
+                        f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
+                if asym_at is None:
+                    asym_at = (i, j)
+            if attrs is not None:
+                vi, vj = attrs[i], attrs[j]
+                if (mu > min(vi.mu1, vj.mu1) + TOL
+                        or gamma > max(vi.gamma1, vj.gamma1) + TOL
+                        or beta > min(vi.beta1, vj.beta1) + TOL):
+                    raise EdgeExceedsVertexBound(
+                        f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
+    return HFPR(values=a.copy(), labels=tuple(f"t{i + 1}" for i in range(n)),
+                vertex_attrs=attrs, symmetric=asym_at is None)
+
+
+def _outcome(build_relation, *args, **kwargs):
+    """What one construction gives: the error, or the relation's content."""
+    try:
+        h = build_relation(*args, **kwargs)
+    except ValidationError as e:
+        return (type(e), str(e), getattr(e, "i", None), getattr(e, "j", None))
+    return (h.values.tobytes(), h.symmetric)
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, -0.1, -1e-10, -1e-8, 1e-12,
+           1.2, 1.0 + 1e-10, 1.0 + 1e-8]
+GRADES = [0.0, 0.1, 0.3 - 1e-8, 0.3 - 1e-10, 0.3, 0.35, 0.5]
+
+
+@st.composite
+def corrupted_relations(draw):
+    """A random symmetric relation, perhaps scaled down, with a few entries
+    corrupted, plus optional vertex attributes and a symmetry flag."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    a = np.array(random_hfpr(n, np.random.default_rng(seed)).values)
+    a *= draw(st.sampled_from([1.0, 0.3]))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["one", "both", "sum"]))
+        if kind == "sum":
+            # Sums of 1 + 1e-10 and 1 + 1e-8 straddle the tolerance.
+            beta = draw(st.sampled_from([1e-10, 1e-8]))
+            a[i, j] = a[j, i] = (0.5, 0.5, beta)
+            continue
+        k = draw(st.integers(0, 2))
+        v = draw(st.sampled_from(SPECIAL) | st.floats(-0.1, 1.1))
+        a[i, j, k] = v
+        if kind == "both":
+            a[j, i, k] = v
+    attrs = draw(st.none() | st.lists(
+        st.tuples(st.sampled_from(GRADES), st.sampled_from(GRADES)),
+        min_size=n, max_size=n))
+    return a, attrs, draw(st.booleans())
 
 
 class TestVertexAttribute:
@@ -62,6 +137,10 @@ class TestVertexAttribute:
         with pytest.raises(ParameterOutOfRange):
             VertexAttribute(0.5, 0.3, 0.3)
 
+    def test_nan_beta1_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            VertexAttribute(0.5, 0.3, float("nan"))
+
     def test_exceeding_sum(self):
         with pytest.raises(ParameterOutOfRange):
             VertexAttribute(0.8, 0.4)
@@ -72,7 +151,7 @@ class TestMakeHfpr:
         assert m1.n == 4
         assert m1.labels == ("t1", "t2", "t3", "t4")
         assert m1.symmetric
-        assert m1.triple(0, 1).as_tuple() == (0.4, 0.2, 0.3)
+        assert tuple(m1.values[0, 1]) == (0.4, 0.2, 0.3)
 
     def test_degenerate_single_alternative(self):
         h = make_hfpr(np.zeros((1, 1, 3)))
@@ -86,6 +165,29 @@ class TestMakeHfpr:
         h = make_hfpr(src)
         src[0, 1] = (0.9, 0.9, 0.9)
         assert h.values[0, 1, 0] == 0.0
+
+    @staticmethod
+    def _pair(triple):
+        rows = np.zeros((2, 2, 3))
+        rows[0, 1] = rows[1, 0] = triple
+        return rows
+
+    def test_component_out_of_range(self):
+        for triple, name in [((1.2, 0.0, 0.0), "mu"),
+                             ((0.0, -0.1, 0.0), "gamma")]:
+            with pytest.raises(TripleOutOfRange,
+                               match=rf"^{name} = .* at entry \(0, 1\)") as e:
+                make_hfpr(self._pair(triple))
+            assert (e.value.i, e.value.j) == (0, 1)
+
+    def test_sum_above_one(self):
+        with pytest.raises(TripleOutOfRange, match="exceeds 1"):
+            make_hfpr(self._pair((0.6, 0.3, 0.2)))
+
+    def test_tolerance_band(self):
+        make_hfpr(self._pair((0.5, 0.5, 1e-10)))  # sum 1 + 1e-10: admitted
+        with pytest.raises(TripleOutOfRange):
+            make_hfpr(self._pair((0.5, 0.5, 1e-8)))
 
     def test_sum_violation_reports_indices(self):
         rows = np.zeros((4, 4, 3))
@@ -171,6 +273,20 @@ class TestMakeHfpr:
         assert h.n == 4
 
 
+    @given(corrupted_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_major_reference(self, case):
+        # Same error type, message, (i, j), or the same values and
+        # symmetric flag; NaN and inf raise no numpy warning on either side.
+        a, attrs, require_symmetry = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _outcome(make_hfpr_reference, a, attrs, require_symmetry)
+            got = _outcome(make_hfpr, a, vertex_attrs=attrs,
+                           require_symmetry=require_symmetry)
+        assert got == want
+
+
 class TestChannel:
     def test_membership_matrix_as_printed(self, m1):
         expect = [[0, .4, .4, .3], [.4, 0, .4, .3],
@@ -214,20 +330,6 @@ class TestChannel:
         with pytest.raises(TripleOutOfRange, match=r"\[0, 1\]"):
             ChannelMatrix(values=np.array([[0.0, bad], [bad, 0.0]]),
                           channel="membership")
-
-
-class TestDegreeVector:
-    def test_membership_degrees(self, m1):
-        assert np.allclose(degree_vector(channel(m1, "membership")),
-                           (1.1, 1.1, 1.1, 0.9), atol=1e-12)
-
-    def test_hesitancy_degrees(self, m1):
-        assert np.allclose(degree_vector(channel(m1, "hesitancy")),
-                           (0.7, 0.7, 0.6, 0.6), atol=1e-12)
-
-    def test_zero_matrix(self):
-        c = ChannelMatrix(values=np.zeros((3, 3)), channel="membership")
-        assert np.array_equal(degree_vector(c), np.zeros(3))
 
 
 class TestRandomHfpr:

@@ -1,7 +1,7 @@
 """Pairwise similarity, mean degrees, ideal similarities, closeness."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfgdm import (
@@ -11,7 +11,6 @@ from hfgdm import (
     NeedTwoExperts,
     ParameterOutOfRange,
     aggregate_hfpr,
-    aggregate_similarity_weights,
     closeness,
     ideal_similarity,
     make_hfpr,
@@ -120,23 +119,6 @@ class TestMeanSimilarityDegree:
             mean_similarity_degree(experts, 3)
 
 
-class TestAggregateSimilarityWeights:
-    def test_identical_experts_uniform(self, m1):
-        w = aggregate_similarity_weights((m1, m1, m1), m1)
-        assert np.allclose(w, [1 / 3] * 3, atol=1e-12)
-
-    def test_matches_bruteforce_on_equal_weight_aggregate(self, experts):
-        w = np.full((3, 3), 1 / 3)
-        agg = aggregate_hfpr(experts, w)
-        got = aggregate_similarity_weights(experts, agg)
-        brute = np.array([pair_similarity(h, agg) for h in experts])
-        assert np.allclose(got, brute / brute.sum(), atol=1e-15)
-        assert got.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_expert(self, m1):
-        assert np.array_equal(aggregate_similarity_weights((m1,), m1), [1.0])
-
-
 @pytest.fixture(scope="module")
 def printed_aggregate(experts):
     # Aggregate under the published expert weight vectors; reproduces the
@@ -219,8 +201,18 @@ class TestCloseness:
 
     @given(st.lists(st.tuples(st.floats(0.01, 1), st.floats(0.01, 1)),
                     min_size=2, max_size=8))
+    @example([(0.010000000000000002, 0.01), (0.01, 0.01)])
     @settings(max_examples=50, deadline=None)
     def test_modes_rank_identically(self, pairs):
+        # The modes agree in exact arithmetic only: ratios 1 ulp apart can
+        # round to one relative score, or to relative scores in the other
+        # order. So every two items whose ratios differ by more than 1e-9
+        # relative must be ordered alike.
         rel = [closeness(p, m, "relative") for p, m in pairs]
         rat = [closeness(p, m, "ratio") for p, m in pairs]
-        assert np.argsort(rel).tolist() == np.argsort(rat).tolist()
+        for x in range(len(pairs)):
+            for y in range(len(pairs)):
+                if rat[x] > rat[y] * (1.0 + 1e-9):
+                    assert rel[x] > rel[y]
+        if pairs == [(0.010000000000000002, 0.01), (0.01, 0.01)]:
+            assert rat[0] > rat[1] and rel[0] == rel[1] == 0.5
