@@ -54,6 +54,7 @@ from .similarity import (
     NEGATIVE_IDEAL,
     POSITIVE_IDEAL,
     closeness,
+    ideal_similarities,
     ideal_similarity,
     mean_similarity_degree,
     pair_similarity,

@@ -2,10 +2,12 @@
 
 Input is a single strict-schema JSON document per scenario (see
 parse_input). Machine output serializes every float with 17 significant
-digits so documents round-trip exactly; tables render 4 decimal places
-and mirror the published case-study table column order (gamma, score
-vectors, similarities to the ideals, closeness, ranking) for eyeball
-diffing. All output is written once, atomically, at the end of a run.
+digits so documents round-trip exactly; a float array is formatted in one
+pass, with the same bytes as its nested lists. Tables render 4 decimal
+places and mirror the published case-study table column order (gamma,
+score vectors, similarities to the ideals, closeness, ranking) for
+eyeball diffing. All output is written once, atomically, at the end of
+a run.
 
 Exit codes: 0 success, 1 internal error, 2 input validation failure,
 3 bound violation in verify-bounds.
@@ -63,8 +65,23 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _array_template(shape: tuple[int, ...], indent: int) -> str:
+    """The layout _emit_json gives nested lists of this shape, with a
+    %.17g slot per float in row-major order."""
+    if not shape[0]:
+        return "[]"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    inner = "  " * (indent + 1)
+    row = _array_template(shape[1:], indent + 1)
+    return ("[\n" + inner + (",\n" + inner).join([row] * shape[0])
+            + "\n" + "  " * indent + "]")
+
+
 def _emit_json(obj, indent: int = 0) -> str:
     """Canonical JSON: insertion-ordered keys, floats at 17 sig digits."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -83,7 +100,7 @@ def _emit_json(obj, indent: int = 0) -> str:
         parts = [f"{inner}{json.dumps(str(k))}: {_emit_json(v, indent + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
             return "[]"
@@ -225,6 +242,10 @@ def parse_input(path: str) -> InputDocument:
 
     alternatives = _convert(raw["alternatives"], _labels, "alternatives",
                             "alternatives must be a nonempty list of labels")
+    repeated = [a for k, a in enumerate(alternatives) if a in alternatives[:k]]
+    if repeated:
+        raise SchemaViolation("alternatives", f"alternative label "
+                              f"{repeated[0]!r} appears more than once")
     n = len(alternatives)
 
     vertex_attrs = raw.get("vertex_attrs")
@@ -361,10 +382,10 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
     for r in report.records:
         runs.append({
             "gamma_blend": r.gamma_blend,
-            "c2": [list(row) for row in r.scores.c2],
-            "c": [list(row) for row in r.scores.c],
-            "c_used": [list(row) for row in r.c_used],
-            "aggregated": [[list(t) for t in row] for row in r.aggregated.values],
+            "c2": r.scores.c2,
+            "c": r.scores.c,
+            "c_used": r.c_used,
+            "aggregated": r.aggregated.values,
             "s_plus": list(r.s_plus),
             "s_minus": list(r.s_minus),
             "f": list(r.f),
@@ -384,10 +405,10 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
         "laplacian_energy": {
             ident: list(e.as_tuple())
             for ident, e in zip(doc.expert_ids, report.laplacian_energies)},
-        "c1": [list(row) for row in report.c1],
+        "c1": report.c1,
         "similarity_degrees": (None if report.similarity_degrees is None
                                else list(report.similarity_degrees)),
-        "ca": list(report.ca),
+        "ca": report.ca,
         "runs": runs,
     }
     if doc.published is not None:
@@ -584,7 +605,7 @@ def cmd_generate(args) -> int:
         h = random_hfpr(args.n, rng, labels=labels)
         experts.append({
             "id": f"e{e + 1}",
-            "hfpr": [[list(t) for t in row] for row in h.values],
+            "hfpr": h.values,
         })
     payload = {
         "alternatives": labels,

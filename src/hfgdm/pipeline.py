@@ -36,7 +36,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .similarity import closeness, ideal_similarity, mean_similarity_degree
+from .similarity import closeness, ideal_similarities, mean_similarity_degree
 from .spectral import EnergyTriple, energy, laplacian_energy
 
 MODES = ("energy", "laplacian")
@@ -340,8 +340,8 @@ def rank(agg: HFPR, closeness_mode: str = "relative") -> RankEntry:
     index.
     """
     n = agg.n
-    s_plus = tuple(ideal_similarity(agg, i, "positive") for i in range(n))
-    s_minus = tuple(ideal_similarity(agg, i, "negative") for i in range(n))
+    s_plus = tuple(ideal_similarities(agg, "positive").tolist())
+    s_minus = tuple(ideal_similarities(agg, "negative").tolist())
     f = tuple(closeness(p, m, closeness_mode)
               for p, m in zip(s_plus, s_minus))
     order = tuple(sorted(range(n), key=lambda i: (-f[i], i)))
@@ -355,7 +355,12 @@ def _resolve_pairwise(pairwise, l: int) -> dict:
         if not (0 <= i < l and 0 <= j < l) or i == j:
             raise OverrideShapeMismatch(
                 f"pair_similarity key {key!r} is not a valid expert pair")
-        out[(int(i), int(j))] = float(val)
+        val = float(val)
+        if not val > 0.0:
+            raise ParameterOutOfRange(
+                f"pair_similarity override for experts {key!r} is {val!r}; "
+                "it must be positive")
+        out[(int(i), int(j))] = val
     return out
 
 

@@ -13,6 +13,8 @@ two into the ranking score.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import HFPR
@@ -29,6 +31,16 @@ NEGATIVE_IDEAL = (0.0, 1.0, 0.0)
 IDEAL_KINDS = ("positive", "negative")
 
 
+@functools.cache
+def _upper_indices(n: int) -> np.ndarray:
+    """Flat row-major indices of the strict upper triangle of an n x n
+    matrix, read-only and built once per n."""
+    iu, ju = np.triu_indices(n, 1)
+    flat = iu * n + ju
+    flat.flags.writeable = False
+    return flat
+
+
 def pair_similarity(a: HFPR, b: HFPR) -> float:
     """Similarity of two same-size relations, in [1/n, 1], symmetric."""
     if a.n != b.n:
@@ -37,8 +49,8 @@ def pair_similarity(a: HFPR, b: HFPR) -> float:
     n = a.n
     if n == 1:
         return 1.0
-    iu = np.triu_indices(n, 1)
-    d = np.abs(a.values[iu] - b.values[iu])
+    d = np.abs(a.values - b.values).reshape(n * n, 3).take(
+        _upper_indices(n), axis=0)
     terms = (1.0 - d.min(axis=1)) / (1.0 + d.max(axis=1))
     return float(1.0 / n + (2.0 / n ** 2) * terms.sum())
 
@@ -70,8 +82,8 @@ def mean_similarity_degree(experts, b: int, pairwise=None) -> float:
     return total / (l - 1)
 
 
-def ideal_similarity(agg: HFPR, i: int, which: str) -> float:
-    """Similarity of row i (0-based) to the positive or negative ideal.
+def _ideal_rows(rows: np.ndarray, which: str) -> np.ndarray:
+    """Ideal similarity of each row of a (k, n, 3) stack, as a (k,) array.
 
     Averages (1 - min t) / (1 + max t) over ALL n columns including the
     diagonal, with t = (1 - mu, gamma, 1 - beta) against the positive
@@ -80,15 +92,27 @@ def ideal_similarity(agg: HFPR, i: int, which: str) -> float:
     """
     if which not in IDEAL_KINDS:
         raise ParameterOutOfRange(f"which = {which!r} not one of {IDEAL_KINDS}")
+    mu, gamma, beta = rows[..., 0], rows[..., 1], rows[..., 2]
+    if which == "positive":
+        t = np.stack([1.0 - mu, gamma, 1.0 - beta], axis=-1)
+    else:
+        t = np.stack([mu, 1.0 - gamma, beta], axis=-1)
+    terms = (1.0 - t.min(axis=-1)) / (1.0 + t.max(axis=-1))
+    return terms.mean(axis=-1)
+
+
+def ideal_similarities(agg: HFPR, which: str) -> np.ndarray:
+    """Similarity of every row to the positive or negative ideal, (n,)."""
+    return _ideal_rows(agg.values, which)
+
+
+def ideal_similarity(agg: HFPR, i: int, which: str) -> float:
+    """Similarity of row i (0-based) to the positive or negative ideal;
+    entry i of ideal_similarities(agg, which)."""
+    s = _ideal_rows(agg.values[i:i + 1], which)  # checks `which` first
     if not (0 <= i < agg.n):
         raise IndexOutOfRange(f"row index {i} outside 0..{agg.n - 1}")
-    row = agg.values[i]
-    if which == "positive":
-        t = np.stack([1.0 - row[:, 0], row[:, 1], 1.0 - row[:, 2]], axis=1)
-    else:
-        t = np.stack([row[:, 0], 1.0 - row[:, 1], row[:, 2]], axis=1)
-    terms = (1.0 - t.min(axis=1)) / (1.0 + t.max(axis=1))
-    return float(terms.mean())
+    return float(s[0])
 
 
 def closeness(s_plus: float, s_minus: float, mode: str = "relative") -> float:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hfgdm.cli as cli
 from hfgdm import energy
@@ -28,6 +29,7 @@ PACKAGE_ROOT = str(Path(cli.__file__).resolve().parent.parent)
 CSV_HEADER = "seed,n,channel,quantity,value,bound_lo,bound_hi,satisfied"
 DATA = Path(__file__).resolve().parent / "data"
 SHARED_DOC = str(DATA / "shared_weights.json")
+PANEL_DOC = str(DATA / "panel_shared.json")
 SMARTPHONE = json.loads(read_text("smartphone.json"))
 
 
@@ -422,6 +424,29 @@ class TestFloatFormat:
         assert _fmt_float(0.5) == "0.5"
 
 
+# Arrays of one to three axes, zero-length ones included, mixing edge
+# values into arbitrary floats.
+float_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+    elements=st.one_of(st.sampled_from([-0.0, 5e-324, 1e308, 1 / 3]),
+                       st.floats()))
+
+
+class TestArrayEmitter:
+    @given(a=float_arrays, indent=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_nested_lists(self, a, indent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _emit_json(a, indent) == _emit_json(a.tolist(), indent)
+
+    def test_zero_length_axes(self):
+        assert _emit_json(np.zeros(0)) == "[]"
+        assert _emit_json(np.zeros((0, 3))) == "[]"
+        assert _emit_json(np.zeros((2, 0))) == "[\n  [],\n  []\n]"
+
+
 class TestSubprocess:
     """End-to-end checks through a real interpreter boundary."""
 
@@ -546,6 +571,31 @@ def test_overflowing_similarity_degrees_exit_2_with_one_error_line(tmp_path):
     assert err.startswith("error: similarity degrees")
 
 
+@pytest.mark.parametrize("pairs, named", [
+    ({"e1:e2": -0.5, "e1:e3": -0.5, "e2:e3": -0.5}, "(0, 1) is -0.5"),
+    ({"e1:e2": 0.9, "e1:e3": 0.0, "e2:e3": 0.9}, "(0, 2) is 0.0"),
+], ids=["all-negative", "one-zero"])
+def test_non_positive_pair_override_exits_2_naming_it(tmp_path, pairs, named):
+    doc = write_doc(tmp_path, edited(
+        ("config", "overrides", "pair_similarity"), pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = main_output(["run", doc])
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: pair_similarity override for experts {named}")
+
+
+def test_duplicate_alternative_labels_exit_2_naming_one(tmp_path):
+    doc = write_doc(tmp_path, edited(("alternatives",), ["a", "b", "a", "c"]))
+    rc, out, err = main_output(["run", doc])
+    assert (rc, out) == (2, "")
+    assert err == "error: alternative label 'a' appears more than once\n"
+    with pytest.raises(SchemaViolation) as info:
+        parse_input(doc)
+    assert info.value.field == "alternatives"
+
+
 def test_energy_and_fixture_survey_check_published_and_overrides(tmp_path):
     for path, value in [(("published", "ranking"), 5),
                         (("config", "overrides", "c1"), "x")]:
@@ -624,6 +674,8 @@ GOLDENS = {
     "verify_bounds_fixtures.csv": ["verify-bounds", "--fixtures"],
     "run_shared_weights.txt": ["run", SHARED_DOC],
     "run_shared_weights.json": ["run", SHARED_DOC, "--format", "json"],
+    "run_panel_shared.txt": ["run", PANEL_DOC],
+    "run_panel_shared.json": ["run", PANEL_DOC, "--format", "json"],
 }
 
 

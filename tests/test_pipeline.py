@@ -377,6 +377,14 @@ class TestRun:
                 pytest.raises(ParameterOutOfRange):
             run(experts, cfg)
 
+    @pytest.mark.parametrize("value", [-0.5, 0.0, float("nan")])
+    def test_non_positive_pair_override_is_rejected(self, experts, value):
+        pairs = dict(PUBLISHED_PAIRS)
+        pairs[(1, 2)] = value
+        cfg = PipelineConfig(overrides=Overrides(pair_similarity=pairs))
+        with pytest.raises(ParameterOutOfRange, match=r"\(1, 2\) is"):
+            run(experts, cfg)
+
     def test_stage_names_follow_stage_order(self, m2):
         ov = Overrides(aggregated=m2, c=[[1, 0, 0]], ca=[1.0],
                        pair_similarity={}, c1=[[1, 0, 0]])

@@ -1,4 +1,6 @@
 """Pairwise similarity, mean degrees, ideal similarities, closeness."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +14,14 @@ from hfgdm import (
     ParameterOutOfRange,
     aggregate_hfpr,
     closeness,
+    ideal_similarities,
     ideal_similarity,
     make_hfpr,
     mean_similarity_degree,
     pair_similarity,
     random_hfpr,
 )
+from hfgdm.similarity import _upper_indices
 
 from conftest import PUBLISHED_C
 
@@ -29,6 +33,27 @@ class _RowStub:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         self.n = self.values.shape[0]
+
+
+def pair_similarity_reference(a, b):
+    """The measure as first written: fresh triangle indices per call."""
+    n = a.n
+    if n == 1:
+        return 1.0
+    iu = np.triu_indices(n, 1)
+    d = np.abs(a.values[iu] - b.values[iu])
+    terms = (1.0 - d.min(axis=1)) / (1.0 + d.max(axis=1))
+    return float(1.0 / n + (2.0 / n ** 2) * terms.sum())
+
+
+def ideal_similarity_reference(agg, i, which):
+    """One row's ideal similarity as first written, row by row."""
+    row = agg.values[i]
+    if which == "positive":
+        t = np.stack([1.0 - row[:, 0], row[:, 1], 1.0 - row[:, 2]], axis=1)
+    else:
+        t = np.stack([row[:, 0], 1.0 - row[:, 1], row[:, 2]], axis=1)
+    return float(((1.0 - t.min(axis=1)) / (1.0 + t.max(axis=1))).mean())
 
 
 class TestPairSimilarity:
@@ -75,6 +100,23 @@ class TestPairSimilarity:
             a, b = random_hfpr(n, rng), random_hfpr(n, rng)
             s = pair_similarity(a, b)
             assert 1.0 / n - 1e-12 <= s <= 1.0 + 1e-12
+
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_exactly(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_hfpr(n, rng), random_hfpr(n, rng)
+        assert pair_similarity(a, b) == pair_similarity_reference(a, b)
+
+    def test_cached_indices_are_read_only(self):
+        flat = _upper_indices(5)
+        assert _upper_indices(5) is flat
+        iu, ju = np.triu_indices(5, 1)
+        assert flat.tolist() == (iu * 5 + ju).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                flat[0] = 0
 
     def test_single_entry_perturbation_breaks_unity(self, m1):
         bumped = m1.values.copy()
@@ -157,6 +199,20 @@ class TestIdealSimilarity:
             ideal_similarity(printed_aggregate, 4, "positive")
         with pytest.raises(ParameterOutOfRange):
             ideal_similarity(printed_aggregate, 0, "sideways")
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(("positive", "negative")))
+    @settings(max_examples=60, deadline=None)
+    def test_all_rows_match_one_row_and_reference_exactly(self, n, seed,
+                                                          kind):
+        agg = random_hfpr(n, np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            every = ideal_similarities(agg, kind)
+            assert every.shape == (n,)
+            for i in range(n):
+                assert every[i] == ideal_similarity(agg, i, kind) \
+                    == ideal_similarity_reference(agg, i, kind)
 
     def test_term_level_monotonicity(self, printed_aggregate):
         # Raising mu and beta and lowering gamma of one entry never
