@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -569,6 +570,7 @@ def cmd_verify_bounds(args) -> int:
     else:
         if args.count < 1:
             raise SchemaViolation("--count", "count must be at least 1")
+        _check_seed(args.seed)
         rows = bounds_survey(seed=args.seed, count=args.count,
                              n_range=_parse_n_range(args.n_range))
     buf = io.StringIO()
@@ -592,7 +594,13 @@ def cmd_verify_bounds(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise SchemaViolation("--seed", f"seed {seed} must be non-negative")
+
+
 def cmd_generate(args) -> int:
+    _check_seed(args.seed)
     if args.n < 2:
         raise SchemaViolation("--n", "need at least 2 alternatives")
     if args.experts < 2:
@@ -618,7 +626,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hfgdm",
         description="Energy, Laplacian energy, and similarity-based group "

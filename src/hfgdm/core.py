@@ -15,6 +15,7 @@ still wins. Later stages trust the HFPR type and do not check it again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,14 @@ class VertexAttribute:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@functools.cache
+def _upper_indices(n: int) -> np.ndarray:
+    """Flat row-major indices of the strict upper triangle of an n x n
+    matrix, read-only and built once per n."""
+    iu, ju = np.triu_indices(n, 1)
+    return _freeze(iu * n + ju)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,20 +235,28 @@ def random_hfpr(n: int, rng: np.random.Generator, labels=None) -> HFPR:
     Each off-diagonal triple draws three uniforms on [0, 1], divides by
     their sum when it exceeds 1, rounds to 4 decimals, and redraws on the
     rare rounding overflow. Deterministic for a given generator state.
+
+    The triples for all upper-triangle entries are drawn in one call; the
+    accepted ones fill the entries in row-major order, and as many triples
+    as were rejected are drawn again until every entry is filled. This
+    consumes the generator exactly as drawing entry by entry, redrawing
+    each rejected triple at once, would.
     """
     if n < 1:
         raise ParameterOutOfRange(f"n = {n} must be at least 1")
-    a = np.zeros((n, n, 3))
-    for i in range(n):
-        for j in range(i + 1, n):
-            while True:
-                t = rng.uniform(0.0, 1.0, 3)
-                s = t.sum()
-                if s > 1.0:
-                    t = t / s
-                t = np.round(t, 4)
-                if t.sum() <= 1.0:
-                    break
-            a[i, j] = t
-            a[j, i] = t
-    return make_hfpr(a, labels=labels)
+    flat = _upper_indices(n)
+    upper = np.empty((flat.size, 3))
+    filled = 0
+    while filled < flat.size:
+        t = rng.uniform(0.0, 1.0, (flat.size - filled, 3))
+        s = t.sum(axis=1)
+        over = s > 1.0
+        t[over] /= s[over, None]
+        t = np.round(t, 4)
+        t = t[t.sum(axis=1) <= 1.0]
+        upper[filled:filled + len(t)] = t
+        filled += len(t)
+    a = np.zeros((n * n, 3))
+    a[flat] = upper
+    a = a.reshape(n, n, 3)
+    return make_hfpr(a + a.transpose(1, 0, 2), labels=labels)

@@ -13,11 +13,9 @@ two into the ranking score.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .core import HFPR
+from .core import HFPR, _upper_indices
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -29,16 +27,6 @@ from .errors import (
 POSITIVE_IDEAL = (1.0, 0.0, 1.0)
 NEGATIVE_IDEAL = (0.0, 1.0, 0.0)
 IDEAL_KINDS = ("positive", "negative")
-
-
-@functools.cache
-def _upper_indices(n: int) -> np.ndarray:
-    """Flat row-major indices of the strict upper triangle of an n x n
-    matrix, read-only and built once per n."""
-    iu, ju = np.triu_indices(n, 1)
-    flat = iu * n + ju
-    flat.flags.writeable = False
-    return flat
 
 
 def pair_similarity(a: HFPR, b: HFPR) -> float:

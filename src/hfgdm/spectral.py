@@ -7,10 +7,14 @@ is the mean Laplacian eigenvalue. Bound checkers evaluate the classical
 spectral bounds on both quantities, and eigen_identities asserts the
 trace and Frobenius identities the spectra must satisfy.
 
-Every spectrum comes from _kernels.eigenvalues. The per-relation
-functions solve a relation's three channel matrices, or their three
-Laplacians, as one (3, n, n) stack, and the Laplacian checks share one
-set of derived terms (_laplacian_terms).
+Every spectrum comes from _kernels.eigenvalues. Bounds and identities
+are evaluated on a (k, 3, n, n) stack of the channel matrices of k
+same-size relations, giving (k, 3) arrays: the survey groups its
+instances by n and evaluates each group at once, and the single-relation
+checkers are a stack of one through the same code. The three pow terms
+(|det|^(2/p), (2W/p)^2 and psi1^2) are taken with Python float pow on
+the (k, 3) values, because numpy's array power can differ from it in the
+last bit and the survey's printed bounds are byte-stable.
 
 A reported bound violation is a finding, not an error, in the random
 survey; the bundled fixtures are expected to satisfy every bound.
@@ -18,13 +22,13 @@ survey; the bundled fixtures are expected to satisfy every bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import CHANNELS, ChannelMatrix, HFPR, random_hfpr
+from .core import CHANNELS, ChannelMatrix, HFPR, _upper_indices, random_hfpr
 from .errors import (
     AsymmetricEntry,
     DimensionMismatch,
@@ -36,6 +40,9 @@ from .errors import (
 SYMMETRY_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 BOUND_TOL = 1e-9
+SURVEY_BLOCK = 256  # random instances held and evaluated at once
+IDENTITIES = ("laplacian_trace", "laplacian_square", "shifted_sum",
+              "shifted_square")
 
 
 @dataclass(frozen=True)
@@ -123,12 +130,13 @@ def symmetric_eigenvalues(m) -> Spectrum:
     return Spectrum(tuple(w[::-1].tolist()))
 
 
-def _channels(h: HFPR) -> np.ndarray:
-    """The channel matrices of h, which make_hfpr validated, as a
-    contiguous (3, n, n) stack."""
-    if not h.symmetric:
+def _channels(relations) -> np.ndarray:
+    """The channel matrices of same-size relations, which make_hfpr
+    validated, as a contiguous (k, 3, n, n) stack."""
+    if not all(h.symmetric for h in relations):
         raise AsymmetricEntry("channel matrix is not symmetric")
-    return np.ascontiguousarray(h.values.transpose(2, 0, 1))
+    return np.ascontiguousarray(
+        np.stack([h.values for h in relations]).transpose(0, 3, 1, 2))
 
 
 def _laplacians(a: np.ndarray) -> np.ndarray:
@@ -138,13 +146,19 @@ def _laplacians(a: np.ndarray) -> np.ndarray:
 
 def _upper_weights(a: np.ndarray) -> np.ndarray:
     """Strict upper triangle of each matrix of an (..., n, n) stack."""
-    iu, ju = np.triu_indices(a.shape[-1], 1)
-    return a[..., iu, ju]
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., _upper_indices(n)]
+
+
+def _pow(a: np.ndarray, exponent) -> np.ndarray:
+    """a ** exponent elementwise, by Python float pow."""
+    return np.array([x ** exponent for x in a.ravel().tolist()]).reshape(
+        a.shape)
 
 
 def energy(h: HFPR) -> EnergyTriple:
     """Sum of absolute adjacency eigenvalues, one value per channel."""
-    w = eigenvalues(_channels(h))
+    w = eigenvalues(_channels([h])[0])
     return EnergyTriple(*np.abs(w).sum(axis=-1).tolist())
 
 
@@ -155,13 +169,14 @@ def laplacian(c: ChannelMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _LaplacianTerms:
-    """A relation's Laplacian spectra and the terms built on them.
+    """The Laplacian spectra of a (k, 3, n, n) stack and the terms built
+    on them.
 
-    Each field has one row or entry per channel: w the eigenvalues
-    (ascending), d the degrees, s and w2 the sums of the upper-triangle
-    weights and of their squares, psi = w - 2s/n the spectrum shifted by
-    its mean (descending), aux = w2 + sum (d - 2s/n)^2 / 2 and
-    energy = sum |psi|.
+    Each field has one row or entry per relation and channel: w the
+    eigenvalues (ascending), d the degrees, s and w2 the sums of the
+    upper-triangle weights and of their squares, psi = w - 2s/n the
+    spectrum shifted by its mean (descending), aux = w2 + sum (d - 2s/n)^2
+    / 2 and energy = sum |psi|.
     """
 
     w: np.ndarray
@@ -173,106 +188,142 @@ class _LaplacianTerms:
     energy: np.ndarray
 
 
-def _laplacian_terms(h: HFPR) -> _LaplacianTerms:
-    adj = _channels(h)
+def _laplacian_terms(adj: np.ndarray) -> _LaplacianTerms:
     lap = _laplacians(adj)
     w = eigenvalues(lap)
     d = lap.diagonal(axis1=-2, axis2=-1)
     upper = _upper_weights(adj)
     s = upper.sum(axis=-1)
     w2 = np.square(upper).sum(axis=-1)
-    shift = (2.0 * s / h.n)[:, None]
-    psi = (w - shift)[:, ::-1]
+    shift = (2.0 * s / adj.shape[-1])[..., None]
+    psi = (w - shift)[..., ::-1]
     aux = w2 + 0.5 * np.square(d - shift).sum(axis=-1)
     return _LaplacianTerms(w, d, s, w2, psi, aux, np.abs(psi).sum(axis=-1))
 
 
 def laplacian_energy(h: HFPR) -> EnergyTriple:
     """Sum of |eigenvalue - 2S/n| over each channel's Laplacian spectrum."""
-    return EnergyTriple(*_laplacian_terms(h).energy.tolist())
+    return EnergyTriple(*_laplacian_terms(_channels([h])).energy[0].tolist())
 
 
-def _energy_channel_summary(name: str, w: np.ndarray, w2: float,
-                            prod: float) -> SpectralSummary:
-    p = w.size
-    e = float(np.abs(w).sum())
-    det = float(np.prod(w))
-    det_term = 0.0 if det == 0.0 else abs(det) ** (2.0 / p)
-    lo = math.sqrt(p * (p - 1) * det_term + 2.0 * prod)
-    hi_frob = math.sqrt(2.0 * p * w2)
+class _Bound(NamedTuple):
+    """One bound on a quantity over a stack of relations, as (k, 3)
+    arrays: its lower and upper sides (None for a side the bound lacks),
+    the verdict, and whether the bound's hypothesis holds (None when it
+    has none)."""
+
+    quantity: str
+    lower: np.ndarray | None
+    upper: np.ndarray | None
+    satisfied: np.ndarray
+    applicable: np.ndarray | None = None
+
+
+def _energy_bounds(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray, tuple[_Bound, ...]]:
+    """Adjacency spectra (ascending), sums W of squared upper-triangle
+    weights, energies, and the two energy bounds of a (k, 3, p, p)
+    stack."""
+    p = adj.shape[-1]
+    w = eigenvalues(adj)
+    upper = _upper_weights(adj)
+    w2 = np.square(upper).sum(axis=-1)
+    prod = (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1)
+    e = np.abs(w).sum(axis=-1)
+    det_term = _pow(np.abs(np.prod(w, axis=-1)), 2.0 / p)
+    lo = np.sqrt(p * (p - 1) * det_term + 2.0 * prod)
+    hi_frob = np.sqrt(2.0 * p * w2)
     mean_sq = 2.0 * w2 / p
-    hi_ms = mean_sq + math.sqrt((p - 1) * max(2.0 * w2 - mean_sq ** 2, 0.0))
+    hi_ms = mean_sq + np.sqrt(
+        (p - 1) * np.maximum(2.0 * w2 - _pow(mean_sq, 2), 0.0))
     ms_applicable = 2.0 * w2 >= p
-    checks = (
-        BoundCheck(
-            quantity="energy_determinant_bounds",
-            value=e,
-            lower=lo,
-            upper=hi_frob,
-            satisfied=bool(lo - BOUND_TOL <= e <= hi_frob + BOUND_TOL),
-        ),
-        BoundCheck(
-            quantity="energy_mean_square_upper",
-            value=e,
-            lower=None,
-            upper=hi_ms,
-            satisfied=bool(e <= hi_ms + BOUND_TOL) or not ms_applicable,
-            applicable=ms_applicable,
-        ),
-    )
-    bound_hi = min(hi_frob, hi_ms) if ms_applicable else hi_frob
-    return SpectralSummary(
-        channel=name,
-        value=e,
-        shifted=tuple(w[::-1].tolist()),
-        aux=w2,
-        bound_lo=lo,
-        bound_hi=bound_hi,
-        checks=checks,
-        satisfied=all(k.satisfied for k in checks),
+    return w, w2, e, (
+        _Bound("energy_determinant_bounds", lo, hi_frob,
+               (lo - BOUND_TOL <= e) & (e <= hi_frob + BOUND_TOL)),
+        _Bound("energy_mean_square_upper", None, hi_ms,
+               (e <= hi_ms + BOUND_TOL) | ~ms_applicable, ms_applicable),
     )
 
 
-def _laplacian_channel_summary(name: str, psi: np.ndarray, le: float,
-                               aux: float) -> SpectralSummary:
-    n = psi.size
-    lo_spread = 2.0 * math.sqrt(aux)
-    hi_frob = math.sqrt(2.0 * n * aux)
-    psi1 = float(psi[0])
-    hi_shift = psi1 + math.sqrt((n - 1) * max(2.0 * aux - psi1 ** 2, 0.0))
-    checks = (
-        BoundCheck(
-            quantity="laplacian_energy_spread_lower",
-            value=le,
-            lower=lo_spread,
-            upper=None,
-            satisfied=bool(le >= lo_spread - BOUND_TOL),
-        ),
-        BoundCheck(
-            quantity="laplacian_energy_frobenius_upper",
-            value=le,
-            lower=None,
-            upper=hi_frob,
-            satisfied=bool(le <= hi_frob + BOUND_TOL),
-        ),
-        BoundCheck(
-            quantity="laplacian_energy_max_shift_upper",
-            value=le,
-            lower=None,
-            upper=hi_shift,
-            satisfied=bool(le <= hi_shift + BOUND_TOL),
-        ),
+def _laplacian_bounds(t: _LaplacianTerms) -> tuple[_Bound, ...]:
+    """The three bounds on the Laplacian energies of a stack."""
+    n = t.psi.shape[-1]
+    le = t.energy
+    lo_spread = 2.0 * np.sqrt(t.aux)
+    hi_frob = np.sqrt(2.0 * n * t.aux)
+    psi1 = t.psi[..., 0]
+    hi_shift = psi1 + np.sqrt(
+        (n - 1) * np.maximum(2.0 * t.aux - _pow(psi1, 2), 0.0))
+    return (
+        _Bound("laplacian_energy_spread_lower", lo_spread, None,
+               le >= lo_spread - BOUND_TOL),
+        _Bound("laplacian_energy_frobenius_upper", None, hi_frob,
+               le <= hi_frob + BOUND_TOL),
+        _Bound("laplacian_energy_max_shift_upper", None, hi_shift,
+               le <= hi_shift + BOUND_TOL),
     )
-    return SpectralSummary(
-        channel=name,
-        value=le,
-        shifted=tuple(psi.tolist()),
-        aux=aux,
-        bound_lo=lo_spread,
-        bound_hi=min(hi_frob, hi_shift),
-        checks=checks,
-        satisfied=all(k.satisfied for k in checks),
-    )
+
+
+def _identity_residuals(t: _LaplacianTerms) -> np.ndarray:
+    """(k, 3, 4) identity residuals, the last axis in IDENTITIES order."""
+    d2 = np.square(t.d).sum(axis=-1)
+    return np.stack([
+        np.abs(t.w.sum(axis=-1) - 2.0 * t.s),
+        np.abs(np.square(t.w).sum(axis=-1) - (2.0 * t.w2 + d2)),
+        np.abs(t.psi.sum(axis=-1)),
+        np.abs(np.square(t.psi).sum(axis=-1) - 2.0 * t.aux),
+    ], axis=-1)
+
+
+def _first_violation(residuals: np.ndarray
+                     ) -> tuple[int, IdentityViolated] | None:
+    """The first residual over IDENTITY_TOL in (instance, channel,
+    identity) order, as its instance index and error; None if none is."""
+    over = residuals > IDENTITY_TOL
+    if not over.any():
+        return None
+    j, c, i = np.unravel_index(int(over.argmax()), over.shape)
+    return int(j), IdentityViolated(
+        CHANNELS[c], IDENTITIES[i], float(residuals[j, c, i]))
+
+
+def _columns(bounds: tuple[_Bound, ...], k: int) -> list[tuple]:
+    """Each bound of a stack of k relations as its quantity and the
+    nested (k, 3) lists of its lower side, upper side, verdict and
+    applicability, with None for a missing side and True for no
+    hypothesis."""
+    def listed(a, fill):
+        return [[fill] * len(CHANNELS)] * k if a is None else a.tolist()
+
+    return [(b.quantity, listed(b.lower, None), listed(b.upper, None),
+             b.satisfied.tolist(), listed(b.applicable, True))
+            for b in bounds]
+
+
+def _summaries(value, shifted, aux, bounds=(), bound_lo=None,
+               bound_hi=None, residuals=None) -> tuple[SpectralSummary, ...]:
+    """Per-channel summaries of the relation of a stack of one, with a
+    BoundCheck on value for each of bounds."""
+    v = value[0].tolist()
+    columns = _columns(bounds, 1)
+    out = []
+    for c, name in enumerate(CHANNELS):
+        checks = tuple(BoundCheck(q, v[c], lo[0][c], hi[0][c], ok[0][c],
+                                  app[0][c])
+                       for q, lo, hi, ok, app in columns)
+        out.append(SpectralSummary(
+            channel=name,
+            value=v[c],
+            shifted=tuple(shifted[0, c].tolist()),
+            aux=float(aux[0, c]),
+            bound_lo=None if bound_lo is None else float(bound_lo[0, c]),
+            bound_hi=None if bound_hi is None else float(bound_hi[0, c]),
+            checks=checks,
+            satisfied=all(k.satisfied for k in checks),
+            residuals=() if residuals is None else tuple(
+                zip(IDENTITIES, residuals[0, c].tolist())),
+        ))
+    return tuple(out)
 
 
 def check_energy_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
@@ -285,14 +336,11 @@ def check_energy_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
     W = sum of squared upper-triangle weights, asserted only under its
     classical applicability hypothesis 2W >= p.
     """
-    adj = _channels(h)
-    w = eigenvalues(adj)
-    upper = _upper_weights(adj)
-    w2 = np.square(upper).sum(axis=-1)
-    prod = (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1)
-    return tuple(
-        _energy_channel_summary(name, w[k], float(w2[k]), float(prod[k]))
-        for k, name in enumerate(CHANNELS))
+    w, w2, e, bounds = _energy_bounds(_channels([h]))
+    det, ms = bounds
+    bound_hi = np.where(ms.applicable, np.minimum(det.upper, ms.upper),
+                        det.upper)
+    return _summaries(e, w[..., ::-1], w2, bounds, det.lower, bound_hi)
 
 
 def check_laplacian_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
@@ -303,11 +351,11 @@ def check_laplacian_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
     max-shift upper bound psi1 + sqrt((n-1)(2*aux - psi1^2)) where psi1 is
     the largest shifted eigenvalue (not the largest absolute value).
     """
-    t = _laplacian_terms(h)
-    return tuple(
-        _laplacian_channel_summary(
-            name, t.psi[k], float(t.energy[k]), float(t.aux[k]))
-        for k, name in enumerate(CHANNELS))
+    t = _laplacian_terms(_channels([h]))
+    bounds = _laplacian_bounds(t)
+    spread, frob, shift = bounds
+    return _summaries(t.energy, t.psi, t.aux, bounds, spread.lower,
+                      np.minimum(frob.upper, shift.upper))
 
 
 def eigen_identities(h: HFPR) -> tuple[SpectralSummary, ...]:
@@ -318,33 +366,12 @@ def eigen_identities(h: HFPR) -> tuple[SpectralSummary, ...]:
     their squares sum to 2 * aux. Raises IdentityViolated on the first
     residual over budget; returns the per-channel summaries otherwise.
     """
-    t = _laplacian_terms(h)
-    d2 = np.square(t.d).sum(axis=-1)
-    residuals = {
-        "laplacian_trace": np.abs(t.w.sum(axis=-1) - 2.0 * t.s),
-        "laplacian_square":
-            np.abs(np.square(t.w).sum(axis=-1) - (2.0 * t.w2 + d2)),
-        "shifted_sum": np.abs(t.psi.sum(axis=-1)),
-        "shifted_square": np.abs(np.square(t.psi).sum(axis=-1) - 2.0 * t.aux),
-    }
-    out = []
-    for k, name in enumerate(CHANNELS):
-        rows = tuple((identity, float(r[k])) for identity, r in residuals.items())
-        for identity, residual in rows:
-            if residual > IDENTITY_TOL:
-                raise IdentityViolated(name, identity, residual)
-        out.append(SpectralSummary(
-            channel=name,
-            value=float(t.energy[k]),
-            shifted=tuple(t.psi[k].tolist()),
-            aux=float(t.aux[k]),
-            bound_lo=None,
-            bound_hi=None,
-            checks=(),
-            satisfied=True,
-            residuals=rows,
-        ))
-    return tuple(out)
+    t = _laplacian_terms(_channels([h]))
+    residuals = _identity_residuals(t)
+    violation = _first_violation(residuals)
+    if violation is not None:
+        raise violation[1]
+    return _summaries(t.energy, t.psi, t.aux, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -369,37 +396,64 @@ def bounds_survey(seed: int = 42, count: int = 1000,
     numpy.random.default_rng([seed, k]); the emitted seed column is k.
     Every instance also passes through eigen_identities as a residual
     safety net. Row order per instance: the two energy rows for each
-    channel, then the three Laplacian rows for each channel.
+    channel, then the three Laplacian rows for each channel. Instances
+    are drawn and evaluated SURVEY_BLOCK at a time, so only one block's
+    relations are held at once.
     """
     rows: list[SurveyRow] = []
     lo, hi = n_range
-    for k in range(count):
-        rng = np.random.default_rng([seed, k])
-        n = int(rng.integers(lo, hi + 1))
-        h = random_hfpr(n, rng)
-        rows.extend(_instance_rows(k, h))
+    for start in range(0, count, SURVEY_BLOCK):
+        block = []
+        for k in range(start, min(start + SURVEY_BLOCK, count)):
+            rng = np.random.default_rng([seed, k])
+            block.append(random_hfpr(int(rng.integers(lo, hi + 1)), rng))
+        rows.extend(_survey_rows(block, start))
     return rows
 
 
-def _instance_rows(key: int, h) -> list[SurveyRow]:
-    """Bound rows for one relation, which must also pass eigen_identities.
+def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
+    """Bound rows for relations keyed first_key onwards, which must also
+    pass eigen_identities.
 
-    Bound columns always carry the computed expressions so the report is
-    inspectable; `satisfied` is the assertion, and for the mean-square
-    upper bound it holds vacuously when that bound's hypothesis
-    (2 Σ w² ≥ p) fails on the instance.
+    Relations of one size are evaluated as one stack; rows come out in
+    instance order, and an identity failure raises IdentityViolated for
+    the first failing instance. Bound columns always carry the computed
+    expressions so the report is inspectable; `satisfied` is the
+    assertion, and for the mean-square upper bound it holds vacuously
+    when that bound's hypothesis (2 Σ w² ≥ p) fails on the instance.
     """
-    rows: list[SurveyRow] = []
-    for summary in check_energy_bounds(h) + check_laplacian_bounds(h):
-        for c in summary.checks:
-            rows.append(SurveyRow(
-                seed=key, n=h.n, channel=summary.channel, quantity=c.quantity,
-                value=c.value, bound_lo=c.lower, bound_hi=c.upper,
-                satisfied=c.satisfied))
-    eigen_identities(h)
-    return rows
+    groups: dict[int, list[int]] = {}
+    for i, h in enumerate(relations):
+        groups.setdefault(h.n, []).append(i)
+    per_instance: list = [None] * len(relations)
+    first = None
+    for n, members in groups.items():
+        adj = _channels([relations[i] for i in members])
+        _, _, e, energy_bounds = _energy_bounds(adj)
+        t = _laplacian_terms(adj)
+        # The identities solve the Laplacians again, as eigen_identities
+        # does; perfbench pins 9 solves of 6 matrices per instance.
+        violation = _first_violation(
+            _identity_residuals(_laplacian_terms(adj)))
+        if violation is not None and (
+                first is None or members[violation[0]] < first[0]):
+            first = (members[violation[0]], violation[1])
+        kinds = [(e.tolist(), _columns(energy_bounds, len(members))),
+                 (t.energy.tolist(),
+                  _columns(_laplacian_bounds(t), len(members)))]
+        for j, i in enumerate(members):
+            key = first_key + i
+            per_instance[i] = [
+                SurveyRow(key, n, name, q, values[j][c], lo[j][c],
+                          hi[j][c], ok[j][c])
+                for values, columns in kinds
+                for c, name in enumerate(CHANNELS)
+                for q, lo, hi, ok, _ in columns]
+    if first is not None:
+        raise first[1]
+    return [row for rows in per_instance for row in rows]
 
 
 def fixture_survey_rows(experts) -> list[SurveyRow]:
     """Bound rows for explicit relations; seed column carries the index."""
-    return [row for k, h in enumerate(experts) for row in _instance_rows(k, h)]
+    return _survey_rows(list(experts), 0)

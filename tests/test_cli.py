@@ -364,6 +364,13 @@ class TestVerifyBounds:
         assert main(["verify-bounds", "--n-range", "8:3"]) == 2
         capsys.readouterr()
 
+    def test_negative_seed_exits_2(self, capsys):
+        # numpy rejects a negative seed; it is refused as input first.
+        assert main(["verify-bounds", "--seed", "-5", "--count", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed -5 must be non-negative\n"
+
 
 class TestGenerate:
     def test_deterministic(self, tmp_path):
@@ -411,6 +418,12 @@ class TestGenerate:
         assert main(["generate", "--n", "1"]) == 2
         assert main(["generate", "--experts", "1"]) == 2
         capsys.readouterr()
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["generate", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed -1 must be non-negative\n"
 
 
 class TestFloatFormat:
@@ -672,6 +685,8 @@ GOLDENS = {
     "energy_smartphone.json": ["energy", "smartphone.json",
                                "--format", "json"],
     "verify_bounds_fixtures.csv": ["verify-bounds", "--fixtures"],
+    "verify_bounds_count40_seed9.csv": ["verify-bounds", "--count", "40",
+                                        "--seed", "9"],
     "run_shared_weights.txt": ["run", SHARED_DOC],
     "run_shared_weights.json": ["run", SHARED_DOC, "--format", "json"],
     "run_panel_shared.txt": ["run", PANEL_DOC],

@@ -2,7 +2,10 @@
 
 make_hfpr checks every rule over the whole array at once. The row-major
 double loop it replaced is kept here as make_hfpr_reference, and a fuzz
-test requires the two to agree on every outcome.
+test requires the two to agree on every outcome. random_hfpr draws all
+its triples in bulk; the per-entry draw loop it replaced is kept as
+random_hfpr_reference, and a property test requires the same values and
+the same generator state afterwards.
 """
 import warnings
 
@@ -332,7 +335,52 @@ class TestChannel:
                           channel="membership")
 
 
+def random_hfpr_reference(n, rng, labels=None):
+    """random_hfpr as one draw per upper-triangle entry in row-major
+    order, each rejected triple redrawn at once."""
+    a = np.zeros((n, n, 3))
+    for i in range(n):
+        for j in range(i + 1, n):
+            while True:
+                t = rng.uniform(0.0, 1.0, 3)
+                s = t.sum()
+                if s > 1.0:
+                    t = t / s
+                t = np.round(t, 4)
+                if t.sum() <= 1.0:
+                    break
+            a[i, j] = t
+            a[j, i] = t
+    return make_hfpr(a, labels=labels)
+
+
 class TestRandomHfpr:
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 63 - 1),
+           stream=st.integers(0, 1000), labelled=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_entry_reference(self, n, seed, stream, labelled):
+        # Same value bytes and labels, and the generator left in the same
+        # state: the seed -> survey contract rests on the draw order.
+        labels = [f"x{i}" for i in range(n)] if labelled else None
+        rng, ref_rng = (np.random.default_rng([seed, stream])
+                        for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = random_hfpr(n, rng, labels=labels)
+            want = random_hfpr_reference(n, ref_rng, labels=labels)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.labels == want.labels
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_redraw_path_is_exercised(self):
+        # Rounding can push a triple's sum over 1. The n = 16 relation of
+        # seed 0 consumes more than one triple per entry, so the bulk
+        # redraw runs.
+        rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+        random_hfpr(16, rng)
+        plain.uniform(0.0, 1.0, (16 * 15 // 2, 3))
+        assert rng.bit_generator.state != plain.bit_generator.state
+
     def test_deterministic_and_valid(self):
         a = random_hfpr(5, np.random.default_rng(7))
         b = random_hfpr(5, np.random.default_rng(7))

@@ -1,11 +1,19 @@
-"""Energies, Laplacian energies, bounds, identities, and the survey."""
+"""Energies, Laplacian energies, bounds, identities, and the survey.
+
+The survey evaluates every bound for all same-size instances as one
+stack. The per-relation scalar formulas it replaced are kept here as
+survey_rows_reference and identity_residuals_reference, and the survey
+rows must equal theirs exactly.
+"""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hfgdm import (
     CHANNELS,
+    IdentityViolated,
     NotSymmetric,
     ParameterOutOfRange,
     bounds_survey,
@@ -17,9 +25,98 @@ from hfgdm import (
     laplacian,
     laplacian_energy,
     make_hfpr,
+    random_hfpr,
     symmetric_eigenvalues,
 )
-from hfgdm.spectral import fixture_survey_rows
+from hfgdm import spectral
+from hfgdm.spectral import SurveyRow, fixture_survey_rows
+
+IDENTITY_NAMES = ("laplacian_trace", "laplacian_square", "shifted_sum",
+                  "shifted_square")
+
+
+def _reference_terms(h):
+    """One relation's (3, n, n) channel stack and its Laplacian terms."""
+    adj = np.ascontiguousarray(h.values.transpose(2, 0, 1))
+    n = h.n
+    iu, ju = np.triu_indices(n, 1)
+    lap = adj.sum(axis=-1)[..., None] * np.eye(n) - adj
+    w = np.linalg.eigvalsh(lap)
+    d = lap.diagonal(axis1=-2, axis2=-1)
+    upper = adj[:, iu, ju]
+    s = upper.sum(axis=-1)
+    w2 = np.square(upper).sum(axis=-1)
+    shift = (2.0 * s / n)[:, None]
+    psi = (w - shift)[:, ::-1]
+    aux = w2 + 0.5 * np.square(d - shift).sum(axis=-1)
+    return adj, (iu, ju), w, d, s, w2, psi, aux, np.abs(psi).sum(axis=-1)
+
+
+def survey_rows_reference(key, h):
+    """The 15 survey rows of one relation, one channel at a time with
+    scalar formulas."""
+    adj, (iu, ju), _, _, _, _, psi, aux, le = _reference_terms(h)
+    w = np.linalg.eigvalsh(adj)
+    upper = adj[:, iu, ju]
+    w2 = np.square(upper).sum(axis=-1)
+    prod = (upper * adj[:, ju, iu]).sum(axis=-1)
+    rows = []
+    for k, name in enumerate(CHANNELS):
+        p = w[k].size
+        e = float(np.abs(w[k]).sum())
+        det = float(np.prod(w[k]))
+        det_term = 0.0 if det == 0.0 else abs(det) ** (2.0 / p)
+        lo = math.sqrt(p * (p - 1) * det_term + 2.0 * float(prod[k]))
+        hi_frob = math.sqrt(2.0 * p * float(w2[k]))
+        mean_sq = 2.0 * float(w2[k]) / p
+        hi_ms = mean_sq + math.sqrt(
+            (p - 1) * max(2.0 * float(w2[k]) - mean_sq ** 2, 0.0))
+        applicable = 2.0 * float(w2[k]) >= p
+        rows += [
+            SurveyRow(key, h.n, name, "energy_determinant_bounds", e, lo,
+                      hi_frob, lo - 1e-9 <= e <= hi_frob + 1e-9),
+            SurveyRow(key, h.n, name, "energy_mean_square_upper", e, None,
+                      hi_ms, e <= hi_ms + 1e-9 or not applicable),
+        ]
+    for k, name in enumerate(CHANNELS):
+        n, a, v = psi[k].size, float(aux[k]), float(le[k])
+        lo_spread = 2.0 * math.sqrt(a)
+        hi_frob = math.sqrt(2.0 * n * a)
+        psi1 = float(psi[k][0])
+        hi_shift = psi1 + math.sqrt((n - 1) * max(2.0 * a - psi1 ** 2, 0.0))
+        rows += [
+            SurveyRow(key, h.n, name, "laplacian_energy_spread_lower", v,
+                      lo_spread, None, v >= lo_spread - 1e-9),
+            SurveyRow(key, h.n, name, "laplacian_energy_frobenius_upper", v,
+                      None, hi_frob, v <= hi_frob + 1e-9),
+            SurveyRow(key, h.n, name, "laplacian_energy_max_shift_upper", v,
+                      None, hi_shift, v <= hi_shift + 1e-9),
+        ]
+    return rows
+
+
+def identity_residuals_reference(h):
+    """[(channel, identity, residual)] of one relation, in check order."""
+    _, _, w, d, s, w2, psi, aux, _ = _reference_terms(h)
+    out = []
+    for k, name in enumerate(CHANNELS):
+        values = (
+            abs(float(w[k].sum()) - 2.0 * float(s[k])),
+            abs(float(np.square(w[k]).sum())
+                - (2.0 * float(w2[k]) + float(np.square(d[k]).sum()))),
+            abs(float(psi[k].sum())),
+            abs(float(np.square(psi[k]).sum()) - 2.0 * float(aux[k])),
+        )
+        out += [(name, i, r) for i, r in zip(IDENTITY_NAMES, values)]
+    return out
+
+
+def exact(rows):
+    """Rows with every float as its hex form, so -0.0 and NaN compare."""
+    return [tuple(v.hex() if isinstance(v, float) else v
+                  for v in (r.seed, r.n, r.channel, r.quantity, r.value,
+                            r.bound_lo, r.bound_hi, r.satisfied))
+            for r in rows]
 
 
 def uniform_k3(w):
@@ -288,3 +385,113 @@ class TestSurvey:
                 assert r.bound_lo <= r.value + 1e-9
             if r.bound_hi is not None:
                 assert r.value <= r.bound_hi + 1e-9
+
+
+def _survey_relations(seed, count, n_range):
+    lo, hi = n_range
+    out = []
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        out.append(random_hfpr(int(rng.integers(lo, hi + 1)), rng))
+    return out
+
+
+class TestStackedAgainstScalarReference:
+    @pytest.mark.parametrize("seed", [1, 9, 42])
+    @pytest.mark.parametrize("block", [7, spectral.SURVEY_BLOCK])
+    def test_survey_rows_equal_reference(self, seed, block, monkeypatch):
+        # n = 1..12 gives n = 1 and 2 and groups of mixed size; a block of
+        # 7 spreads the instances over several blocks.
+        monkeypatch.setattr(spectral, "SURVEY_BLOCK", block)
+        relations = _survey_relations(seed, 40, (1, 12))
+        assert {1, 2} <= {h.n for h in relations}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bounds_survey(seed=seed, count=40, n_range=(1, 12))
+        want = [row for k, h in enumerate(relations)
+                for row in survey_rows_reference(k, h)]
+        assert exact(got) == exact(want)
+
+    @pytest.mark.parametrize("seed, k, n_range",
+                             [(42, 138, (3, 8)), (83, 20, (1, 12))])
+    def test_pow_terms_match_python_pow(self, seed, k, n_range):
+        # On these survey instances numpy's array power differs from
+        # Python's float pow in the last bit of a printed bound: psi1^2 in
+        # the max-shift bound of the first, (2W/p)^2 in the mean-square
+        # bound of the second.
+        rng = np.random.default_rng([seed, k])
+        h = random_hfpr(int(rng.integers(n_range[0], n_range[1] + 1)), rng)
+        assert exact(fixture_survey_rows([h])) == \
+            exact(survey_rows_reference(0, h))
+
+    def test_fixture_rows_equal_reference(self, experts):
+        relations = list(experts) + [
+            random_hfpr(n, np.random.default_rng(n)) for n in (2, 7, 4, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fixture_survey_rows(relations)
+        want = [row for k, h in enumerate(relations)
+                for row in survey_rows_reference(k, h)]
+        assert exact(got) == exact(want)
+
+    def test_single_relation_checkers_equal_reference(self, experts):
+        relations = list(experts) + [
+            random_hfpr(n, np.random.default_rng(n)) for n in (1, 2, 9)]
+        for h in relations:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                summaries = check_energy_bounds(h) + check_laplacian_bounds(h)
+                identities = eigen_identities(h)
+            got = [SurveyRow(0, h.n, s.channel, c.quantity, c.value,
+                             c.lower, c.upper, c.satisfied)
+                   for s in summaries for c in s.checks]
+            assert exact(got) == exact(survey_rows_reference(0, h))
+            assert [(s.channel, identity, r) for s in identities
+                    for identity, r in s.residuals] == \
+                identity_residuals_reference(h)
+
+
+class TestIdentityFailure:
+    def test_single_relation_names_first_channel_and_identity(
+            self, m1, monkeypatch):
+        monkeypatch.setattr(spectral, "IDENTITY_TOL", -1.0)
+        with pytest.raises(IdentityViolated) as err:
+            eigen_identities(m1)
+        want = identity_residuals_reference(m1)[0]
+        assert (err.value.channel, err.value.identity,
+                err.value.residual) == want
+
+    def test_first_failing_instance_wins_over_group_order(self, monkeypatch):
+        # The zero relation (instance 0, n = 3) has exact-zero residuals;
+        # instances 1 (n = 5) and 2 (n = 3) do not. With a zero tolerance
+        # both fail. The n = 3 group is evaluated first, but instance 1
+        # comes first and must be the one reported.
+        zero = make_hfpr(np.zeros((3, 3, 3)))
+        b = random_hfpr(5, np.random.default_rng(5))
+        c = random_hfpr(3, np.random.default_rng(3))
+        want = next(x for x in identity_residuals_reference(b) if x[2] > 0)
+        assert any(x[2] > 0 for x in identity_residuals_reference(c))
+        assert not any(x[2] > 0 for x in identity_residuals_reference(zero))
+        monkeypatch.setattr(spectral, "IDENTITY_TOL", 0.0)
+        with pytest.raises(IdentityViolated) as err:
+            fixture_survey_rows([zero, b, c])
+        assert (err.value.channel, err.value.identity,
+                err.value.residual) == want
+
+    def test_survey_reports_first_failing_instance(self, monkeypatch):
+        # The tolerance sits at the largest residual of the first block of
+        # 7 instances, so the first instance over it lies in a later block
+        # and in another size group than instance 0.
+        seed, count, n_range = 6, 40, (1, 12)
+        relations = _survey_relations(seed, count, n_range)
+        residuals = [identity_residuals_reference(h) for h in relations]
+        tol = max(r for rs in residuals[:7] for _, _, r in rs)
+        k, want = next((k, x) for k, rs in enumerate(residuals)
+                       for x in rs if x[2] > tol)
+        assert k >= 7 and relations[k].n != relations[0].n
+        monkeypatch.setattr(spectral, "IDENTITY_TOL", tol)
+        monkeypatch.setattr(spectral, "SURVEY_BLOCK", 7)
+        with pytest.raises(IdentityViolated) as err:
+            bounds_survey(seed=seed, count=count, n_range=n_range)
+        assert (err.value.channel, err.value.identity,
+                err.value.residual) == want
