@@ -69,8 +69,10 @@ from .spectral import (
     check_energy_bounds,
     check_laplacian_bounds,
     eigen_identities,
+    energies,
     energy,
     laplacian,
+    laplacian_energies,
     laplacian_energy,
     symmetric_eigenvalues,
 )

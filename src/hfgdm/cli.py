@@ -16,9 +16,8 @@ Exit codes: 0 success, 1 internal error, 2 input validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -41,7 +40,8 @@ from .pipeline import (
     run as run_pipeline,
 )
 from .similarity import pair_similarity
-from .spectral import bounds_survey, energy, fixture_survey_rows, laplacian_energy
+from .spectral import (bounds_survey, energies, fixture_survey_rows,
+                       laplacian_energies)
 
 _TOP_KEYS = {"alternatives", "experts", "config", "published", "vertex_attrs"}
 
@@ -66,9 +66,11 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
+@functools.lru_cache(maxsize=256)
 def _array_template(shape: tuple[int, ...], indent: int) -> str:
     """The layout _emit_json gives nested lists of this shape, with a
-    %.17g slot per float in row-major order."""
+    %.17g slot per float in row-major order; built once per shape and
+    indent."""
     if not shape[0]:
         return "[]"
     if len(shape) == 1:
@@ -105,6 +107,8 @@ def _emit_json(obj, indent: int = 0) -> str:
         items = list(obj)
         if not items:
             return "[]"
+        if set(map(type, items)) == {str}:
+            return json.dumps(items)  # the same bytes as the loop below
         flat = all(isinstance(v, (int, float, str, bool, np.integer,
                                   np.floating)) or v is None for v in items)
         if flat:
@@ -151,12 +155,13 @@ def _reals(x, ndim: int | None = None) -> np.ndarray:
     """A finite float array of JSON numbers; any shape unless ndim is given.
 
     numpy would read a numeric string or a boolean as a number; the
-    schema does not.
+    schema does not. An int too large for a float raises OverflowError.
     """
-    a = np.asarray(x, dtype=float)
-    if (not np.isfinite(a).all() or ndim not in (None, a.ndim)
-            or any(isinstance(v, (str, bool))
-                   for v in np.asarray(x, dtype=object).flat)):
+    items = np.asarray(x, dtype=object)
+    if not set(map(type, items.ravel())) <= {float, int}:
+        raise ValueError("not a numeric array")
+    a = items.astype(float)
+    if not np.isfinite(a).all() or ndim not in (None, a.ndim):
         raise ValueError("not a finite numeric array of that rank")
     return a
 
@@ -218,6 +223,16 @@ def parse_input(path: str) -> InputDocument:
     overflow a float are rejected, so no non-finite value enters a run.
     Every field is converted here, overrides and published values too; a
     value of the wrong type is a SchemaViolation naming its field.
+
+    A document is first decoded by json's C scanner with no hook on
+    finite numbers and converted. That succeeds on every valid document:
+    a number that overflows decodes as inf, or as an int too large for a
+    float, and fails the finite-number checks of the conversion; an object
+    with a repeated key fails too, as the first decode would drop a value
+    unchecked. Only when this attempt raises is the document decoded again
+    with a hook on every number (_strict_loads) and converted again, and
+    that pass raises the error the document earns, with the message it
+    always had.
     """
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -227,14 +242,39 @@ def parse_input(path: str) -> InputDocument:
     else:
         raise FileNotFoundError(path)
     try:
-        raw = json.loads(text, parse_float=_finite, parse_constant=_finite,
-                         parse_int=lambda token: _finite(token, int))
+        return _document(json.loads(text, parse_constant=_finite,
+                                    object_pairs_hook=_unique_keys))
+    except (ValueError, TypeError, ArithmeticError, RecursionError):
+        # ValueError covers JSON syntax, int-string limits and every
+        # ValidationError; ArithmeticError an int too large for a float.
+        pass
+    return _document(_strict_loads(text))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A decoded object as a dict. A repeated key raises, so the first
+    decode drops no value unchecked; the strict decode keeps the last."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated key")
+    return obj
+
+
+def _strict_loads(text: str):
+    """Decode a document, rejecting NaN, Infinity and numbers that overflow
+    a float where the decoder meets them."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite,
+                          parse_int=lambda token: _finite(token, int))
     except json.JSONDecodeError as e:
         raise SchemaViolation(
             "json", f"invalid JSON at line {e.lineno}: {e.msg}") from None
     except RecursionError:
         raise SchemaViolation("json", "JSON nested too deeply") from None
 
+
+def _document(raw) -> InputDocument:
+    """Convert and validate a decoded scenario document."""
     raw = _require_mapping(raw, "document")
     _check_keys(raw, _TOP_KEYS, "document")
     for required in ("alternatives", "experts"):
@@ -378,6 +418,11 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
     return out
 
 
+def _energy_map(ids, triples) -> dict:
+    """{expert id: its energy triple as a float array}."""
+    return dict(zip(ids, np.array([e.as_tuple() for e in triples])))
+
+
 def _report_json(doc: InputDocument, report: RankingReport) -> dict:
     runs = []
     for r in report.records:
@@ -387,9 +432,9 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
             "c": r.scores.c,
             "c_used": r.c_used,
             "aggregated": r.aggregated.values,
-            "s_plus": list(r.s_plus),
-            "s_minus": list(r.s_minus),
-            "f": list(r.f),
+            "s_plus": np.array(r.s_plus),
+            "s_minus": np.array(r.s_minus),
+            "f": np.array(r.f),
             "ranking": [report.labels[i] for i in r.ranking],
         })
     payload = {
@@ -401,14 +446,12 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
         "overridden": list(report.overridden),
         "alternatives": list(report.labels),
         "experts": list(doc.expert_ids),
-        "energy": {ident: list(e.as_tuple())
-                   for ident, e in zip(doc.expert_ids, report.energies)},
-        "laplacian_energy": {
-            ident: list(e.as_tuple())
-            for ident, e in zip(doc.expert_ids, report.laplacian_energies)},
+        "energy": _energy_map(doc.expert_ids, report.energies),
+        "laplacian_energy": _energy_map(doc.expert_ids,
+                                        report.laplacian_energies),
         "c1": report.c1,
         "similarity_degrees": (None if report.similarity_degrees is None
-                               else list(report.similarity_degrees)),
+                               else np.array(report.similarity_degrees)),
         "ca": report.ca,
         "runs": runs,
     }
@@ -531,20 +574,18 @@ def cmd_run(args) -> int:
 
 def cmd_energy(args) -> int:
     doc = parse_input(args.input)
-    energies = [energy(h) for h in doc.experts]
-    lap = [laplacian_energy(h) for h in doc.experts]
+    adjacency = energies(doc.experts)
+    lap = laplacian_energies(doc.experts)
     if args.format == "json":
         payload = {
             "alternatives": list(doc.alternatives),
-            "energy": {ident: list(e.as_tuple())
-                       for ident, e in zip(doc.expert_ids, energies)},
-            "laplacian_energy": {ident: list(e.as_tuple())
-                                 for ident, e in zip(doc.expert_ids, lap)},
+            "energy": _energy_map(doc.expert_ids, adjacency),
+            "laplacian_energy": _energy_map(doc.expert_ids, lap),
         }
         text = _emit_json(payload) + "\n"
     else:
         rows = [["expert", "energy", "laplacian energy"]]
-        for ident, e, le in zip(doc.expert_ids, energies, lap):
+        for ident, e, le in zip(doc.expert_ids, adjacency, lap):
             rows.append([ident, _vector_cell(e.as_tuple()),
                          _vector_cell(le.as_tuple())])
         text = _table(rows) + "\n"
@@ -563,6 +604,31 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _survey_row_template(lo: bool, hi: bool, satisfied: bool) -> str:
+    """A %-template for one survey CSV row taking (seed, n, channel,
+    quantity, value, bound_lo, bound_hi, satisfied). A missing bound and
+    the verdict are consumed by %.0s, which prints nothing."""
+    return ("%d,%d,%s,%s,%.17g," + ("%.17g" if lo else "%.0s") + ","
+            + ("%.17g" if hi else "%.0s") + ","
+            + ("true" if satisfied else "false") + "%.0s\n")
+
+
+_SURVEY_ROW = {key: _survey_row_template(*key)
+               for key in itertools.product((False, True), repeat=3)}
+
+
+def _survey_csv(rows) -> str:
+    """The survey CSV: a header and one line per row, floats at 17
+    significant digits, formatted by one template over all rows. No
+    field needs CSV quoting: channels and quantities are fixed names."""
+    fields = [(r.seed, r.n, r.channel, r.quantity, r.value, r.bound_lo,
+               r.bound_hi, r.satisfied) for r in rows]
+    template = "".join([_SURVEY_ROW[f[5] is not None, f[6] is not None, f[7]]
+                        for f in fields])
+    return ("seed,n,channel,quantity,value,bound_lo,bound_hi,satisfied\n"
+            + template % tuple(itertools.chain.from_iterable(fields)))
+
+
 def cmd_verify_bounds(args) -> int:
     if args.fixtures is not None:
         doc = parse_input(args.fixtures)
@@ -573,21 +639,8 @@ def cmd_verify_bounds(args) -> int:
         _check_seed(args.seed)
         rows = bounds_survey(seed=args.seed, count=args.count,
                              n_range=_parse_n_range(args.n_range))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["seed", "n", "channel", "quantity", "value",
-                     "bound_lo", "bound_hi", "satisfied"])
-    violations = 0
-    for r in rows:
-        if not r.satisfied:
-            violations += 1
-        writer.writerow([
-            r.seed, r.n, r.channel, r.quantity, _fmt_float(r.value),
-            "" if r.bound_lo is None else _fmt_float(r.bound_lo),
-            "" if r.bound_hi is None else _fmt_float(r.bound_hi),
-            "true" if r.satisfied else "false",
-        ])
-    _write_output(buf.getvalue(), args.out)
+    _write_output(_survey_csv(rows), args.out)
+    violations = sum(not r.satisfied for r in rows)
     if violations:
         print(f"{violations} bound violation(s) found", file=sys.stderr)
         return 3

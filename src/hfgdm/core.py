@@ -8,9 +8,10 @@ such triples with an exactly zero diagonal; one relation encodes one
 expert's pairwise preferences over the alternatives.
 
 All types are immutable after construction and safe to share between
-workers. make_hfpr validates a relation once, at construction, with array
-checks over all entries; the first offending entry in row-major scan order
-still wins. Later stages trust the HFPR type and do not check it again.
+workers. make_hfpr validates a relation once, at construction: a valid
+array is accepted after a few whole-array reductions, and only an invalid
+one is scanned rule by rule for the first offending entry in row-major
+order. Later stages trust the HFPR type and do not check it again.
 """
 
 from __future__ import annotations
@@ -90,6 +91,17 @@ class HFPR:
     def n(self) -> int:
         return self.values.shape[0]
 
+    @functools.cached_property
+    def upper(self) -> np.ndarray:
+        """The strict upper triangle, channel by channel: a read-only
+        (3, n(n-1)/2) array whose row k holds channel k of the entries in
+        row-major order, built on first use. Channel-major, because numpy
+        reduces across the three rows much faster than along a short last
+        axis."""
+        n = self.n
+        return _freeze(np.ascontiguousarray(
+            self.values.reshape(n * n, 3)[_upper_indices(n)].T))
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
@@ -127,13 +139,14 @@ def make_hfpr(entries, labels=None, vertex_attrs=None,
               require_symmetry: bool = True) -> HFPR:
     """Validate and build an HFPR from an (n, n, 3) array of triples.
 
-    Each rule is checked over all entries at once. The first offending
-    entry in row-major order is reported, under the first rule it breaks
-    in this order: component range (NaN fails it) and triple sum,
-    exact-zero diagonal, componentwise symmetry against the upper-triangle
-    twin (tolerance 1e-9, reported at the lower-triangle entry), then the
-    optional vertex bounds
-    mu_ij <= min(mu1_i, mu1_j), gamma_ij <= max(gamma1_i, gamma1_j),
+    A few whole-array reductions, built from the same float expressions
+    as the rules, accept a valid array. Otherwise each rule is checked
+    over all entries at once, and the first offending entry in row-major
+    order is reported, under the first rule it breaks in this order:
+    component range (NaN fails it) and triple sum, exact-zero diagonal,
+    componentwise symmetry against the upper-triangle twin (tolerance
+    1e-9, reported at the lower-triangle entry), then the optional vertex
+    bounds mu_ij <= min(mu1_i, mu1_j), gamma_ij <= max(gamma1_i, gamma1_j),
     beta_ij <= min(beta1_i, beta1_j).
 
     With require_symmetry=False an asymmetric relation is admitted for
@@ -166,6 +179,28 @@ def make_hfpr(entries, labels=None, vertex_attrs=None,
                 f"{len(attrs)} vertex attributes for an n = {n} relation")
 
     mu, gamma, beta = a.transpose(2, 0, 1)
+    vertex_bounds = None
+    if attrs is not None:
+        mu1, gamma1, beta1 = np.array(
+            [(v.mu1, v.gamma1, v.beta1) for v in attrs], dtype=float).T
+        vertex_bounds = (np.minimum.outer(mu1, mu1) + TOL,
+                         np.maximum.outer(gamma1, gamma1) + TOL,
+                         np.minimum.outer(beta1, beta1) + TOL)
+
+    # Accept at once when whole-array reductions of the rules' own
+    # expressions show no entry breaks any rule; NaN fails the range test.
+    if a.min() >= -TOL and a.max() <= 1.0 + TOL \
+            and (mu + gamma + beta).max() <= 1.0 + TOL \
+            and not a.reshape(n * n, 3)[::n + 1].any() \
+            and (vertex_bounds is None or (
+                (mu <= vertex_bounds[0]) & (gamma <= vertex_bounds[1])
+                & (beta <= vertex_bounds[2])).all()):
+        symmetric = bool(np.abs(a - a.transpose(1, 0, 2)).max() <= TOL)
+        if symmetric or not require_symmetry:
+            return HFPR(values=_freeze(a.copy()), labels=labels,
+                        vertex_attrs=attrs, symmetric=symmetric)
+
+    # Some entry breaks a rule: find the first one.
     row, col = np.indices((n, n))
     with np.errstate(invalid="ignore"):  # inf - inf and inf + -inf give NaN
         asymmetric = (col < row) & (
@@ -176,23 +211,16 @@ def make_hfpr(entries, labels=None, vertex_attrs=None,
             "diagonal": (row == col) & (a != 0.0).any(axis=2),
             "asymmetry": asymmetric & require_symmetry,
         }
-        if attrs is not None:
-            mu1, gamma1, beta1 = np.array(
-                [(v.mu1, v.gamma1, v.beta1) for v in attrs], dtype=float).T
+        if vertex_bounds is not None:
             # A diagonal entry breaks no vertex bound unless it is
             # nonzero, and then the diagonal rule reports it first.
-            rules["vertex"] = (
-                (mu > np.minimum.outer(mu1, mu1) + TOL)
-                | (gamma > np.maximum.outer(gamma1, gamma1) + TOL)
-                | (beta > np.minimum.outer(beta1, beta1) + TOL))
+            rules["vertex"] = ((mu > vertex_bounds[0])
+                               | (gamma > vertex_bounds[1])
+                               | (beta > vertex_bounds[2]))
     failing = np.logical_or.reduce(list(rules.values()))
-    if failing.any():
-        i, j = divmod(int(failing.argmax()), n)
-        rule = next(name for name, mask in rules.items() if mask[i, j])
-        raise _entry_error(rule, a, i, j)
-
-    return HFPR(values=_freeze(a.copy()), labels=labels, vertex_attrs=attrs,
-                symmetric=not asymmetric.any())
+    i, j = divmod(int(failing.argmax()), n)
+    rule = next(name for name, mask in rules.items() if mask[i, j])
+    raise _entry_error(rule, a, i, j)
 
 
 def _entry_error(rule: str, a: np.ndarray, i: int, j: int) -> ValidationError:

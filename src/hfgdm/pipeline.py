@@ -37,7 +37,10 @@ from .errors import (
     ZeroDenominator,
 )
 from .similarity import closeness, ideal_similarities, mean_similarity_degree
-from .spectral import EnergyTriple, energy, laplacian_energy
+# energy and laplacian_energy stay importable from this module; a run
+# solves every expert at once through energies and laplacian_energies.
+from .spectral import (EnergyTriple, energies, energy, laplacian_energies,
+                       laplacian_energy)
 
 MODES = ("energy", "laplacian")
 NORMALIZATIONS = ("per_expert", "per_channel", "auto")
@@ -212,8 +215,21 @@ class RankingReport:
     overridden: tuple[str, ...]
 
 
-def _check_experts(experts) -> None:
-    """Nonempty, one relation size, and symmetric: what every stage needs."""
+class _Checked(tuple):
+    """Relations that passed _check_experts, with their values stacked
+    into one read-only (l, n, n, 3) array."""
+
+    values: np.ndarray
+
+
+def _check_experts(experts) -> _Checked:
+    """Nonempty, one relation size, and symmetric: what every stage needs.
+
+    Returns the relations as a _Checked, which later stages accept
+    without checking again.
+    """
+    if isinstance(experts, _Checked):
+        return experts
     if len(experts) == 0:
         raise NeedTwoExperts("need at least 1 relation")
     ns = {h.n for h in experts}
@@ -222,6 +238,9 @@ def _check_experts(experts) -> None:
     for h in experts:
         if not h.symmetric:
             raise NotSymmetric("the pipeline rejects asymmetric relations")
+    checked = _Checked(experts)
+    checked.values = _freeze(np.stack([h.values for h in experts]))
+    return checked
 
 
 def uncertainty_scores(experts, mode: str = "energy",
@@ -239,9 +258,9 @@ def uncertainty_scores(experts, mode: str = "energy",
     if normalization not in NORMALIZATIONS:
         raise ParameterOutOfRange(
             f"normalization {normalization!r} not one of {NORMALIZATIONS}")
-    _check_experts(experts)
-    measure = energy if mode == "energy" else laplacian_energy
-    raw = np.array([measure(h).as_array() for h in experts])
+    experts = _check_experts(experts)
+    measure = energies if mode == "energy" else laplacian_energies
+    raw = np.array([e.as_tuple() for e in measure(experts)])
     if normalization == "auto":
         normalization = "per_expert" if mode == "energy" else "per_channel"
     if normalization == "per_expert":
@@ -326,10 +345,9 @@ def aggregate_hfpr(experts, c) -> HFPR:
     for gamma and beta with columns 1 and 2. The result is validated as an
     HFPR; it always passes when every weight column sums to at most 1.
     """
-    _check_experts(experts)
+    experts = _check_experts(experts)
     weights = _score_matrix(c, len(experts), "c")
-    stacked = np.stack([h.values for h in experts])
-    vals = np.einsum("bc,bijc->ijc", weights, stacked)
+    vals = np.einsum("bc,bijc->ijc", weights, experts.values)
     return make_hfpr(vals, labels=experts[0].labels)
 
 
@@ -371,12 +389,12 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     recomputed from the injected values.
     """
     config = config or PipelineConfig()
-    _check_experts(experts)
+    experts = _check_experts(experts)
     l = len(experts)
     ov = config.overrides
 
-    energies = tuple(energy(h) for h in experts)
-    lap_energies = tuple(laplacian_energy(h) for h in experts)
+    energy_triples = energies(experts)
+    lap_energies = laplacian_energies(experts)
     normalization = config.resolved_normalization()
 
     if ov.c1 is not None:
@@ -428,7 +446,7 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
         eta=config.eta,
         closeness_mode=config.closeness_mode,
         convention=convention,
-        energies=energies,
+        energies=energy_triples,
         laplacian_energies=lap_energies,
         c1=_freeze(np.array(c1)),
         similarity_degrees=degrees,

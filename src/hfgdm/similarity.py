@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HFPR, _upper_indices
+from .core import HFPR
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -37,9 +37,8 @@ def pair_similarity(a: HFPR, b: HFPR) -> float:
     n = a.n
     if n == 1:
         return 1.0
-    d = np.abs(a.values - b.values).reshape(n * n, 3).take(
-        _upper_indices(n), axis=0)
-    terms = (1.0 - d.min(axis=1)) / (1.0 + d.max(axis=1))
+    d = np.abs(a.upper - b.upper)
+    terms = (1.0 - d.min(axis=0)) / (1.0 + d.max(axis=0))
     return float(1.0 / n + (2.0 / n ** 2) * terms.sum())
 
 

@@ -7,14 +7,15 @@ is the mean Laplacian eigenvalue. Bound checkers evaluate the classical
 spectral bounds on both quantities, and eigen_identities asserts the
 trace and Frobenius identities the spectra must satisfy.
 
-Every spectrum comes from _kernels.eigenvalues. Bounds and identities
-are evaluated on a (k, 3, n, n) stack of the channel matrices of k
-same-size relations, giving (k, 3) arrays: the survey groups its
-instances by n and evaluates each group at once, and the single-relation
-checkers are a stack of one through the same code. The three pow terms
-(|det|^(2/p), (2W/p)^2 and psi1^2) are taken with Python float pow on
-the (k, 3) values, because numpy's array power can differ from it in the
-last bit and the survey's printed bounds are byte-stable.
+Every spectrum comes from _kernels.eigenvalues. Energies, bounds and
+identities are evaluated on a (k, 3, n, n) stack of the channel matrices
+of k same-size relations, giving (k, 3) arrays: energies and
+laplacian_energies take a panel of relations at once, the survey groups
+its instances by n and evaluates each group at once, and the
+single-relation functions are a stack of one through the same code. The
+three pow terms (|det|^(2/p), (2W/p)^2 and psi1^2) are taken with Python
+float pow on the (k, 3) values, because numpy's array power can differ
+from it in the last bit and the survey's printed bounds are byte-stable.
 
 A reported bound violation is a finding, not an error, in the random
 survey; the bundled fixtures are expected to satisfy every bound.
@@ -133,6 +134,10 @@ def symmetric_eigenvalues(m) -> Spectrum:
 def _channels(relations) -> np.ndarray:
     """The channel matrices of same-size relations, which make_hfpr
     validated, as a contiguous (k, 3, n, n) stack."""
+    sizes = {h.n for h in relations}
+    if len(sizes) != 1:
+        raise DimensionMismatch(
+            f"need relations of one size, got sizes {sorted(sizes)}")
     if not all(h.symmetric for h in relations):
         raise AsymmetricEntry("channel matrix is not symmetric")
     return np.ascontiguousarray(
@@ -156,10 +161,18 @@ def _pow(a: np.ndarray, exponent) -> np.ndarray:
         a.shape)
 
 
+def _triples(values: np.ndarray) -> tuple[EnergyTriple, ...]:
+    return tuple(EnergyTriple(*row) for row in values.tolist())
+
+
+def energies(relations) -> tuple[EnergyTriple, ...]:
+    """energy() of each of same-size relations, solved as one stack."""
+    return _triples(np.abs(eigenvalues(_channels(relations))).sum(axis=-1))
+
+
 def energy(h: HFPR) -> EnergyTriple:
     """Sum of absolute adjacency eigenvalues, one value per channel."""
-    w = eigenvalues(_channels([h])[0])
-    return EnergyTriple(*np.abs(w).sum(axis=-1).tolist())
+    return energies([h])[0]
 
 
 def laplacian(c: ChannelMatrix) -> np.ndarray:
@@ -201,9 +214,15 @@ def _laplacian_terms(adj: np.ndarray) -> _LaplacianTerms:
     return _LaplacianTerms(w, d, s, w2, psi, aux, np.abs(psi).sum(axis=-1))
 
 
+def laplacian_energies(relations) -> tuple[EnergyTriple, ...]:
+    """laplacian_energy() of each of same-size relations, solved as one
+    stack."""
+    return _triples(_laplacian_terms(_channels(relations)).energy)
+
+
 def laplacian_energy(h: HFPR) -> EnergyTriple:
     """Sum of |eigenvalue - 2S/n| over each channel's Laplacian spectrum."""
-    return EnergyTriple(*_laplacian_terms(_channels([h])).energy[0].tolist())
+    return laplacian_energies([h])[0]
 
 
 class _Bound(NamedTuple):

@@ -2,6 +2,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 import hfgdm.cli as cli
 from hfgdm import energy
 from hfgdm.cli import _emit_json, _fmt_float, main, parse_input
-from hfgdm.errors import SchemaViolation, TripleOutOfRange
+from hfgdm.errors import SchemaViolation, TripleOutOfRange, ValidationError
 from hfgdm.fixtures import read_text
 from hfgdm.spectral import SurveyRow
 
@@ -325,6 +326,10 @@ class TestEnergyCommand:
         assert "2.1115, 2.2435, 1.3062".replace(", ", ",") in out
 
 
+survey_floats = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e308, 1 / 3, 0.1]), st.floats())
+
+
 class TestVerifyBounds:
     def test_small_survey_clean(self, tmp_path):
         out = tmp_path / "survey.csv"
@@ -357,6 +362,29 @@ class TestVerifyBounds:
         captured = capsys.readouterr()
         assert "1 bound violation(s) found" in captured.err
         assert captured.out.splitlines()[1].endswith(",false")
+
+    @given(rows=st.lists(st.builds(
+        SurveyRow, seed=st.integers(0, 10 ** 12), n=st.integers(1, 64),
+        channel=st.sampled_from(["membership", "nonmembership", "hesitancy"]),
+        quantity=st.sampled_from(["energy_determinant_bounds",
+                                  "laplacian_energy_spread_lower"]),
+        value=survey_floats, bound_lo=st.none() | survey_floats,
+        bound_hi=st.none() | survey_floats, satisfied=st.booleans()),
+        max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_matches_row_writer(self, rows):
+        # The one-template CSV against csv.writer with one _fmt_float per
+        # float, the way the rows were written before.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for r in rows:
+            writer.writerow([
+                r.seed, r.n, r.channel, r.quantity, _fmt_float(r.value),
+                "" if r.bound_lo is None else _fmt_float(r.bound_lo),
+                "" if r.bound_hi is None else _fmt_float(r.bound_hi),
+                "true" if r.satisfied else "false"])
+        assert cli._survey_csv(rows) == buf.getvalue()
 
     def test_bad_arguments_exit_2(self, capsys):
         assert main(["verify-bounds", "--count", "0"]) == 2
@@ -453,6 +481,14 @@ class TestArrayEmitter:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _emit_json(a, indent) == _emit_json(a.tolist(), indent)
+
+    @given(labels=st.lists(st.text(), min_size=1, max_size=6),
+           indent=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_label_lists_match_one_string_at_a_time(self, labels, indent):
+        want = "[" + ", ".join(json.dumps(x) for x in labels) + "]"
+        assert _emit_json(labels, indent) == want
+        assert _emit_json(tuple(labels), indent) == want
 
     def test_zero_length_axes(self):
         assert _emit_json(np.zeros(0)) == "[]"
@@ -568,6 +604,106 @@ def test_wrong_typed_field_exits_2_naming_it(tmp_path, path, value):
     assert out == ""
     assert field_name(path) in err
     assert "internal error" not in err
+
+
+# A non-finite number must be refused wherever it stands, whether the
+# field wants numbers or strings: the first, hook-free decode must never
+# let one through. A 5000-digit int is beyond Python's int-string limit.
+MARK = 0.123456789012345
+NON_FINITE_FIELDS = [
+    (("experts", 1, "hfpr"), [[[MARK if (i, j, k) == (0, 1, 0) else x
+                                for k, x in enumerate(t)]
+                               for j, t in enumerate(row)]
+                              for i, row in enumerate(E1_HFPR)]),
+    (("vertex_attrs",), [[MARK, 0.3]] + [[0.5, 0.3]] * 3),
+    (("config", "eta"), MARK),
+    (("config", "gamma_grid"), [0.0, MARK]),
+    (("config", "overrides", "c1"), [[MARK, 0.3, 0.3]] * 3),
+    (("config", "overrides", "ca"), [MARK, 0.3, 0.3]),
+    (("config", "overrides", "c"), [[0.3, MARK, 0.3]] * 3),
+    (("config", "overrides", "aggregated"), [[[MARK, 0, 0]] * 4] * 4),
+    (("config", "overrides", "pair_similarity"), {"e1:e2": MARK}),
+    (("published", "pair_similarity"), {"e1:e2": MARK}),
+    (("published", "similarity_degrees"), [MARK, 0.5, 0.5]),
+    (("published", "ca"), [MARK, 0.3, 0.3]),
+    (("alternatives",), ["a", MARK, "c", "d"]),
+    (("experts", 0, "id"), MARK),
+    (("config", "mode"), MARK),
+    (("published", "ranking"), [MARK]),
+]
+NON_FINITE_TOKENS = ["1e999", "1" + "0" * 400, "9" * 5000, "NaN",
+                     "-Infinity"]
+
+
+@pytest.mark.parametrize("token", NON_FINITE_TOKENS,
+                         ids=["1e999", "int400", "int5000", "NaN",
+                              "-Infinity"])
+@pytest.mark.parametrize("path, value", NON_FINITE_FIELDS,
+                         ids=[field_name(p) for p, _ in NON_FINITE_FIELDS])
+def test_non_finite_number_exits_2_in_any_field(tmp_path, path, value,
+                                                token):
+    text = json.dumps(edited(path, value))
+    assert repr(MARK) in text
+    doc = tmp_path / "doc.json"
+    doc.write_text(text.replace(repr(MARK), token))
+    rc, out, err = main_output(["run", str(doc), "--format", "json"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: number {token} is not a finite float\n"
+
+
+def test_repeated_key_cannot_hide_a_non_finite_number(tmp_path):
+    # A repeated key keeps its last value, but every value is checked.
+    text = json.dumps(SMARTPHONE).replace(
+        '"eta": 0.5', '"eta": 1e999, "eta": 0.25')
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert main_output(["run", str(doc)]) == (
+        2, "", "error: number 1e999 is not a finite float\n")
+    doc.write_text(text.replace("1e999", "0.75"))
+    assert parse_input(str(doc)).config.eta == 0.25
+
+
+def _state(value):
+    """A parsed document, or any part of it, as plain comparable values;
+    floats and arrays by their bytes."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _state(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return tuple((_state(k), _state(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_state(v) for v in value)
+    return value
+
+
+def _outcome(decode, text):
+    try:
+        return _state(cli._document(decode(text)))
+    except SchemaViolation as e:
+        return (type(e), str(e))
+    except ValidationError as e:
+        return (type(e), str(e))
+
+
+def _fast_decode(text):
+    return json.loads(text, parse_constant=cli._finite,
+                      object_pairs_hook=cli._unique_keys)
+
+
+@pytest.mark.parametrize(
+    "path", ["smartphone.json"] + sorted(
+        str(p.relative_to(DATA)) for p in DATA.rglob("*.json")))
+def test_both_decoders_give_equal_documents(path):
+    text = read_text(path) if path == "smartphone.json" else \
+        (DATA / path).read_text(encoding="utf-8")
+    fast = _outcome(_fast_decode, text)
+    assert fast == _outcome(cli._strict_loads, text)
+    if not path.startswith("golden"):
+        assert fast[0] == "InputDocument"
 
 
 def test_overflowing_similarity_degrees_exit_2_with_one_error_line(tmp_path):

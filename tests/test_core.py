@@ -98,8 +98,20 @@ def _outcome(build_relation, *args, **kwargs):
     return (h.values.tobytes(), h.symmetric)
 
 
+# Entries exactly at and one float past each end of the range band, sums
+# exactly at and one float past 1 + TOL, and channel differences exactly
+# at and one float past TOL: make_hfpr's whole-array accept must draw
+# each of these lines where the per-rule scan does.
+RANGE_EDGES = [-TOL, np.nextafter(-TOL, -1.0), 1.0 + TOL,
+               np.nextafter(1.0 + TOL, 2.0), 1.0 - TOL, TOL]
+# The last triple sums to 1 + TOL from the left, the rule's order, and
+# past it from the right.
+SUM_EDGE_TRIPLES = [(0.5, 0.5, (1.0 + TOL) - 1.0),
+                    (0.5, 0.5, np.nextafter(1.0 + TOL, 2.0) - 1.0),
+                    (0.326, 0.374, 0.3000000010000002)]
+ASYMMETRY_EDGES = [TOL, np.nextafter(TOL, 1.0), np.nextafter(TOL, 0.0)]
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, -0.1, -1e-10, -1e-8, 1e-12,
-           1.2, 1.0 + 1e-10, 1.0 + 1e-8]
+           1.2, 1.0 + 1e-10, 1.0 + 1e-8] + RANGE_EDGES
 GRADES = [0.0, 0.1, 0.3 - 1e-8, 0.3 - 1e-10, 0.3, 0.35, 0.5]
 
 
@@ -113,13 +125,19 @@ def corrupted_relations(draw):
     a *= draw(st.sampled_from([1.0, 0.3]))
     for _ in range(draw(st.integers(0, 4))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        kind = draw(st.sampled_from(["one", "both", "sum"]))
+        kind = draw(st.sampled_from(["one", "both", "sum", "asymmetry"]))
         if kind == "sum":
-            # Sums of 1 + 1e-10 and 1 + 1e-8 straddle the tolerance.
-            beta = draw(st.sampled_from([1e-10, 1e-8]))
-            a[i, j] = a[j, i] = (0.5, 0.5, beta)
+            # Sums of 1 + 1e-10 and 1 + 1e-8 straddle the tolerance, and
+            # the edge triples sum exactly to it or one float past.
+            a[i, j] = a[j, i] = draw(st.sampled_from(
+                [(0.5, 0.5, 1e-10), (0.5, 0.5, 1e-8)] + SUM_EDGE_TRIPLES))
             continue
         k = draw(st.integers(0, 2))
+        if kind == "asymmetry":
+            # From a zero twin the difference is exactly the edge value.
+            a[i, j, k] = 0.0
+            a[j, i, k] = draw(st.sampled_from(ASYMMETRY_EDGES))
+            continue
         v = draw(st.sampled_from(SPECIAL) | st.floats(-0.1, 1.1))
         a[i, j, k] = v
         if kind == "both":
@@ -288,6 +306,51 @@ class TestMakeHfpr:
             got = _outcome(make_hfpr, a, vertex_attrs=attrs,
                            require_symmetry=require_symmetry)
         assert got == want
+
+
+def _edge_relations():
+    """Relations with one entry pair on or one float past a rule's edge."""
+    base = np.array(random_hfpr(4, np.random.default_rng(3)).values) * 0.3
+    cases = []
+    for v in RANGE_EDGES:
+        a = base.copy()
+        a[1, 2] = a[2, 1] = (0.0, v, 0.0)
+        cases.append((f"component={v!r}", a))
+    for t in SUM_EDGE_TRIPLES:
+        a = base.copy()
+        a[0, 3] = a[3, 0] = t
+        cases.append((f"sum={t!r}", a))
+    for d in ASYMMETRY_EDGES:
+        a = base.copy()
+        a[0, 2, 1], a[2, 0, 1] = 0.0, d
+        cases.append((f"asymmetry={d!r}", a))
+    return cases
+
+
+class TestEdges:
+    @pytest.mark.parametrize("a", [a for _, a in _edge_relations()],
+                             ids=[name for name, _ in _edge_relations()])
+    @pytest.mark.parametrize("require_symmetry", [True, False])
+    def test_whole_array_accept_matches_reference(self, a, require_symmetry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _outcome(make_hfpr_reference, a,
+                            require_symmetry=require_symmetry)
+            got = _outcome(make_hfpr, a, require_symmetry=require_symmetry)
+        assert got == want
+
+    def test_edges_fall_on_both_sides(self):
+        # At the edge a relation is accepted; one float past it, refused.
+        outcomes = {name: _outcome(make_hfpr, a)
+                    for name, a in _edge_relations()}
+        accepted = {name for name, o in outcomes.items()
+                    if isinstance(o[0], bytes)}
+        assert accepted == {
+            f"component={-TOL!r}", f"component={1.0 + TOL!r}",
+            f"component={1.0 - TOL!r}", f"component={TOL!r}",
+            f"sum={SUM_EDGE_TRIPLES[0]!r}", f"sum={SUM_EDGE_TRIPLES[2]!r}",
+            f"asymmetry={ASYMMETRY_EDGES[0]!r}",
+            f"asymmetry={ASYMMETRY_EDGES[2]!r}"}
 
 
 class TestChannel:

@@ -417,6 +417,35 @@ class TestRun:
         with pytest.raises(ParameterOutOfRange):
             PipelineConfig(closeness_mode="harmonic")
 
+    def test_experts_checked_once_per_run(self, experts, monkeypatch):
+        # run checks the relations once and hands the checked tuple to
+        # uncertainty_scores and to every aggregate_hfpr call.
+        import hfgdm.pipeline as pipeline
+        built = []
+
+        class Counted(pipeline._Checked):
+            def __new__(cls, relations):
+                built.append(relations)
+                return super().__new__(cls, relations)
+        monkeypatch.setattr(pipeline, "_Checked", Counted)
+        run(experts, PipelineConfig())
+        assert len(built) == 1
+
+    def test_public_stages_check_their_own_input(self, experts):
+        from hfgdm import DimensionMismatch
+        small = make_hfpr(np.zeros((2, 2, 3)))
+        a = np.zeros((4, 4, 3))
+        a[0, 1] = (0.2, 0.2, 0.2)
+        bad = make_hfpr(a, require_symmetry=False)
+        with pytest.raises(DimensionMismatch):
+            uncertainty_scores((experts[0], small))
+        with pytest.raises(NotSymmetric):
+            uncertainty_scores((experts[0], bad), mode="laplacian")
+        with pytest.raises(DimensionMismatch):
+            aggregate_hfpr((experts[0], small), np.full((2, 3), 0.5))
+        with pytest.raises(NeedTwoExperts):
+            aggregate_hfpr((), np.zeros((0, 3)))
+
     def test_rejects_asymmetric_and_mixed_sizes(self, experts):
         a = np.zeros((4, 4, 3))
         a[0, 1] = (0.2, 0.2, 0.2)

@@ -21,7 +21,7 @@ from hfgdm import (
     pair_similarity,
     random_hfpr,
 )
-from hfgdm.similarity import _upper_indices
+from hfgdm.core import _upper_indices
 
 from conftest import PUBLISHED_C
 
@@ -117,6 +117,16 @@ class TestPairSimilarity:
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 flat[0] = 0
+
+    def test_upper_triangle_built_once_and_read_only(self, m1):
+        upper = m1.upper
+        assert m1.upper is upper
+        assert upper.tolist() == m1.values[np.triu_indices(m1.n, 1)].T.tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                upper[0, 0] = 0.5
+        assert make_hfpr(np.zeros((1, 1, 3))).upper.shape == (3, 0)
 
     def test_single_entry_perturbation_breaks_unity(self, m1):
         bumped = m1.values.copy()

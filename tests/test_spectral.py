@@ -345,6 +345,45 @@ class TestEigenIdentities:
                 assert max(abs(r) for _, r in s.residuals) < 1e-8
 
 
+def _hex_triples(triples):
+    return [tuple(v.hex() for v in t.as_tuple()) for t in triples]
+
+
+class TestStackedEnergies:
+    """A panel's energies come from one stack per kind; each relation's
+    must equal, bit for bit, what it gives alone and what one matrix at a
+    time through eigvalsh gives."""
+
+    @pytest.mark.parametrize("n, l, seed", [(1, 3, 0), (2, 5, 1), (4, 3, 2),
+                                            (7, 12, 3), (10, 12, 4),
+                                            (16, 6, 5)])
+    def test_stack_equals_each_relation_alone(self, n, l, seed):
+        rng = np.random.default_rng(seed)
+        rels = [random_hfpr(n, rng) for _ in range(l)]
+        stacked = spectral.energies(rels)
+        stacked_lap = spectral.laplacian_energies(rels)
+        assert _hex_triples(stacked) == _hex_triples(
+            [energy(h) for h in rels])
+        assert _hex_triples(stacked_lap) == _hex_triples(
+            [laplacian_energy(h) for h in rels])
+        one_matrix_at_a_time = [
+            tuple(float(np.abs(np.linalg.eigvalsh(channel(h, c).values)).sum())
+                  for c in CHANNELS) for h in rels]
+        assert _hex_triples(stacked) == [
+            tuple(v.hex() for v in t) for t in one_matrix_at_a_time]
+        reference_lap = [tuple(_reference_terms(h)[-1].tolist()) for h in rels]
+        assert _hex_triples(stacked_lap) == [
+            tuple(v.hex() for v in t) for t in reference_lap]
+
+    def test_mixed_sizes_and_no_relations_rejected(self, m1):
+        from hfgdm import DimensionMismatch
+        for rels in ([m1, random_hfpr(3, np.random.default_rng(1))], []):
+            with pytest.raises(DimensionMismatch):
+                spectral.energies(rels)
+            with pytest.raises(DimensionMismatch):
+                spectral.laplacian_energies(rels)
+
+
 class TestSurvey:
     def test_smoke_row_count_and_shape(self):
         rows = bounds_survey(seed=7, count=1, n_range=(2, 2))
