@@ -10,10 +10,8 @@ command-line tool).
 
 from .core import (
     CHANNELS,
-    ChannelMatrix,
     HFPR,
     VertexAttribute,
-    channel,
     make_hfpr,
     random_hfpr,
 )
@@ -28,7 +26,6 @@ from .errors import (
     IndexOutOfRange,
     NeedTwoExperts,
     NoConvergence,
-    NotSymmetric,
     OverrideShapeMismatch,
     ParameterOutOfRange,
     SchemaViolation,
@@ -63,7 +60,6 @@ from .spectral import (
     BoundCheck,
     EnergyTriple,
     SpectralSummary,
-    Spectrum,
     SurveyRow,
     bounds_survey,
     check_energy_bounds,
@@ -71,10 +67,8 @@ from .spectral import (
     eigen_identities,
     energies,
     energy,
-    laplacian,
     laplacian_energies,
     laplacian_energy,
-    symmetric_eigenvalues,
 )
 
 __version__ = "0.1.0"

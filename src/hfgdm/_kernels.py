@@ -1,8 +1,10 @@
 """The one symmetric eigensolver.
 
 eigenvalues() diagonalises a symmetric matrix or a stack of them with
-LAPACK's symmetric eigenvalue routine (numpy.linalg.eigvalsh). Callers
-validate symmetry and finiteness; only the lower triangle is read.
+LAPACK's symmetric eigenvalue routine (numpy.linalg.eigvalsh). The
+package calls it only on the channel matrices of relations, and
+make_hfpr validates symmetry and finiteness; only the lower triangle is
+read.
 """
 
 from __future__ import annotations

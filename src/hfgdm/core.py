@@ -3,15 +3,16 @@
 A hesitancy fuzzy value is a triple (mu, gamma, beta): membership,
 nonmembership, and hesitancy degrees in [0, 1] with mu + gamma + beta <= 1.
 The unallocated residue pi = 1 - mu - gamma - beta is always derived, never
-stored. A hesitancy fuzzy preference relation (HFPR) is a square matrix of
-such triples with an exactly zero diagonal; one relation encodes one
-expert's pairwise preferences over the alternatives.
+stored. A hesitancy fuzzy preference relation (HFPR) is a square,
+symmetric matrix of such triples with an exactly zero diagonal; one
+relation encodes one expert's pairwise preferences over the alternatives.
 
 All types are immutable after construction and safe to share between
-workers. make_hfpr validates a relation once, at construction: a valid
-array is accepted after a few whole-array reductions, and only an invalid
-one is scanned rule by rule for the first offending entry in row-major
-order. Later stages trust the HFPR type and do not check it again.
+workers. make_hfpr is the only way to build an HFPR, and it validates a
+relation once, symmetry included: a valid array is accepted after a few
+whole-array reductions, and only an invalid one is scanned rule by rule
+for the first offending entry in row-major order. Later stages trust the
+HFPR type and do not check it again.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
 TOL = 1e-9
 
 CHANNELS = ("membership", "nonmembership", "hesitancy")
-_CHANNEL_INDEX = {name: k for k, name in enumerate(CHANNELS)}
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,17 @@ def _upper_indices(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HFPR:
-    """A validated n x n matrix of hesitancy triples with zero diagonal.
+    """A validated symmetric n x n matrix of triples with zero diagonal.
 
-    values has shape (n, n, 3) with the last axis ordered
-    (membership, nonmembership, hesitancy); it is read-only.
-    Construct through make_hfpr.
+    values has shape (n, n, 3) with the last axis ordered as CHANNELS; it
+    is read-only, and values[..., k] is the real symmetric matrix of
+    channel k. Construct through make_hfpr, which is what makes it
+    symmetric.
     """
 
     values: np.ndarray
     labels: tuple[str, ...]
     vertex_attrs: tuple[VertexAttribute, ...] | None
-    symmetric: bool
 
     @property
     def n(self) -> int:
@@ -103,40 +103,7 @@ class HFPR:
             self.values.reshape(n * n, 3)[_upper_indices(n)].T))
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """A real symmetric n x n matrix for one channel of an HFPR.
-
-    With channel, spectral.laplacian and spectral.symmetric_eigenvalues it
-    forms the public single-matrix API; the per-relation spectra read
-    HFPR.values directly.
-    """
-
-    values: np.ndarray
-    channel: str
-
-    def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ParameterOutOfRange(
-                f"channel {self.channel!r} not one of {CHANNELS}")
-        a = np.asarray(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-        if not np.all((a >= -TOL) & (a <= 1.0 + TOL)):  # NaN fails too
-            raise TripleOutOfRange("channel entries must lie in [0, 1]")
-        if np.any(np.diag(a) != 0.0):
-            raise DiagonalNotZero("channel diagonal must be exactly zero")
-        if a.size and np.max(np.abs(a - a.T)) > TOL:
-            raise AsymmetricEntry("channel matrix is not symmetric")
-        object.__setattr__(self, "values", _freeze(a.copy()))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def make_hfpr(entries, labels=None, vertex_attrs=None,
-              require_symmetry: bool = True) -> HFPR:
+def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     """Validate and build an HFPR from an (n, n, 3) array of triples.
 
     A few whole-array reductions, built from the same float expressions
@@ -147,11 +114,7 @@ def make_hfpr(entries, labels=None, vertex_attrs=None,
     componentwise symmetry against the upper-triangle twin (tolerance
     1e-9, reported at the lower-triangle entry), then the optional vertex
     bounds mu_ij <= min(mu1_i, mu1_j), gamma_ij <= max(gamma1_i, gamma1_j),
-    beta_ij <= min(beta1_i, beta1_j).
-
-    With require_symmetry=False an asymmetric relation is admitted for
-    experimentation and flagged symmetric=False; the pipeline rejects it.
-    Labels default to t1..tn.
+    beta_ij <= min(beta1_i, beta1_j). Labels default to t1..tn.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim != 3 or a.shape[2] != 3 or a.shape[0] != a.shape[1]:
@@ -192,24 +155,22 @@ def make_hfpr(entries, labels=None, vertex_attrs=None,
     if a.min() >= -TOL and a.max() <= 1.0 + TOL \
             and (mu + gamma + beta).max() <= 1.0 + TOL \
             and not a.reshape(n * n, 3)[::n + 1].any() \
+            and np.abs(a - a.transpose(1, 0, 2)).max() <= TOL \
             and (vertex_bounds is None or (
                 (mu <= vertex_bounds[0]) & (gamma <= vertex_bounds[1])
                 & (beta <= vertex_bounds[2])).all()):
-        symmetric = bool(np.abs(a - a.transpose(1, 0, 2)).max() <= TOL)
-        if symmetric or not require_symmetry:
-            return HFPR(values=_freeze(a.copy()), labels=labels,
-                        vertex_attrs=attrs, symmetric=symmetric)
+        return HFPR(values=_freeze(a.copy()), labels=labels,
+                    vertex_attrs=attrs)
 
     # Some entry breaks a rule: find the first one.
     row, col = np.indices((n, n))
     with np.errstate(invalid="ignore"):  # inf - inf and inf + -inf give NaN
-        asymmetric = (col < row) & (
-            np.abs(a - a.transpose(1, 0, 2)).max(axis=2) > TOL)
         rules = {
             "range": ~((a >= -TOL) & (a <= 1.0 + TOL)).all(axis=2),
             "sum": mu + gamma + beta > 1.0 + TOL,
             "diagonal": (row == col) & (a != 0.0).any(axis=2),
-            "asymmetry": asymmetric & require_symmetry,
+            "asymmetry": (col < row) & (
+                np.abs(a - a.transpose(1, 0, 2)).max(axis=2) > TOL),
         }
         if vertex_bounds is not None:
             # A diagonal entry breaks no vertex bound unless it is
@@ -245,16 +206,6 @@ def _entry_error(rule: str, a: np.ndarray, i: int, j: int) -> ValidationError:
             f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
     return EdgeExceedsVertexBound(
         f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
-
-
-def channel(h: HFPR, which: str) -> ChannelMatrix:
-    """Extract one real symmetric channel matrix from a relation."""
-    try:
-        k = _CHANNEL_INDEX[which]
-    except KeyError:
-        raise ParameterOutOfRange(
-            f"channel {which!r} not one of {CHANNELS}") from None
-    return ChannelMatrix(values=h.values[:, :, k], channel=which)
 
 
 def random_hfpr(n: int, rng: np.random.Generator, labels=None) -> HFPR:

@@ -41,10 +41,6 @@ class EdgeExceedsVertexBound(_EntryError):
     """An edge triple breaks the bound imposed by its endpoint attributes."""
 
 
-class NotSymmetric(ValidationError):
-    """A matrix expected to be symmetric is not."""
-
-
 class DimensionMismatch(ValidationError):
     """Operands have incompatible shapes or sizes."""
 

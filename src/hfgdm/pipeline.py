@@ -27,11 +27,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import HFPR, make_hfpr
+from .core import HFPR, _freeze, make_hfpr
 from .errors import (
     DimensionMismatch,
     NeedTwoExperts,
-    NotSymmetric,
     OverrideShapeMismatch,
     ParameterOutOfRange,
     ZeroDenominator,
@@ -51,9 +50,9 @@ _SCORE_TOL = 1e-9
 _BLEND_TOL = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ParameterOutOfRange(f"{name} {value!r} not one of {choices}")
 
 
 def _score_matrix(x, l: int, name: str) -> np.ndarray:
@@ -142,20 +141,11 @@ class PipelineConfig:
     overrides: Overrides = field(default_factory=Overrides)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ParameterOutOfRange(f"mode {self.mode!r} not one of {MODES}")
-        if self.score_normalization not in NORMALIZATIONS:
-            raise ParameterOutOfRange(
-                f"score_normalization {self.score_normalization!r} "
-                f"not one of {NORMALIZATIONS}")
-        if self.closeness_mode not in CLOSENESS_MODES:
-            raise ParameterOutOfRange(
-                f"closeness_mode {self.closeness_mode!r} "
-                f"not one of {CLOSENESS_MODES}")
-        if self.blend_convention not in CONVENTIONS:
-            raise ParameterOutOfRange(
-                f"blend_convention {self.blend_convention!r} "
-                f"not one of {CONVENTIONS}")
+        _check_choice("mode", self.mode, MODES)
+        _check_choice("score_normalization", self.score_normalization,
+                      NORMALIZATIONS)
+        _check_choice("closeness_mode", self.closeness_mode, CLOSENESS_MODES)
+        _check_choice("blend_convention", self.blend_convention, CONVENTIONS)
         if not (0.0 <= self.eta <= 1.0):
             raise ParameterOutOfRange(f"eta = {self.eta!r} outside [0, 1]")
         grid = tuple(float(g) for g in self.gamma_grid)
@@ -166,10 +156,13 @@ class PipelineConfig:
                 raise ParameterOutOfRange(f"gamma_blend = {g!r} outside [0, 1]")
         object.__setattr__(self, "gamma_grid", grid)
 
-    def resolved_normalization(self) -> str:
-        if self.score_normalization != "auto":
-            return self.score_normalization
-        return "per_expert" if self.mode == "energy" else "per_channel"
+
+def _normalization(mode: str, normalization: str) -> str:
+    """The stage-ii normalization that normalization names under mode:
+    auto is per_expert for energy and per_channel for laplacian."""
+    if normalization != "auto":
+        return normalization
+    return "per_expert" if mode == "energy" else "per_channel"
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +216,8 @@ class _Checked(tuple):
 
 
 def _check_experts(experts) -> _Checked:
-    """Nonempty, one relation size, and symmetric: what every stage needs.
+    """Nonempty and of one relation size: what every stage needs beyond
+    what make_hfpr already checked of each relation, symmetry included.
 
     Returns the relations as a _Checked, which later stages accept
     without checking again.
@@ -235,9 +229,6 @@ def _check_experts(experts) -> _Checked:
     ns = {h.n for h in experts}
     if len(ns) != 1:
         raise DimensionMismatch(f"mixed relation sizes {sorted(ns)}")
-    for h in experts:
-        if not h.symmetric:
-            raise NotSymmetric("the pipeline rejects asymmetric relations")
     checked = _Checked(experts)
     checked.values = _freeze(np.stack([h.values for h in experts]))
     return checked
@@ -253,17 +244,12 @@ def uncertainty_scores(experts, mode: str = "energy",
     per_expert, laplacian uses per_channel, matching the published
     case-study sections.
     """
-    if mode not in MODES:
-        raise ParameterOutOfRange(f"mode {mode!r} not one of {MODES}")
-    if normalization not in NORMALIZATIONS:
-        raise ParameterOutOfRange(
-            f"normalization {normalization!r} not one of {NORMALIZATIONS}")
+    _check_choice("mode", mode, MODES)
+    _check_choice("normalization", normalization, NORMALIZATIONS)
     experts = _check_experts(experts)
     measure = energies if mode == "energy" else laplacian_energies
     raw = np.array([e.as_tuple() for e in measure(experts)])
-    if normalization == "auto":
-        normalization = "per_expert" if mode == "energy" else "per_channel"
-    if normalization == "per_expert":
+    if _normalization(mode, normalization) == "per_expert":
         denom = raw.sum(axis=1, keepdims=True)
         if np.any(denom == 0.0):
             raise ZeroDenominator("an expert's three components sum to zero")
@@ -310,9 +296,7 @@ def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
         raise ParameterOutOfRange(f"eta = {eta!r} outside [0, 1]")
     if not (0.0 <= gamma_blend <= 1.0):
         raise ParameterOutOfRange(f"gamma_blend = {gamma_blend!r} outside [0, 1]")
-    if convention not in CONVENTIONS:
-        raise ParameterOutOfRange(
-            f"convention {convention!r} not one of {CONVENTIONS}")
+    _check_choice("convention", convention, CONVENTIONS)
     c1 = np.asarray(c1, dtype=float)
     if c1.ndim != 2 or c1.shape[1] != 3:
         raise OverrideShapeMismatch(
@@ -395,7 +379,7 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
 
     energy_triples = energies(experts)
     lap_energies = laplacian_energies(experts)
-    normalization = config.resolved_normalization()
+    normalization = _normalization(config.mode, config.score_normalization)
 
     if ov.c1 is not None:
         c1 = _score_matrix(ov.c1, l, "c1 override")
@@ -416,17 +400,13 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     else:
         degrees, ca = _degrees_and_weights(experts, pairwise)
 
-    convention = config.blend_convention
-    if convention == "auto":
-        convention = "vector" if l == 3 else "scalar"
-
     if ov.aggregated is not None and ov.aggregated.n != experts[0].n:
         raise OverrideShapeMismatch(
             "aggregated override does not match the relation size")
 
     records = []
     for g in config.gamma_grid:
-        scores = blend_scores(c1, ca, config.eta, g, convention)
+        scores = blend_scores(c1, ca, config.eta, g, config.blend_convention)
         if ov.c is not None:
             c_used = _score_matrix(ov.c, l, "c override")
         else:
@@ -445,7 +425,7 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
         normalization=normalization,
         eta=config.eta,
         closeness_mode=config.closeness_mode,
-        convention=convention,
+        convention=records[0].scores.convention,
         energies=energy_triples,
         laplacian_energies=lap_energies,
         c1=_freeze(np.array(c1)),

@@ -7,15 +7,17 @@ is the mean Laplacian eigenvalue. Bound checkers evaluate the classical
 spectral bounds on both quantities, and eigen_identities asserts the
 trace and Frobenius identities the spectra must satisfy.
 
-Every spectrum comes from _kernels.eigenvalues. Energies, bounds and
-identities are evaluated on a (k, 3, n, n) stack of the channel matrices
-of k same-size relations, giving (k, 3) arrays: energies and
-laplacian_energies take a panel of relations at once, the survey groups
-its instances by n and evaluates each group at once, and the
-single-relation functions are a stack of one through the same code. The
-three pow terms (|det|^(2/p), (2W/p)^2 and psi1^2) are taken with Python
-float pow on the (k, 3) values, because numpy's array power can differ
-from it in the last bit and the survey's printed bounds are byte-stable.
+Every function here takes relations, which make_hfpr found symmetric
+and finite, and every spectrum comes from _kernels.eigenvalues on their
+channel matrices. Energies, bounds and identities are evaluated on a
+(k, 3, n, n) stack of the channel matrices of k same-size relations,
+giving (k, 3) arrays: energies and laplacian_energies take a panel of
+relations at once, the survey groups its instances by n and evaluates
+each group at once, and the single-relation functions are a stack of one
+through the same code. The three pow terms (|det|^(2/p), (2W/p)^2 and
+psi1^2) are taken with Python float pow on the (k, 3) values, because
+numpy's array power can differ from it in the last bit and the survey's
+printed bounds are byte-stable.
 
 A reported bound violation is a finding, not an error, in the random
 survey; the bundled fixtures are expected to satisfy every bound.
@@ -29,31 +31,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import CHANNELS, ChannelMatrix, HFPR, _upper_indices, random_hfpr
-from .errors import (
-    AsymmetricEntry,
-    DimensionMismatch,
-    IdentityViolated,
-    NotSymmetric,
-    ParameterOutOfRange,
-)
+from .core import CHANNELS, HFPR, _upper_indices, random_hfpr
+from .errors import DimensionMismatch, IdentityViolated
 
-SYMMETRY_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 BOUND_TOL = 1e-9
 SURVEY_BLOCK = 256  # random instances held and evaluated at once
 IDENTITIES = ("laplacian_trace", "laplacian_square", "shifted_sum",
               "shifted_square")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of one symmetric matrix, sorted descending."""
-
-    eigenvalues: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -111,26 +96,6 @@ class SpectralSummary:
     residuals: tuple[tuple[str, float], ...] = ()
 
 
-def _as_symmetric_array(m) -> np.ndarray:
-    a = m.values if isinstance(m, ChannelMatrix) else np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        i, j = bad[0]
-        raise ParameterOutOfRange(
-            f"matrix entry ({i}, {j}) = {float(a[i, j])} is not finite")
-    if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-        raise NotSymmetric("matrix is not symmetric within 1e-9")
-    return a
-
-
-def symmetric_eigenvalues(m) -> Spectrum:
-    """Eigenvalues of a ChannelMatrix or real symmetric array, descending."""
-    w = eigenvalues(_as_symmetric_array(m))
-    return Spectrum(tuple(w[::-1].tolist()))
-
-
 def _channels(relations) -> np.ndarray:
     """The channel matrices of same-size relations, which make_hfpr
     validated, as a contiguous (k, 3, n, n) stack."""
@@ -138,8 +103,6 @@ def _channels(relations) -> np.ndarray:
     if len(sizes) != 1:
         raise DimensionMismatch(
             f"need relations of one size, got sizes {sorted(sizes)}")
-    if not all(h.symmetric for h in relations):
-        raise AsymmetricEntry("channel matrix is not symmetric")
     return np.ascontiguousarray(
         np.stack([h.values for h in relations]).transpose(0, 3, 1, 2))
 
@@ -161,6 +124,21 @@ def _pow(a: np.ndarray, exponent) -> np.ndarray:
         a.shape)
 
 
+def _det_term(w: np.ndarray) -> np.ndarray:
+    """|det|^(2/p) of each spectrum of p eigenvalues on the last axis of
+    w: Python float pow of the eigenvalue product where it is a normal
+    float, else exp((2/p) sum log |eigenvalue|). A zero eigenvalue gives 0."""
+    p = w.shape[-1]
+    # The product may overflow, or reach inf * 0; log 0 is -inf.
+    with np.errstate(all="ignore"):
+        det = np.abs(np.prod(w, axis=-1))
+        term = _pow(det, 2.0 / p)
+        lost = ~((det >= np.finfo(float).tiny) & (det < np.inf))
+        if lost.any():
+            term[lost] = np.exp((2.0 / p) * np.log(np.abs(w[lost])).sum(-1))
+    return term
+
+
 def _triples(values: np.ndarray) -> tuple[EnergyTriple, ...]:
     return tuple(EnergyTriple(*row) for row in values.tolist())
 
@@ -173,11 +151,6 @@ def energies(relations) -> tuple[EnergyTriple, ...]:
 def energy(h: HFPR) -> EnergyTriple:
     """Sum of absolute adjacency eigenvalues, one value per channel."""
     return energies([h])[0]
-
-
-def laplacian(c: ChannelMatrix) -> np.ndarray:
-    """Laplacian matrix diag(degrees) - adjacency for one channel."""
-    return _laplacians(c.values)
 
 
 @dataclass(frozen=True)
@@ -249,8 +222,7 @@ def _energy_bounds(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     w2 = np.square(upper).sum(axis=-1)
     prod = (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1)
     e = np.abs(w).sum(axis=-1)
-    det_term = _pow(np.abs(np.prod(w, axis=-1)), 2.0 / p)
-    lo = np.sqrt(p * (p - 1) * det_term + 2.0 * prod)
+    lo = np.sqrt(p * (p - 1) * _det_term(w) + 2.0 * prod)
     hi_frob = np.sqrt(2.0 * p * w2)
     mean_sq = 2.0 * w2 / p
     hi_ms = mean_sq + np.sqrt(
@@ -350,7 +322,8 @@ def check_energy_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
 
     The determinant row carries the lower bound
     sqrt(p(p-1)|det|^(2/p) + 2*sum w_ij*w_ji) and the Frobenius upper
-    bound sqrt(2p * sum w^2); det comes from the eigenvalue product. The
+    bound sqrt(2p * sum w^2); det comes from the eigenvalue product, taken
+    in the log domain where that product overflows. The
     mean-square row carries 2W/p + sqrt((p-1)(2W - (2W/p)^2)) with
     W = sum of squared upper-triangle weights, asserted only under its
     classical applicability hypothesis 2W >= p.

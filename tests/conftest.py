@@ -52,6 +52,14 @@ def build(rows, labels=LABELS):
     return make_hfpr(np.asarray(rows, dtype=float), labels=labels)
 
 
+def with_membership(c):
+    """A relation's (n, n, 3) array whose membership channel is c and
+    whose other two channels are zero."""
+    a = np.zeros(np.shape(c) + (3,))
+    a[..., 0] = c
+    return a
+
+
 @pytest.fixture(scope="session")
 def m1():
     return build(M1_ROWS)

@@ -1,4 +1,4 @@
-"""Domain-type construction, validation order, and channel extraction.
+"""Domain-type construction, validation order, and the channel matrices.
 
 make_hfpr checks every rule over the whole array at once. The row-major
 double loop it replaced is kept here as make_hfpr_reference, and a fuzz
@@ -18,7 +18,6 @@ from hfgdm import (
     CHANNELS,
     HFPR,
     AsymmetricEntry,
-    ChannelMatrix,
     DiagonalNotZero,
     DimensionMismatch,
     EdgeExceedsVertexBound,
@@ -26,12 +25,11 @@ from hfgdm import (
     TripleOutOfRange,
     ValidationError,
     VertexAttribute,
-    channel,
     make_hfpr,
     random_hfpr,
 )
 
-from conftest import M1_ROWS, build
+from conftest import M1_ROWS, build, with_membership
 
 TOL = 1e-9
 
@@ -47,7 +45,7 @@ def _check_triple(mu, gamma, beta, i, j):
             f"mu + gamma + beta = {s!r} at entry ({i}, {j}) exceeds 1", i, j)
 
 
-def make_hfpr_reference(entries, vertex_attrs=None, require_symmetry=True):
+def make_hfpr_reference(entries, vertex_attrs=None):
     """make_hfpr as a row-major scan that stops at the first violation.
 
     Each entry is checked in turn: component range and triple sum, the
@@ -59,7 +57,6 @@ def make_hfpr_reference(entries, vertex_attrs=None, require_symmetry=True):
     attrs = None
     if vertex_attrs is not None:
         attrs = tuple(VertexAttribute(*v) for v in vertex_attrs)
-    asym_at = None
     for i in range(n):
         for j in range(n):
             mu, gamma, beta = (float(a[i, j, 0]), float(a[i, j, 1]),
@@ -73,11 +70,8 @@ def make_hfpr_reference(entries, vertex_attrs=None, require_symmetry=True):
                         i)
                 continue
             if j < i and np.max(np.abs(a[i, j] - a[j, i])) > TOL:
-                if require_symmetry:
-                    raise AsymmetricEntry(
-                        f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
-                if asym_at is None:
-                    asym_at = (i, j)
+                raise AsymmetricEntry(
+                    f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
             if attrs is not None:
                 vi, vj = attrs[i], attrs[j]
                 if (mu > min(vi.mu1, vj.mu1) + TOL
@@ -86,7 +80,7 @@ def make_hfpr_reference(entries, vertex_attrs=None, require_symmetry=True):
                     raise EdgeExceedsVertexBound(
                         f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
     return HFPR(values=a.copy(), labels=tuple(f"t{i + 1}" for i in range(n)),
-                vertex_attrs=attrs, symmetric=asym_at is None)
+                vertex_attrs=attrs)
 
 
 def _outcome(build_relation, *args, **kwargs):
@@ -95,7 +89,7 @@ def _outcome(build_relation, *args, **kwargs):
         h = build_relation(*args, **kwargs)
     except ValidationError as e:
         return (type(e), str(e), getattr(e, "i", None), getattr(e, "j", None))
-    return (h.values.tobytes(), h.symmetric)
+    return h.values.tobytes()
 
 
 # Entries exactly at and one float past each end of the range band, sums
@@ -118,7 +112,7 @@ GRADES = [0.0, 0.1, 0.3 - 1e-8, 0.3 - 1e-10, 0.3, 0.35, 0.5]
 @st.composite
 def corrupted_relations(draw):
     """A random symmetric relation, perhaps scaled down, with a few entries
-    corrupted, plus optional vertex attributes and a symmetry flag."""
+    corrupted, plus optional vertex attributes."""
     n = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     a = np.array(random_hfpr(n, np.random.default_rng(seed)).values)
@@ -145,7 +139,7 @@ def corrupted_relations(draw):
     attrs = draw(st.none() | st.lists(
         st.tuples(st.sampled_from(GRADES), st.sampled_from(GRADES)),
         min_size=n, max_size=n))
-    return a, attrs, draw(st.booleans())
+    return a, attrs
 
 
 class TestVertexAttribute:
@@ -171,7 +165,7 @@ class TestMakeHfpr:
     def test_fixture_matrix_valid(self, m1):
         assert m1.n == 4
         assert m1.labels == ("t1", "t2", "t3", "t4")
-        assert m1.symmetric
+        assert np.array_equal(m1.values, m1.values.transpose(1, 0, 2))
         assert tuple(m1.values[0, 1]) == (0.4, 0.2, 0.3)
 
     def test_degenerate_single_alternative(self):
@@ -243,13 +237,6 @@ class TestMakeHfpr:
             make_hfpr(rows)
         assert (e.value.i, e.value.j) == (0, 1)
 
-    def test_require_symmetry_false_admits_and_flags(self):
-        rows = np.zeros((2, 2, 3))
-        rows[0, 1] = (0.2, 0.2, 0.2)
-        rows[1, 0] = (0.4, 0.2, 0.2)
-        h = make_hfpr(rows, require_symmetry=False)
-        assert not h.symmetric
-
     def test_vertex_bounds_enforced(self):
         rows = np.zeros((2, 2, 3))
         rows[0, 1] = rows[1, 0] = (0.5, 0.1, 0.2)
@@ -271,7 +258,8 @@ class TestMakeHfpr:
 
     def test_roundtrip_bit_exact(self, m1):
         rebuilt = make_hfpr(
-            np.stack([channel(m1, c).values for c in CHANNELS], axis=-1),
+            np.stack([m1.values[..., k] for k in range(len(CHANNELS))],
+                     axis=-1),
             labels=m1.labels)
         assert np.array_equal(rebuilt.values, m1.values)
 
@@ -297,14 +285,13 @@ class TestMakeHfpr:
     @given(corrupted_relations())
     @settings(max_examples=300, deadline=None)
     def test_matches_row_major_reference(self, case):
-        # Same error type, message, (i, j), or the same values and
-        # symmetric flag; NaN and inf raise no numpy warning on either side.
-        a, attrs, require_symmetry = case
+        # Same error type, message, (i, j), or the same values; NaN and
+        # inf raise no numpy warning on either side.
+        a, attrs = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = _outcome(make_hfpr_reference, a, attrs, require_symmetry)
-            got = _outcome(make_hfpr, a, vertex_attrs=attrs,
-                           require_symmetry=require_symmetry)
+            want = _outcome(make_hfpr_reference, a, attrs)
+            got = _outcome(make_hfpr, a, vertex_attrs=attrs)
         assert got == want
 
 
@@ -330,13 +317,11 @@ def _edge_relations():
 class TestEdges:
     @pytest.mark.parametrize("a", [a for _, a in _edge_relations()],
                              ids=[name for name, _ in _edge_relations()])
-    @pytest.mark.parametrize("require_symmetry", [True, False])
-    def test_whole_array_accept_matches_reference(self, a, require_symmetry):
+    def test_whole_array_accept_matches_reference(self, a):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = _outcome(make_hfpr_reference, a,
-                            require_symmetry=require_symmetry)
-            got = _outcome(make_hfpr, a, require_symmetry=require_symmetry)
+            want = _outcome(make_hfpr_reference, a)
+            got = _outcome(make_hfpr, a)
         assert got == want
 
     def test_edges_fall_on_both_sides(self):
@@ -344,7 +329,7 @@ class TestEdges:
         outcomes = {name: _outcome(make_hfpr, a)
                     for name, a in _edge_relations()}
         accepted = {name for name, o in outcomes.items()
-                    if isinstance(o[0], bytes)}
+                    if isinstance(o, bytes)}
         assert accepted == {
             f"component={-TOL!r}", f"component={1.0 + TOL!r}",
             f"component={1.0 - TOL!r}", f"component={TOL!r}",
@@ -354,48 +339,44 @@ class TestEdges:
 
 
 class TestChannel:
+    """Channel k of a relation is the real symmetric matrix values[..., k]."""
+
     def test_membership_matrix_as_printed(self, m1):
         expect = [[0, .4, .4, .3], [.4, 0, .4, .3],
                   [.4, .4, 0, .3], [.3, .3, .3, 0]]
-        assert np.allclose(channel(m1, "membership").values, expect,
-                           atol=1e-12)
+        assert np.allclose(m1.values[..., 0], expect, atol=1e-12)
 
     def test_hesitancy_matrix_as_printed(self, m1):
         expect = [[0, .3, .2, .2], [.3, 0, .2, .2],
                   [.2, .2, 0, .2], [.2, .2, .2, 0]]
-        assert np.allclose(channel(m1, "hesitancy").values, expect,
-                           atol=1e-12)
+        assert np.allclose(m1.values[..., 2], expect, atol=1e-12)
 
     def test_all_channels_symmetric_zero_diagonal(self, experts):
         for h in experts:
-            for name in CHANNELS:
-                c = channel(h, name)
-                assert np.array_equal(c.values, c.values.T)
-                assert np.all(np.diag(c.values) == 0.0)
+            for k in range(len(CHANNELS)):
+                c = h.values[..., k]
+                assert np.array_equal(c, c.T)
+                assert np.all(np.diag(c) == 0.0)
 
     def test_zero_relation_zero_channels(self):
         h = make_hfpr(np.zeros((3, 3, 3)))
-        for name in CHANNELS:
-            assert not channel(h, name).values.any()
-
-    def test_unknown_channel_rejected(self, m1):
-        with pytest.raises(ParameterOutOfRange):
-            channel(m1, "residue")
+        for k in range(len(CHANNELS)):
+            assert not h.values[..., k].any()
 
     def test_channel_matrix_validates(self):
+        # make_hfpr refuses a relation with a channel that has a nonzero
+        # diagonal or is not symmetric.
         with pytest.raises(DiagonalNotZero):
-            ChannelMatrix(values=np.eye(2), channel="membership")
+            make_hfpr(with_membership(np.eye(2)))
         with pytest.raises(AsymmetricEntry):
-            ChannelMatrix(values=np.array([[0.0, 0.1], [0.2, 0.0]]),
-                          channel="membership")
+            make_hfpr(with_membership([[0.0, 0.1], [0.2, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_channel_matrix_rejects_non_finite(self, bad):
         # NaN compares False both ways, so it must fail the range check
         # itself rather than slip past it into an all-NaN Laplacian.
         with pytest.raises(TripleOutOfRange, match=r"\[0, 1\]"):
-            ChannelMatrix(values=np.array([[0.0, bad], [bad, 0.0]]),
-                          channel="membership")
+            make_hfpr(with_membership([[0.0, bad], [bad, 0.0]]))
 
 
 def random_hfpr_reference(n, rng, labels=None):
@@ -459,3 +440,39 @@ class TestRandomHfpr:
 
     def test_matches_fixture_builder(self, m1):
         assert np.array_equal(build(M1_ROWS).values, m1.values)
+
+
+PUBLIC_SURFACE = [
+    "AsymmetricEntry", "BoundCheck", "CHANNELS", "ComputationError",
+    "DegenerateDenominator", "DiagonalNotZero", "DimensionMismatch",
+    "EdgeExceedsVertexBound", "EnergyTriple", "GammaRecord", "HFPR",
+    "IdentityViolated", "IndexOutOfRange", "NEGATIVE_IDEAL",
+    "NeedTwoExperts", "NoConvergence", "OverrideShapeMismatch",
+    "Overrides", "POSITIVE_IDEAL", "ParameterOutOfRange", "PipelineConfig",
+    "RankEntry", "RankingReport", "SchemaViolation", "ScoreSet",
+    "SpectralSummary", "SurveyRow", "TripleOutOfRange", "ValidationError",
+    "VertexAttribute", "ZeroDenominator", "aggregate_hfpr", "blend_scores",
+    "bounds_survey", "check_energy_bounds", "check_laplacian_bounds",
+    "closeness", "core", "eigen_identities", "energies", "energy", "errors",
+    "ideal_similarities", "ideal_similarity", "laplacian_energies",
+    "laplacian_energy", "make_hfpr", "mean_similarity_degree",
+    "pair_similarity", "pipeline", "random_hfpr", "rank", "run",
+    "similarity", "similarity_weights", "spectral", "uncertainty_scores",
+]
+
+
+def test_public_surface_is_pinned():
+    # Adding or removing a public name must be a deliberate edit here.
+    import hfgdm
+    assert sorted(hfgdm.__all__) == PUBLIC_SURFACE
+
+
+def test_relation_type_and_constructor_are_minimal():
+    # One kind of relation: symmetric because make_hfpr built it, with no
+    # flag to say so and no option to build another kind.
+    import dataclasses
+    import inspect
+    assert [f.name for f in dataclasses.fields(HFPR)] == [
+        "values", "labels", "vertex_attrs"]
+    assert list(inspect.signature(make_hfpr).parameters) == [
+        "entries", "labels", "vertex_attrs"]

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from hfgdm import (
+    AsymmetricEntry,
     NeedTwoExperts,
-    NotSymmetric,
     Overrides,
     OverrideShapeMismatch,
     ParameterOutOfRange,
@@ -212,12 +212,13 @@ class TestAggregateHfpr:
             aggregate_hfpr((h, h), np.ones((2, 3)))
 
     def test_rejects_asymmetric_relation(self):
+        # No asymmetric relation reaches aggregate_hfpr: make_hfpr, the
+        # only way to build one, refuses it.
         a = np.zeros((2, 2, 3))
         a[0, 1] = (0.2, 0.2, 0.2)
         a[1, 0] = (0.4, 0.2, 0.2)
-        h = make_hfpr(a, require_symmetry=False)
-        with pytest.raises(NotSymmetric):
-            aggregate_hfpr((h,), [[1.0, 1.0, 1.0]])
+        with pytest.raises(AsymmetricEntry):
+            make_hfpr(a)
 
     def test_negative_weights_rejected(self, experts):
         w = np.full((3, 3), 1 / 3)
@@ -434,13 +435,8 @@ class TestRun:
     def test_public_stages_check_their_own_input(self, experts):
         from hfgdm import DimensionMismatch
         small = make_hfpr(np.zeros((2, 2, 3)))
-        a = np.zeros((4, 4, 3))
-        a[0, 1] = (0.2, 0.2, 0.2)
-        bad = make_hfpr(a, require_symmetry=False)
         with pytest.raises(DimensionMismatch):
             uncertainty_scores((experts[0], small))
-        with pytest.raises(NotSymmetric):
-            uncertainty_scores((experts[0], bad), mode="laplacian")
         with pytest.raises(DimensionMismatch):
             aggregate_hfpr((experts[0], small), np.full((2, 3), 0.5))
         with pytest.raises(NeedTwoExperts):
@@ -450,9 +446,8 @@ class TestRun:
         a = np.zeros((4, 4, 3))
         a[0, 1] = (0.2, 0.2, 0.2)
         a[1, 0] = (0.3, 0.2, 0.2)
-        bad = make_hfpr(a, require_symmetry=False)
-        with pytest.raises(NotSymmetric):
-            run((experts[0], bad), PipelineConfig())
+        with pytest.raises(AsymmetricEntry):  # so it never reaches run
+            make_hfpr(a)
         small = make_hfpr(np.zeros((2, 2, 3)))
         from hfgdm import DimensionMismatch
         with pytest.raises(DimensionMismatch):

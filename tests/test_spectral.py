@@ -13,23 +13,23 @@ import pytest
 
 from hfgdm import (
     CHANNELS,
+    AsymmetricEntry,
     IdentityViolated,
-    NotSymmetric,
-    ParameterOutOfRange,
+    TripleOutOfRange,
     bounds_survey,
-    channel,
     check_energy_bounds,
     check_laplacian_bounds,
     eigen_identities,
     energy,
-    laplacian,
     laplacian_energy,
     make_hfpr,
     random_hfpr,
-    symmetric_eigenvalues,
 )
 from hfgdm import spectral
-from hfgdm.spectral import SurveyRow, fixture_survey_rows
+from hfgdm._kernels import eigenvalues
+from hfgdm.spectral import SurveyRow, _laplacians, fixture_survey_rows
+
+from conftest import with_membership
 
 IDENTITY_NAMES = ("laplacian_trace", "laplacian_square", "shifted_sum",
                   "shifted_square")
@@ -127,49 +127,55 @@ def uniform_k3(w):
     return make_hfpr(a)
 
 
+def descending(a):
+    """The spectrum of a symmetric matrix, largest eigenvalue first."""
+    return eigenvalues(np.asarray(a, dtype=float))[::-1]
+
+
 class TestSymmetricEigenvalues:
     def test_fixture_membership_spectrum(self, m1):
-        got = symmetric_eigenvalues(channel(m1, "membership"))
-        assert np.allclose(got.eigenvalues,
-                           [1.0557, -0.2557, -0.4, -0.4], atol=1e-4)
+        got = descending(m1.values[..., 0])
+        assert np.allclose(got, [1.0557, -0.2557, -0.4, -0.4], atol=1e-4)
         # exact: -0.4 twice plus the roots of x^2 - 0.8x - 0.27
         exact = sorted([(0.8 + math.sqrt(1.72)) / 2,
                         (0.8 - math.sqrt(1.72)) / 2, -0.4, -0.4],
                        reverse=True)
-        assert np.allclose(got.eigenvalues, exact, atol=1e-12)
+        assert np.allclose(got, exact, atol=1e-12)
 
     def test_two_by_two_exact(self):
-        got = symmetric_eigenvalues(np.array([[0.0, 0.37], [0.37, 0.0]]))
-        assert np.allclose(got.eigenvalues, [0.37, -0.37], atol=1e-15)
+        got = descending([[0.0, 0.37], [0.37, 0.0]])
+        assert np.allclose(got, [0.37, -0.37], atol=1e-15)
 
     def test_zero_matrix(self):
-        got = symmetric_eigenvalues(np.zeros((4, 4)))
-        assert np.array_equal(got.eigenvalues, np.zeros(4))
+        assert np.array_equal(descending(np.zeros((4, 4))), np.zeros(4))
 
     def test_descending_order_and_identities(self):
         rng = np.random.default_rng(11)
         a = rng.uniform(-1, 1, (6, 6))
         a = (a + a.T) / 2
-        got = np.asarray(symmetric_eigenvalues(a).eigenvalues)
+        got = descending(a)
         assert np.all(np.diff(got) <= 1e-15)
         assert got.sum() == pytest.approx(np.trace(a), abs=1e-9)
         assert (got ** 2).sum() == pytest.approx((a ** 2).sum(), abs=1e-9)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
-            symmetric_eigenvalues(np.array([[0.0, 0.2], [0.5, 0.0]]))
+        # A spectrum is taken only of a relation, and make_hfpr refuses an
+        # asymmetric one.
+        with pytest.raises(AsymmetricEntry):
+            make_hfpr(with_membership([[0.0, 0.2], [0.5, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
     def test_rejects_non_finite(self, bad, at):
         # LAPACK would return a finite, wrong spectrum for a NaN entry, and
-        # NaN slips past the symmetry tolerance, so finiteness is checked
-        # first and names the entry.
-        a = np.array([[0.0, 0.3], [0.3, 1.0]])
-        a[at] = bad
-        with pytest.raises(ParameterOutOfRange,
-                           match=rf"entry \({at[0]}, {at[1]}\) = .*not finite"):
-            symmetric_eigenvalues(a)
+        # NaN slips past the symmetry tolerance, so make_hfpr's range check
+        # refuses it first and names the entry.
+        c = np.array([[0.0, 0.3], [0.3, 0.0]])
+        c[at] = bad
+        with pytest.raises(
+                TripleOutOfRange,
+                match=rf"at entry \({at[0]}, {at[1]}\) outside \[0, 1\]"):
+            make_hfpr(with_membership(c))
 
 
 class TestEnergy:
@@ -202,30 +208,27 @@ class TestEnergy:
 
 class TestLaplacian:
     def test_structure(self, m1):
-        lap = laplacian(channel(m1, "membership"))
+        lap = _laplacians(m1.values[..., 0])
         assert np.allclose(np.diag(lap), (1.1, 1.1, 1.1, 0.9), atol=1e-12)
         assert np.allclose(lap - np.diag(np.diag(lap)),
-                           -channel(m1, "membership").values, atol=1e-12)
+                           -m1.values[..., 0], atol=1e-12)
         assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
 
     def test_fixture_membership_laplacian_spectrum(self, m1):
-        got = symmetric_eigenvalues(laplacian(channel(m1, "membership")))
-        assert np.allclose(got.eigenvalues, [1.5, 1.5, 1.2, 0.0], atol=1e-9)
+        got = descending(_laplacians(m1.values[..., 0]))
+        assert np.allclose(got, [1.5, 1.5, 1.2, 0.0], atol=1e-9)
 
     def test_laplacian_spectrum_properties(self, experts):
         for h in experts:
-            for name in CHANNELS:
-                c = channel(h, name)
-                eig = np.asarray(symmetric_eigenvalues(laplacian(c))
-                                 .eigenvalues)
-                two_s = c.values.sum()
+            for k in range(len(CHANNELS)):
+                c = h.values[..., k]
+                eig = descending(_laplacians(c))
+                two_s = c.sum()
                 assert eig.sum() == pytest.approx(two_s, abs=1e-9)
                 assert eig.min() == pytest.approx(0.0, abs=1e-8)
 
     def test_zero_matrix(self):
-        from hfgdm import ChannelMatrix
-        z = ChannelMatrix(values=np.zeros((3, 3)), channel="membership")
-        assert not laplacian(z).any()
+        assert not _laplacians(np.zeros((3, 3))).any()
 
 
 class TestLaplacianEnergy:
@@ -367,8 +370,8 @@ class TestStackedEnergies:
         assert _hex_triples(stacked_lap) == _hex_triples(
             [laplacian_energy(h) for h in rels])
         one_matrix_at_a_time = [
-            tuple(float(np.abs(np.linalg.eigvalsh(channel(h, c).values)).sum())
-                  for c in CHANNELS) for h in rels]
+            tuple(float(np.abs(np.linalg.eigvalsh(h.values[..., k])).sum())
+                  for k in range(len(CHANNELS))) for h in rels]
         assert _hex_triples(stacked) == [
             tuple(v.hex() for v in t) for t in one_matrix_at_a_time]
         reference_lap = [tuple(_reference_terms(h)[-1].tolist()) for h in rels]
@@ -433,6 +436,59 @@ def _survey_relations(seed, count, n_range):
         rng = np.random.default_rng([seed, k])
         out.append(random_hfpr(int(rng.integers(lo, hi + 1)), rng))
     return out
+
+
+class TestDeterminantTerm:
+    """|det|^(2/p) of the energy lower bound, at spectra whose eigenvalue
+    product leaves the float range."""
+
+    @pytest.mark.parametrize("spectrum, want", [
+        ([10.0] * 400, 100.0),                # product 1e400 overflows
+        ([-10.0] * 399 + [10.0], 100.0),      # and its sign is dropped
+        ([0.1] * 400, 0.01),                  # product 1e-400 underflows
+        ([1e-160, 1e-160, 1.0], 10.0 ** (-640.0 / 3.0)),  # subnormal
+        ([10.0] * 399 + [0.0], 0.0),          # inf * 0: still a zero det
+        ([0.0] + [10.0] * 399, 0.0),
+    ])
+    def test_log_domain_outside_float_range(self, spectrum, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral._det_term(np.array([spectrum]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_python_pow_where_product_is_normal(self):
+        # One stack mixing both paths: the normal rows keep the bytes of
+        # Python float pow on the product, as the survey's goldens need.
+        w = np.array([[[0.5, -0.2, 0.3], [1e120, 1e120, 1e120]],
+                      [[0.0, 0.4, 0.9], [-0.7, 0.1, 0.25]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral._det_term(w)
+        for (b, c), want in (((0, 0), abs(0.5 * -0.2 * 0.3) ** (2.0 / 3)),
+                             ((1, 0), 0.0),
+                             ((1, 1), abs(-0.7 * 0.1 * 0.25) ** (2.0 / 3))):
+            assert got[b, c].hex() == want.hex()
+        assert got[0, 1] == pytest.approx(1e240, rel=1e-12)
+
+    def test_survey_at_800_alternatives(self):
+        # The eigenvalue product of an 800 x 800 channel overflows. The
+        # determinant rows must carry the finite lower bound that slogdet
+        # gives, and no row may be reported violated.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = bounds_survey(seed=5, count=1, n_range=(800, 800))
+        assert len(rows) == 15 and all(r.satisfied for r in rows)
+        h, = _survey_relations(5, 1, (800, 800))
+        det_rows = [r for r in rows
+                    if r.quantity == "energy_determinant_bounds"]
+        for k, row in enumerate(det_rows):
+            c = h.values[..., k]
+            logdet = np.linalg.slogdet(c)[1]
+            w2 = np.square(c[np.triu_indices(800, 1)]).sum()
+            lo = math.sqrt(800 * 799 * math.exp(logdet / 400) + 2.0 * w2)
+            assert row.bound_lo == pytest.approx(lo, rel=1e-9)
+            assert row.bound_lo <= row.value <= row.bound_hi
 
 
 class TestStackedAgainstScalarReference:
