@@ -37,7 +37,6 @@ from .pipeline import (
     GammaRecord,
     Overrides,
     PipelineConfig,
-    RankEntry,
     RankingReport,
     ScoreSet,
     aggregate_hfpr,
@@ -52,19 +51,12 @@ from .similarity import (
     POSITIVE_IDEAL,
     closeness,
     ideal_similarities,
-    ideal_similarity,
     mean_similarity_degree,
     pair_similarity,
 )
 from .spectral import (
-    BoundCheck,
-    EnergyTriple,
-    SpectralSummary,
     SurveyRow,
     bounds_survey,
-    check_energy_bounds,
-    check_laplacian_bounds,
-    eigen_identities,
     energies,
     energy,
     laplacian_energies,

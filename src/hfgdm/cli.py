@@ -418,11 +418,6 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
     return out
 
 
-def _energy_map(ids, triples) -> dict:
-    """{expert id: its energy triple as a float array}."""
-    return dict(zip(ids, np.array([e.as_tuple() for e in triples])))
-
-
 def _report_json(doc: InputDocument, report: RankingReport) -> dict:
     runs = []
     for r in report.records:
@@ -446,9 +441,9 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
         "overridden": list(report.overridden),
         "alternatives": list(report.labels),
         "experts": list(doc.expert_ids),
-        "energy": _energy_map(doc.expert_ids, report.energies),
-        "laplacian_energy": _energy_map(doc.expert_ids,
-                                        report.laplacian_energies),
+        "energy": dict(zip(doc.expert_ids, report.energies)),
+        "laplacian_energy": dict(zip(doc.expert_ids,
+                                     report.laplacian_energies)),
         "c1": report.c1,
         "similarity_degrees": (None if report.similarity_degrees is None
                                else np.array(report.similarity_degrees)),
@@ -473,8 +468,8 @@ def _report_table(doc: InputDocument, report: RankingReport) -> str:
     rows = [["expert", "energy", "laplacian energy", "c1"]]
     for ident, e, le, c1 in zip(doc.expert_ids, report.energies,
                                 report.laplacian_energies, report.c1):
-        rows.append([ident, _vector_cell(e.as_tuple()),
-                     _vector_cell(le.as_tuple()), _vector_cell(c1)])
+        rows.append([ident, _vector_cell(e), _vector_cell(le),
+                     _vector_cell(c1)])
     lines.append(_table(rows))
     lines.append("")
 
@@ -579,15 +574,14 @@ def cmd_energy(args) -> int:
     if args.format == "json":
         payload = {
             "alternatives": list(doc.alternatives),
-            "energy": _energy_map(doc.expert_ids, adjacency),
-            "laplacian_energy": _energy_map(doc.expert_ids, lap),
+            "energy": dict(zip(doc.expert_ids, adjacency)),
+            "laplacian_energy": dict(zip(doc.expert_ids, lap)),
         }
         text = _emit_json(payload) + "\n"
     else:
         rows = [["expert", "energy", "laplacian energy"]]
         for ident, e, le in zip(doc.expert_ids, adjacency, lap):
-            rows.append([ident, _vector_cell(e.as_tuple()),
-                         _vector_cell(le.as_tuple())])
+            rows.append([ident, _vector_cell(e), _vector_cell(le)])
         text = _table(rows) + "\n"
     _write_output(text, args.out)
     return 0

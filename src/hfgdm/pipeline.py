@@ -38,8 +38,7 @@ from .errors import (
 from .similarity import closeness, ideal_similarities, mean_similarity_degree
 # energy and laplacian_energy stay importable from this module; a run
 # solves every expert at once through energies and laplacian_energies.
-from .spectral import (EnergyTriple, energies, energy, laplacian_energies,
-                       laplacian_energy)
+from .spectral import energies, energy, laplacian_energies, laplacian_energy
 
 MODES = ("energy", "laplacian")
 NORMALIZATIONS = ("per_expert", "per_channel", "auto")
@@ -112,9 +111,9 @@ class ScoreSet:
 class Overrides:
     """Optional checkpoint injections, one field per stage, in stage order.
 
-    pair_similarity maps expert index pairs (either orientation) to the
-    injected stage-iii values; c1, ca, c are score arrays; aggregated is a
-    full replacement relation for stage vii.
+    pair_similarity maps expert index pairs (each pair once, in either
+    orientation) to the injected stage-iii values; c1, ca, c are score
+    arrays; aggregated is a full replacement relation for stage vii.
     """
 
     c1: object | None = None
@@ -166,16 +165,6 @@ def _normalization(mode: str, normalization: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class RankEntry:
-    """Stage viii-ix output for one aggregated relation."""
-
-    s_plus: tuple[float, ...]
-    s_minus: tuple[float, ...]
-    f: tuple[float, ...]
-    ranking: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class GammaRecord:
     """Everything computed for one gamma_blend value."""
 
@@ -191,7 +180,11 @@ class GammaRecord:
 
 @dataclass(frozen=True, eq=False)
 class RankingReport:
-    """Full deterministic output of one pipeline run."""
+    """Full deterministic output of one pipeline run.
+
+    energies and laplacian_energies are read-only (l, 3) arrays, one row
+    per expert in CHANNELS order, whichever mode drove the scores.
+    """
 
     labels: tuple[str, ...]
     mode: str
@@ -199,8 +192,8 @@ class RankingReport:
     eta: float
     closeness_mode: str
     convention: str
-    energies: tuple[EnergyTriple, ...]
-    laplacian_energies: tuple[EnergyTriple, ...]
+    energies: np.ndarray
+    laplacian_energies: np.ndarray
     c1: np.ndarray
     similarity_degrees: tuple[float, ...] | None
     ca: np.ndarray
@@ -248,7 +241,7 @@ def uncertainty_scores(experts, mode: str = "energy",
     _check_choice("normalization", normalization, NORMALIZATIONS)
     experts = _check_experts(experts)
     measure = energies if mode == "energy" else laplacian_energies
-    raw = np.array([e.as_tuple() for e in measure(experts)])
+    raw = measure(experts)
     if _normalization(mode, normalization) == "per_expert":
         denom = raw.sum(axis=1, keepdims=True)
         if np.any(denom == 0.0):
@@ -335,11 +328,13 @@ def aggregate_hfpr(experts, c) -> HFPR:
     return make_hfpr(vals, labels=experts[0].labels)
 
 
-def rank(agg: HFPR, closeness_mode: str = "relative") -> RankEntry:
+def rank(agg: HFPR, closeness_mode: str = "relative") -> tuple:
     """Stages viii-ix: ideal similarities, closeness, and the ranking.
 
-    Sorts closeness descending; ties break toward the lower alternative
-    index.
+    Returns (s_plus, s_minus, f, ranking), the last four GammaRecord
+    fields in their order: one tuple entry per alternative, and the
+    alternative indices sorted by closeness descending, ties broken
+    toward the lower index.
     """
     n = agg.n
     s_plus = tuple(ideal_similarities(agg, "positive").tolist())
@@ -347,7 +342,7 @@ def rank(agg: HFPR, closeness_mode: str = "relative") -> RankEntry:
     f = tuple(closeness(p, m, closeness_mode)
               for p, m in zip(s_plus, s_minus))
     order = tuple(sorted(range(n), key=lambda i: (-f[i], i)))
-    return RankEntry(s_plus=s_plus, s_minus=s_minus, f=f, ranking=order)
+    return s_plus, s_minus, f, order
 
 
 def _resolve_pairwise(pairwise, l: int) -> dict:
@@ -362,7 +357,12 @@ def _resolve_pairwise(pairwise, l: int) -> dict:
             raise ParameterOutOfRange(
                 f"pair_similarity override for experts {key!r} is {val!r}; "
                 "it must be positive")
-        out[(int(i), int(j))] = val
+        pair = (int(i), int(j))
+        if pair[::-1] in out:
+            raise OverrideShapeMismatch(
+                f"pair_similarity gives experts {pair!r} in both "
+                "orientations; the measure is symmetric, so give it once")
+        out[pair] = val
     return out
 
 
@@ -413,11 +413,9 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
             c_used = scores.c
         agg = ov.aggregated if ov.aggregated is not None \
             else aggregate_hfpr(experts, c_used)
-        entry = rank(agg, config.closeness_mode)
         records.append(GammaRecord(
-            gamma_blend=g, scores=scores, c_used=_freeze(np.array(c_used)),
-            aggregated=agg, s_plus=entry.s_plus, s_minus=entry.s_minus,
-            f=entry.f, ranking=entry.ranking))
+            g, scores, _freeze(np.array(c_used)), agg,
+            *rank(agg, config.closeness_mode)))
 
     return RankingReport(
         labels=experts[0].labels,

@@ -93,15 +93,6 @@ def ideal_similarities(agg: HFPR, which: str) -> np.ndarray:
     return _ideal_rows(agg.values, which)
 
 
-def ideal_similarity(agg: HFPR, i: int, which: str) -> float:
-    """Similarity of row i (0-based) to the positive or negative ideal;
-    entry i of ideal_similarities(agg, which)."""
-    s = _ideal_rows(agg.values[i:i + 1], which)  # checks `which` first
-    if not (0 <= i < agg.n):
-        raise IndexOutOfRange(f"row index {i} outside 0..{agg.n - 1}")
-    return float(s[0])
-
-
 def closeness(s_plus: float, s_minus: float, mode: str = "relative") -> float:
     """Ranking score from the two ideal similarities.
 

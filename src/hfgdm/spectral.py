@@ -3,9 +3,11 @@
 Energy of a channel is the sum of absolute eigenvalues of its adjacency
 matrix. Laplacian energy is the sum of |eigenvalue - 2S/n| over the
 Laplacian spectrum, where S is the total channel weight; the shift 2S/n
-is the mean Laplacian eigenvalue. Bound checkers evaluate the classical
-spectral bounds on both quantities, and eigen_identities asserts the
-trace and Frobenius identities the spectra must satisfy.
+is the mean Laplacian eigenvalue. Both come as read-only arrays with one
+value per channel in CHANNELS order: (k, 3) for k relations, (3,) for
+one. The classical spectral bounds on both come only as SurveyRows, from
+bounds_survey or fixture_survey_rows, which also assert the trace and
+Frobenius identities every Laplacian spectrum must satisfy.
 
 Every function here takes relations, which make_hfpr found symmetric
 and finite, and every spectrum comes from _kernels.eigenvalues on their
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import CHANNELS, HFPR, _upper_indices, random_hfpr
+from .core import CHANNELS, HFPR, _freeze, _upper_indices, random_hfpr
 from .errors import DimensionMismatch, IdentityViolated
 
 IDENTITY_TOL = 1e-8
@@ -39,61 +41,6 @@ BOUND_TOL = 1e-9
 SURVEY_BLOCK = 256  # random instances held and evaluated at once
 IDENTITIES = ("laplacian_trace", "laplacian_square", "shifted_sum",
               "shifted_square")
-
-
-@dataclass(frozen=True)
-class EnergyTriple:
-    """Per-channel scalar result (membership, nonmembership, hesitancy)."""
-
-    e_mu: float
-    e_gamma: float
-    e_beta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e_mu, self.e_gamma, self.e_beta])
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.e_mu, self.e_gamma, self.e_beta)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One named bound row: lower and/or upper side plus the verdict.
-
-    applicable is False when the bound's hypothesis does not cover the
-    instance (only the mean-square energy upper bound has one: it presumes
-    2 * sum of squared weights >= n). Such rows report their numbers
-    verbatim but count as satisfied, since no asserted bound is violated.
-    """
-
-    quantity: str
-    value: float
-    lower: float | None
-    upper: float | None
-    satisfied: bool
-    applicable: bool = True
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Per-channel spectral report shared by the checker operations.
-
-    shifted holds the spectrum minus its mean (zero shift for adjacency);
-    aux is the auxiliary quantity whose double equals the sum of squared
-    shifted eigenvalues. Bound fields are None for the identity checker,
-    whose residuals land in the residuals mapping instead. bound_hi is the
-    minimum applicable upper bound.
-    """
-
-    channel: str
-    value: float
-    shifted: tuple[float, ...]
-    aux: float
-    bound_lo: float | None
-    bound_hi: float | None
-    checks: tuple[BoundCheck, ...]
-    satisfied: bool
-    residuals: tuple[tuple[str, float], ...] = ()
 
 
 def _channels(relations) -> np.ndarray:
@@ -139,17 +86,15 @@ def _det_term(w: np.ndarray) -> np.ndarray:
     return term
 
 
-def _triples(values: np.ndarray) -> tuple[EnergyTriple, ...]:
-    return tuple(EnergyTriple(*row) for row in values.tolist())
+def energies(relations) -> np.ndarray:
+    """energy() of each of same-size relations, solved as one stack: a
+    read-only (k, 3) array."""
+    return _freeze(np.abs(eigenvalues(_channels(relations))).sum(axis=-1))
 
 
-def energies(relations) -> tuple[EnergyTriple, ...]:
-    """energy() of each of same-size relations, solved as one stack."""
-    return _triples(np.abs(eigenvalues(_channels(relations))).sum(axis=-1))
-
-
-def energy(h: HFPR) -> EnergyTriple:
-    """Sum of absolute adjacency eigenvalues, one value per channel."""
+def energy(h: HFPR) -> np.ndarray:
+    """Sum of absolute adjacency eigenvalues, one value per channel: a
+    read-only (3,) array in CHANNELS order."""
     return energies([h])[0]
 
 
@@ -187,35 +132,40 @@ def _laplacian_terms(adj: np.ndarray) -> _LaplacianTerms:
     return _LaplacianTerms(w, d, s, w2, psi, aux, np.abs(psi).sum(axis=-1))
 
 
-def laplacian_energies(relations) -> tuple[EnergyTriple, ...]:
+def laplacian_energies(relations) -> np.ndarray:
     """laplacian_energy() of each of same-size relations, solved as one
-    stack."""
-    return _triples(_laplacian_terms(_channels(relations)).energy)
+    stack: a read-only (k, 3) array."""
+    return _freeze(_laplacian_terms(_channels(relations)).energy)
 
 
-def laplacian_energy(h: HFPR) -> EnergyTriple:
-    """Sum of |eigenvalue - 2S/n| over each channel's Laplacian spectrum."""
+def laplacian_energy(h: HFPR) -> np.ndarray:
+    """Sum of |eigenvalue - 2S/n| over each channel's Laplacian spectrum:
+    a read-only (3,) array in CHANNELS order."""
     return laplacian_energies([h])[0]
 
 
 class _Bound(NamedTuple):
     """One bound on a quantity over a stack of relations, as (k, 3)
-    arrays: its lower and upper sides (None for a side the bound lacks),
-    the verdict, and whether the bound's hypothesis holds (None when it
-    has none)."""
+    arrays: its lower and upper sides (None for a side the bound lacks)
+    and the verdict."""
 
     quantity: str
     lower: np.ndarray | None
     upper: np.ndarray | None
     satisfied: np.ndarray
-    applicable: np.ndarray | None = None
 
 
-def _energy_bounds(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, tuple[_Bound, ...]]:
-    """Adjacency spectra (ascending), sums W of squared upper-triangle
-    weights, energies, and the two energy bounds of a (k, 3, p, p)
-    stack."""
+def _energy_bounds(adj: np.ndarray) -> tuple[np.ndarray, tuple[_Bound, ...]]:
+    """The energies and the two energy bounds of a (k, 3, p, p) stack.
+
+    The determinant row carries the lower bound
+    sqrt(p(p-1)|det|^(2/p) + 2*sum w_ij*w_ji) and the Frobenius upper
+    bound sqrt(2p * W), with W the sum of squared upper-triangle weights;
+    det comes from the eigenvalue product, taken in the log domain where
+    that product leaves the float range. The mean-square row carries
+    2W/p + sqrt((p-1)(2W - (2W/p)^2)), asserted only under its classical
+    hypothesis 2W >= p and satisfied vacuously where that fails.
+    """
     p = adj.shape[-1]
     w = eigenvalues(adj)
     upper = _upper_weights(adj)
@@ -227,17 +177,22 @@ def _energy_bounds(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     mean_sq = 2.0 * w2 / p
     hi_ms = mean_sq + np.sqrt(
         (p - 1) * np.maximum(2.0 * w2 - _pow(mean_sq, 2), 0.0))
-    ms_applicable = 2.0 * w2 >= p
-    return w, w2, e, (
+    return e, (
         _Bound("energy_determinant_bounds", lo, hi_frob,
                (lo - BOUND_TOL <= e) & (e <= hi_frob + BOUND_TOL)),
         _Bound("energy_mean_square_upper", None, hi_ms,
-               (e <= hi_ms + BOUND_TOL) | ~ms_applicable, ms_applicable),
+               (e <= hi_ms + BOUND_TOL) | (2.0 * w2 < p)),
     )
 
 
 def _laplacian_bounds(t: _LaplacianTerms) -> tuple[_Bound, ...]:
-    """The three bounds on the Laplacian energies of a stack."""
+    """The three bounds on the Laplacian energies of a stack.
+
+    With dev = sum (d_i - 2S/n)^2 and aux = W + dev/2: the spread lower
+    bound 2*sqrt(aux), the Frobenius upper bound sqrt(2n*aux), and the
+    max-shift upper bound psi1 + sqrt((n-1)(2*aux - psi1^2)) where psi1 is
+    the largest shifted eigenvalue (not the largest absolute value).
+    """
     n = t.psi.shape[-1]
     le = t.energy
     lo_spread = 2.0 * np.sqrt(t.aux)
@@ -266,11 +221,33 @@ def _identity_residuals(t: _LaplacianTerms) -> np.ndarray:
     ], axis=-1)
 
 
-def _first_violation(residuals: np.ndarray
+def _identity_scales(t: _LaplacianTerms) -> np.ndarray:
+    """(k, 3, 4) scales the identity residuals are judged on, since
+    rounding grows with the size of the sides an identity compares:
+    max(1, |left|, |right|). The shifted sum's sides are the positive and
+    the negative part of the shifted spectrum, which must balance."""
+    sides = np.abs(np.stack([
+        (t.w.sum(axis=-1), 2.0 * t.s),
+        (np.square(t.w).sum(axis=-1),
+         2.0 * t.w2 + np.square(t.d).sum(axis=-1)),
+        (np.maximum(t.psi, 0.0).sum(axis=-1),
+         np.minimum(t.psi, 0.0).sum(axis=-1)),
+        (np.square(t.psi).sum(axis=-1), 2.0 * t.aux),
+    ], axis=-1))
+    return np.maximum(1.0, sides.max(axis=0))
+
+
+def _first_violation(t: _LaplacianTerms
                      ) -> tuple[int, IdentityViolated] | None:
-    """The first residual over IDENTITY_TOL in (instance, channel,
-    identity) order, as its instance index and error; None if none is."""
-    over = residuals > IDENTITY_TOL
+    """The first identity residual over IDENTITY_TOL times its scale in
+    (instance, channel, identity) order, as its instance index and error;
+    None if none is."""
+    residuals = _identity_residuals(t)
+    # A scale is at least 1, so a stack whose every residual is within
+    # IDENTITY_TOL needs no scales.
+    if not (residuals > IDENTITY_TOL).any():
+        return None
+    over = residuals > IDENTITY_TOL * _identity_scales(t)
     if not over.any():
         return None
     j, c, i = np.unravel_index(int(over.argmax()), over.shape)
@@ -280,90 +257,14 @@ def _first_violation(residuals: np.ndarray
 
 def _columns(bounds: tuple[_Bound, ...], k: int) -> list[tuple]:
     """Each bound of a stack of k relations as its quantity and the
-    nested (k, 3) lists of its lower side, upper side, verdict and
-    applicability, with None for a missing side and True for no
-    hypothesis."""
-    def listed(a, fill):
-        return [[fill] * len(CHANNELS)] * k if a is None else a.tolist()
+    nested (k, 3) lists of its lower side, upper side and verdict, with
+    None for a missing side."""
+    def listed(a):
+        return [[None] * len(CHANNELS)] * k if a is None else a.tolist()
 
-    return [(b.quantity, listed(b.lower, None), listed(b.upper, None),
-             b.satisfied.tolist(), listed(b.applicable, True))
+    return [(b.quantity, listed(b.lower), listed(b.upper),
+             b.satisfied.tolist())
             for b in bounds]
-
-
-def _summaries(value, shifted, aux, bounds=(), bound_lo=None,
-               bound_hi=None, residuals=None) -> tuple[SpectralSummary, ...]:
-    """Per-channel summaries of the relation of a stack of one, with a
-    BoundCheck on value for each of bounds."""
-    v = value[0].tolist()
-    columns = _columns(bounds, 1)
-    out = []
-    for c, name in enumerate(CHANNELS):
-        checks = tuple(BoundCheck(q, v[c], lo[0][c], hi[0][c], ok[0][c],
-                                  app[0][c])
-                       for q, lo, hi, ok, app in columns)
-        out.append(SpectralSummary(
-            channel=name,
-            value=v[c],
-            shifted=tuple(shifted[0, c].tolist()),
-            aux=float(aux[0, c]),
-            bound_lo=None if bound_lo is None else float(bound_lo[0, c]),
-            bound_hi=None if bound_hi is None else float(bound_hi[0, c]),
-            checks=checks,
-            satisfied=all(k.satisfied for k in checks),
-            residuals=() if residuals is None else tuple(
-                zip(IDENTITIES, residuals[0, c].tolist())),
-        ))
-    return tuple(out)
-
-
-def check_energy_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
-    """Evaluate the energy bounds per channel.
-
-    The determinant row carries the lower bound
-    sqrt(p(p-1)|det|^(2/p) + 2*sum w_ij*w_ji) and the Frobenius upper
-    bound sqrt(2p * sum w^2); det comes from the eigenvalue product, taken
-    in the log domain where that product overflows. The
-    mean-square row carries 2W/p + sqrt((p-1)(2W - (2W/p)^2)) with
-    W = sum of squared upper-triangle weights, asserted only under its
-    classical applicability hypothesis 2W >= p.
-    """
-    w, w2, e, bounds = _energy_bounds(_channels([h]))
-    det, ms = bounds
-    bound_hi = np.where(ms.applicable, np.minimum(det.upper, ms.upper),
-                        det.upper)
-    return _summaries(e, w[..., ::-1], w2, bounds, det.lower, bound_hi)
-
-
-def check_laplacian_bounds(h: HFPR) -> tuple[SpectralSummary, ...]:
-    """Evaluate the Laplacian energy bounds per channel.
-
-    With dev = sum (d_i - 2S/n)^2 and aux = W + dev/2: the spread lower
-    bound 2*sqrt(aux), the Frobenius upper bound sqrt(2n*aux), and the
-    max-shift upper bound psi1 + sqrt((n-1)(2*aux - psi1^2)) where psi1 is
-    the largest shifted eigenvalue (not the largest absolute value).
-    """
-    t = _laplacian_terms(_channels([h]))
-    bounds = _laplacian_bounds(t)
-    spread, frob, shift = bounds
-    return _summaries(t.energy, t.psi, t.aux, bounds, spread.lower,
-                      np.minimum(frob.upper, shift.upper))
-
-
-def eigen_identities(h: HFPR) -> tuple[SpectralSummary, ...]:
-    """Assert per-channel Laplacian spectrum identities within 1e-8.
-
-    Checks sum of eigenvalues = 2 * sum of weights; sum of squared
-    eigenvalues = 2 * sum w^2 + sum d^2; shifted eigenvalues sum to 0 and
-    their squares sum to 2 * aux. Raises IdentityViolated on the first
-    residual over budget; returns the per-channel summaries otherwise.
-    """
-    t = _laplacian_terms(_channels([h]))
-    residuals = _identity_residuals(t)
-    violation = _first_violation(residuals)
-    if violation is not None:
-        raise violation[1]
-    return _summaries(t.energy, t.psi, t.aux, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -386,11 +287,11 @@ def bounds_survey(seed: int = 42, count: int = 1000,
 
     Instance k draws its dimension and entries from
     numpy.random.default_rng([seed, k]); the emitted seed column is k.
-    Every instance also passes through eigen_identities as a residual
-    safety net. Row order per instance: the two energy rows for each
-    channel, then the three Laplacian rows for each channel. Instances
-    are drawn and evaluated SURVEY_BLOCK at a time, so only one block's
-    relations are held at once.
+    Every instance's Laplacian spectra must also pass the identities, as
+    a residual safety net. Row order per instance: the two energy rows
+    for each channel, then the three Laplacian rows for each channel.
+    Instances are drawn and evaluated SURVEY_BLOCK at a time, so only one
+    block's relations are held at once.
     """
     rows: list[SurveyRow] = []
     lo, hi = n_range
@@ -404,8 +305,8 @@ def bounds_survey(seed: int = 42, count: int = 1000,
 
 
 def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
-    """Bound rows for relations keyed first_key onwards, which must also
-    pass eigen_identities.
+    """Bound rows for relations keyed first_key onwards, whose Laplacian
+    spectra must also pass the identities.
 
     Relations of one size are evaluated as one stack; rows come out in
     instance order, and an identity failure raises IdentityViolated for
@@ -421,12 +322,11 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
     first = None
     for n, members in groups.items():
         adj = _channels([relations[i] for i in members])
-        _, _, e, energy_bounds = _energy_bounds(adj)
+        e, energy_bounds = _energy_bounds(adj)
         t = _laplacian_terms(adj)
-        # The identities solve the Laplacians again, as eigen_identities
-        # does; perfbench pins 9 solves of 6 matrices per instance.
-        violation = _first_violation(
-            _identity_residuals(_laplacian_terms(adj)))
+        # The identities solve the Laplacians again; perfbench pins 9
+        # solves of 6 matrices per instance.
+        violation = _first_violation(_laplacian_terms(adj))
         if violation is not None and (
                 first is None or members[violation[0]] < first[0]):
             first = (members[violation[0]], violation[1])
@@ -440,7 +340,7 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
                           hi[j][c], ok[j][c])
                 for values, columns in kinds
                 for c, name in enumerate(CHANNELS)
-                for q, lo, hi, ok, _ in columns]
+                for q, lo, hi, ok in columns]
     if first is not None:
         raise first[1]
     return [row for rows in per_instance for row in rows]

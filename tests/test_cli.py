@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hfgdm.cli as cli
-from hfgdm import energy
+from hfgdm import energy, laplacian_energy
 from hfgdm.cli import _emit_json, _fmt_float, main, parse_input
 from hfgdm.errors import SchemaViolation, TripleOutOfRange, ValidationError
 from hfgdm.fixtures import read_text
@@ -310,6 +310,24 @@ class TestRunCommand:
             main(RUN_JSON_ARGS + ["--mode", "hybrid"])
         assert info.value.code == 2
 
+    def test_pair_override_in_both_orientations_exits_2(self, tmp_path,
+                                                         capsys):
+        # Accepted, e1:e2 and e2:e1 would give e1 and e2 different values
+        # of one symmetric pair (degrees 0.6500 and 0.8500).
+        doc = json.loads(read_text("smartphone.json"))
+        pairs = {"e1:e2": 0.5, "e2:e1": 0.9, "e1:e3": 0.8, "e2:e3": 0.8}
+        doc["config"]["overrides"] = {"pair_similarity": pairs}
+        assert main(["run", write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(1, 0) in both orientations" in captured.err
+        # The reversed key alone is the pair, given once.
+        del pairs["e1:e2"]
+        assert main(["run", write_doc(tmp_path, doc), "--format",
+                     "json"]) == 0
+        degrees = json.loads(capsys.readouterr().out)["similarity_degrees"]
+        assert degrees == pytest.approx([0.85, 0.85, 0.8], abs=1e-15)
+
 
 class TestEnergyCommand:
     def test_json_matches_library(self, capsys):
@@ -317,7 +335,9 @@ class TestEnergyCommand:
         payload = json.loads(capsys.readouterr().out)
         doc = parse_input("smartphone.json")
         for ident, h in zip(doc.expert_ids, doc.experts):
-            assert tuple(payload["energy"][ident]) == energy(h).as_tuple()
+            assert payload["energy"][ident] == energy(h).tolist()
+            assert payload["laplacian_energy"][ident] == \
+                laplacian_energy(h).tolist()
 
     def test_table(self, capsys):
         assert main(["energy", "smartphone.json"]) == 0
@@ -351,6 +371,20 @@ class TestVerifyBounds:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 45
         assert _fmt_float(2.394436802675439) in out.read_text()
+        assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_survey_at_1024_alternatives_exits_0_quietly(self, capsys):
+        # The rounding residual of the Laplacian trace identity reaches
+        # 1.7e-8 here, over an absolute 1e-8 budget; judged relative to
+        # the size of the sides it is about 1e-13, and the survey passes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-bounds", "--count", "1", "--seed", "5",
+                         "--n-range", "1024:1024"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 + 15
         assert all(line.endswith(",true") for line in lines[1:])
 
     def test_violation_exits_3(self, monkeypatch, capsys):

@@ -443,21 +443,20 @@ class TestRandomHfpr:
 
 
 PUBLIC_SURFACE = [
-    "AsymmetricEntry", "BoundCheck", "CHANNELS", "ComputationError",
+    "AsymmetricEntry", "CHANNELS", "ComputationError",
     "DegenerateDenominator", "DiagonalNotZero", "DimensionMismatch",
-    "EdgeExceedsVertexBound", "EnergyTriple", "GammaRecord", "HFPR",
-    "IdentityViolated", "IndexOutOfRange", "NEGATIVE_IDEAL",
-    "NeedTwoExperts", "NoConvergence", "OverrideShapeMismatch",
-    "Overrides", "POSITIVE_IDEAL", "ParameterOutOfRange", "PipelineConfig",
-    "RankEntry", "RankingReport", "SchemaViolation", "ScoreSet",
-    "SpectralSummary", "SurveyRow", "TripleOutOfRange", "ValidationError",
-    "VertexAttribute", "ZeroDenominator", "aggregate_hfpr", "blend_scores",
-    "bounds_survey", "check_energy_bounds", "check_laplacian_bounds",
-    "closeness", "core", "eigen_identities", "energies", "energy", "errors",
-    "ideal_similarities", "ideal_similarity", "laplacian_energies",
-    "laplacian_energy", "make_hfpr", "mean_similarity_degree",
-    "pair_similarity", "pipeline", "random_hfpr", "rank", "run",
-    "similarity", "similarity_weights", "spectral", "uncertainty_scores",
+    "EdgeExceedsVertexBound", "GammaRecord", "HFPR", "IdentityViolated",
+    "IndexOutOfRange", "NEGATIVE_IDEAL", "NeedTwoExperts", "NoConvergence",
+    "OverrideShapeMismatch", "Overrides", "POSITIVE_IDEAL",
+    "ParameterOutOfRange", "PipelineConfig", "RankingReport",
+    "SchemaViolation", "ScoreSet", "SurveyRow", "TripleOutOfRange",
+    "ValidationError", "VertexAttribute", "ZeroDenominator",
+    "aggregate_hfpr", "blend_scores", "bounds_survey", "closeness", "core",
+    "energies", "energy", "errors", "ideal_similarities",
+    "laplacian_energies", "laplacian_energy", "make_hfpr",
+    "mean_similarity_degree", "pair_similarity", "pipeline", "random_hfpr",
+    "rank", "run", "similarity", "similarity_weights", "spectral",
+    "uncertainty_scores",
 ]
 
 

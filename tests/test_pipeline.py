@@ -1,9 +1,12 @@
 """Stage functions and the end-to-end ranking procedure."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hfgdm import (
     AsymmetricEntry,
+    GammaRecord,
     NeedTwoExperts,
     Overrides,
     OverrideShapeMismatch,
@@ -230,28 +233,37 @@ class TestAggregateHfpr:
 class TestRank:
     def test_published_ratio_scores(self, experts):
         agg = aggregate_hfpr(experts, PUBLISHED_C)
-        entry = rank(agg, "ratio")
-        assert entry.f[0] == pytest.approx(0.7034, abs=1e-3)
-        assert entry.f[2] == pytest.approx(0.6040, abs=1e-3)
-        assert entry.ranking == (0, 1, 3, 2)  # t1 > t2 > t4 > t3
-        assert entry.s_plus[0] == pytest.approx(0.3567, abs=1e-3)
-        assert entry.s_minus[0] == pytest.approx(0.5071, abs=1e-3)
+        s_plus, s_minus, f, ranking = rank(agg, "ratio")
+        assert f[0] == pytest.approx(0.7034, abs=1e-3)
+        assert f[2] == pytest.approx(0.6040, abs=1e-3)
+        assert ranking == (0, 1, 3, 2)  # t1 > t2 > t4 > t3
+        assert s_plus[0] == pytest.approx(0.3567, abs=1e-3)
+        assert s_minus[0] == pytest.approx(0.5071, abs=1e-3)
 
     def test_relative_mode_same_ranking(self, experts):
         agg = aggregate_hfpr(experts, PUBLISHED_C)
-        assert rank(agg, "relative").ranking == rank(agg, "ratio").ranking
+        assert rank(agg, "relative")[3] == rank(agg, "ratio")[3]
 
     def test_exact_tie_breaks_by_index(self):
-        entry = rank(uniform_relation(2, (0.3, 0.3, 0.2)))
-        assert entry.f[0] == entry.f[1]
-        assert entry.ranking == (0, 1)
+        _, _, f, ranking = rank(uniform_relation(2, (0.3, 0.3, 0.2)))
+        assert f[0] == f[1]
+        assert ranking == (0, 1)
 
     def test_ranking_consistent_with_sort_key(self):
-        entry = rank(uniform_relation(4, (0.3, 0.3, 0.2)))
-        assert np.allclose(entry.f, entry.f[0], atol=1e-12)
-        expected = tuple(sorted(range(4),
-                                key=lambda i: (-entry.f[i], i)))
-        assert entry.ranking == expected
+        _, _, f, ranking = rank(uniform_relation(4, (0.3, 0.3, 0.2)))
+        assert np.allclose(f, f[0], atol=1e-12)
+        expected = tuple(sorted(range(4), key=lambda i: (-f[i], i)))
+        assert ranking == expected
+
+    def test_returns_the_record_fields_in_order(self, experts):
+        # run() spreads rank's tuple into the last four GammaRecord
+        # fields, so the two orders must agree.
+        report = run(experts)
+        record = report.records[0]
+        names = [f.name for f in dataclasses.fields(GammaRecord)][-4:]
+        assert names == ["s_plus", "s_minus", "f", "ranking"]
+        assert rank(record.aggregated, report.closeness_mode) == tuple(
+            getattr(record, name) for name in names)
 
 
 class TestRun:
@@ -405,6 +417,29 @@ class TestRun:
         with pytest.raises(OverrideShapeMismatch):
             run(experts, PipelineConfig(
                 overrides=Overrides(pair_similarity={(1, 1): 1.0})))
+
+    def test_pair_override_in_both_orientations_is_rejected(self, experts):
+        # The measure is symmetric, so one pair cannot carry two values;
+        # accepted, each expert of the pair would read another.
+        pairs = {(0, 1): 0.5, (1, 0): 0.9, (0, 2): 0.8, (1, 2): 0.8}
+        with pytest.raises(OverrideShapeMismatch,
+                           match=r"\(1, 0\) in both orientations"):
+            run(experts, PipelineConfig(
+                overrides=Overrides(pair_similarity=pairs)))
+        same = {(0, 1): 0.9, (1, 0): 0.9}
+        with pytest.raises(OverrideShapeMismatch, match="both orientations"):
+            run(experts, PipelineConfig(
+                overrides=Overrides(pair_similarity=same)))
+
+    def test_pair_override_in_reversed_orientation_alone_is_accepted(
+            self, experts):
+        forward = run(experts, PipelineConfig(
+            overrides=Overrides(pair_similarity=PUBLISHED_PAIRS)))
+        reversed_pairs = {(j, i): v for (i, j), v in PUBLISHED_PAIRS.items()}
+        backward = run(experts, PipelineConfig(
+            overrides=Overrides(pair_similarity=reversed_pairs)))
+        assert backward.similarity_degrees == forward.similarity_degrees
+        assert np.array_equal(backward.ca, forward.ca)
 
     def test_config_validation(self):
         with pytest.raises(ParameterOutOfRange):

@@ -15,13 +15,13 @@ from hfgdm import (
     aggregate_hfpr,
     closeness,
     ideal_similarities,
-    ideal_similarity,
     make_hfpr,
     mean_similarity_degree,
     pair_similarity,
     random_hfpr,
 )
 from hfgdm.core import _upper_indices
+from hfgdm.similarity import _ideal_rows
 
 from conftest import PUBLISHED_C
 
@@ -180,15 +180,19 @@ def printed_aggregate(experts):
 
 class TestIdealSimilarity:
     def test_published_row1_positive(self, printed_aggregate):
-        assert ideal_similarity(printed_aggregate, 0, "positive") == \
+        assert ideal_similarities(printed_aggregate, "positive")[0] == \
             pytest.approx(0.3567, abs=1e-3)
-        assert ideal_similarity(printed_aggregate, 0, "positive") == \
+        assert ideal_similarities(printed_aggregate, "positive")[0] == \
+            ideal_similarity_reference(printed_aggregate, 0, "positive")
+        assert ideal_similarities(printed_aggregate, "positive")[0] == \
             pytest.approx(0.356694328134381, abs=1e-9)
 
     def test_published_row1_negative(self, printed_aggregate):
-        assert ideal_similarity(printed_aggregate, 0, "negative") == \
+        assert ideal_similarities(printed_aggregate, "negative")[0] == \
             pytest.approx(0.5071, abs=1e-3)
-        assert ideal_similarity(printed_aggregate, 0, "negative") == \
+        assert ideal_similarities(printed_aggregate, "negative")[0] == \
+            ideal_similarity_reference(printed_aggregate, 0, "negative")
+        assert ideal_similarities(printed_aggregate, "negative")[0] == \
             pytest.approx(0.5070933569590463, abs=1e-9)
 
     def test_idealized_row_formula(self):
@@ -196,19 +200,17 @@ class TestIdealSimilarity:
         # relation entry) with a zero diagonal at n = 2: terms 1 and 0.5.
         stub = _RowStub([[(0, 0, 0), (1, 0, 1)],
                          [(1, 0, 1), (0, 0, 0)]])
-        assert ideal_similarity(stub, 0, "positive") == pytest.approx(0.75)
+        assert ideal_similarities(stub, "positive")[0] == pytest.approx(0.75)
 
     def test_diagonal_contribution(self):
         # All-zero relation: every term is the diagonal term 0.5.
         h = make_hfpr(np.zeros((4, 4, 3)))
         for kind in ("positive", "negative"):
-            assert ideal_similarity(h, 0, kind) == pytest.approx(0.5)
+            assert ideal_similarities(h, kind)[0] == pytest.approx(0.5)
 
     def test_errors(self, printed_aggregate):
-        with pytest.raises(IndexOutOfRange):
-            ideal_similarity(printed_aggregate, 4, "positive")
         with pytest.raises(ParameterOutOfRange):
-            ideal_similarity(printed_aggregate, 0, "sideways")
+            ideal_similarities(printed_aggregate, "sideways")
 
     @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(("positive", "negative")))
@@ -221,14 +223,16 @@ class TestIdealSimilarity:
             every = ideal_similarities(agg, kind)
             assert every.shape == (n,)
             for i in range(n):
-                assert every[i] == ideal_similarity(agg, i, kind) \
+                one_row = _ideal_rows(agg.values[i:i + 1], kind)
+                assert one_row.shape == (1,)
+                assert every[i] == one_row[0] \
                     == ideal_similarity_reference(agg, i, kind)
 
     def test_term_level_monotonicity(self, printed_aggregate):
         # Raising mu and beta and lowering gamma of one entry never
         # decreases the row's positive-ideal similarity.
         base = printed_aggregate.values.copy()
-        s0 = ideal_similarity(printed_aggregate, 1, "positive")
+        s0 = ideal_similarities(printed_aggregate, "positive")[1]
         rng = np.random.default_rng(77)
         for _ in range(20):
             bumped = base.copy()
@@ -236,7 +240,7 @@ class TestIdealSimilarity:
             eps = rng.uniform(0, min(0.02, ga))
             bumped[1, 2] = bumped[2, 1] = (mu + eps / 3, ga - eps,
                                            be + eps / 3)
-            s1 = ideal_similarity(make_hfpr(bumped), 1, "positive")
+            s1 = ideal_similarities(make_hfpr(bumped), "positive")[1]
             assert s1 >= s0 - 1e-12
 
 

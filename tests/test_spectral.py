@@ -3,7 +3,8 @@
 The survey evaluates every bound for all same-size instances as one
 stack. The per-relation scalar formulas it replaced are kept here as
 survey_rows_reference and identity_residuals_reference, and the survey
-rows must equal theirs exactly.
+rows must equal theirs exactly. Bounds are read only from survey rows:
+fixture_survey_rows([h]) gives one relation's 15.
 """
 import math
 import warnings
@@ -17,9 +18,6 @@ from hfgdm import (
     IdentityViolated,
     TripleOutOfRange,
     bounds_survey,
-    check_energy_bounds,
-    check_laplacian_bounds,
-    eigen_identities,
     energy,
     laplacian_energy,
     make_hfpr,
@@ -27,7 +25,9 @@ from hfgdm import (
 )
 from hfgdm import spectral
 from hfgdm._kernels import eigenvalues
-from hfgdm.spectral import SurveyRow, _laplacians, fixture_survey_rows
+from hfgdm.spectral import (SurveyRow, _channels, _identity_residuals,
+                            _identity_scales, _laplacian_terms, _laplacians,
+                            fixture_survey_rows)
 
 from conftest import with_membership
 
@@ -111,6 +111,43 @@ def identity_residuals_reference(h):
     return out
 
 
+def identity_scales_reference(h):
+    """[(channel, identity, scale)] of one relation: max(1, |left|,
+    |right|) over the two sides each identity compares, the shifted sum
+    comparing the positive part of the shifted spectrum with the negated
+    negative part."""
+    _, _, w, d, s, w2, psi, aux, _ = _reference_terms(h)
+    out = []
+    for k, name in enumerate(CHANNELS):
+        sides = (
+            (float(w[k].sum()), 2.0 * float(s[k])),
+            (float(np.square(w[k]).sum()),
+             2.0 * float(w2[k]) + float(np.square(d[k]).sum())),
+            (float(np.maximum(psi[k], 0.0).sum()),
+             float(np.minimum(psi[k], 0.0).sum())),
+            (float(np.square(psi[k]).sum()), 2.0 * float(aux[k])),
+        )
+        out += [(name, i, max(1.0, abs(a), abs(b)))
+                for i, (a, b) in zip(IDENTITY_NAMES, sides)]
+    return out
+
+
+def bound_rows(h):
+    """One relation's survey rows, keyed by (channel, quantity)."""
+    return {(r.channel, r.quantity): r for r in fixture_survey_rows([h])}
+
+
+def square_weight_sum(h, k):
+    """W: the sum of squared upper-triangle weights of channel k."""
+    c = h.values[..., k]
+    return float(np.square(c[np.triu_indices(h.n, 1)]).sum())
+
+
+def laplacian_terms(h):
+    """One relation's Laplacian terms, as a stack of one."""
+    return _laplacian_terms(_channels([h]))
+
+
 def exact(rows):
     """Rows with every float as its hex form, so -0.0 and NaN compare."""
     return [tuple(v.hex() if isinstance(v, float) else v
@@ -184,26 +221,24 @@ class TestEnergy:
                      (1.4223, 2.7133, 0.9292),
                      (1.6317, 2.0204, 1.8034)]
         for h, want in zip(experts, published):
-            assert np.allclose(energy(h).as_array(), want, atol=1e-3)
+            assert np.allclose(energy(h), want, atol=1e-3)
 
     def test_first_expert_membership_closed_form(self, m1):
         # E = 0.8 + sqrt(1.72): quartic factors as in the kernel test.
-        assert energy(m1).e_mu == pytest.approx(0.8 + math.sqrt(1.72),
-                                                abs=1e-12)
+        assert energy(m1)[0] == pytest.approx(0.8 + math.sqrt(1.72),
+                                              abs=1e-12)
 
     def test_zero_relation(self):
-        assert energy(make_hfpr(np.zeros((3, 3, 3)))).as_tuple() == (0, 0, 0)
+        assert energy(make_hfpr(np.zeros((3, 3, 3)))).tolist() == [0, 0, 0]
 
     def test_permutation_invariance(self, m2):
         perm = [2, 0, 3, 1]
         shuffled = make_hfpr(m2.values[np.ix_(perm, perm)])
-        assert np.allclose(energy(shuffled).as_array(),
-                           energy(m2).as_array(), atol=1e-9)
+        assert np.allclose(energy(shuffled), energy(m2), atol=1e-9)
 
     def test_scaling_homogeneity(self, m3):
         scaled = make_hfpr(m3.values * 0.5)
-        assert np.allclose(energy(scaled).as_array(),
-                           0.5 * energy(m3).as_array(), atol=1e-9)
+        assert np.allclose(energy(scaled), 0.5 * energy(m3), atol=1e-9)
 
 
 class TestLaplacian:
@@ -235,52 +270,51 @@ class TestLaplacianEnergy:
     def test_fixture_values(self, experts):
         computed = [(2.1, 2.2, 1.3), (1.8, 2.7, 1.0), (1.6, 2.0, 2.4)]
         for h, want in zip(experts, computed):
-            assert np.allclose(laplacian_energy(h).as_array(), want,
-                               atol=1e-9)
+            assert np.allclose(laplacian_energy(h), want, atol=1e-9)
 
     def test_first_expert_membership_by_hand(self, m1):
         # shift 2S/n = 1.05 against spectrum {1.5, 1.5, 1.2, 0}:
         # 0.45 + 0.45 + 0.15 + 1.05 = 2.10 exactly.
-        assert laplacian_energy(m1).e_mu == pytest.approx(2.10, abs=1e-12)
+        assert laplacian_energy(m1)[0] == pytest.approx(2.10, abs=1e-12)
 
     def test_zero_relation(self):
         le = laplacian_energy(make_hfpr(np.zeros((2, 2, 3))))
-        assert le.as_tuple() == (0, 0, 0)
+        assert le.tolist() == [0, 0, 0]
 
     def test_scaling_homogeneity(self, m2):
         scaled = make_hfpr(m2.values * 0.25)
-        assert np.allclose(laplacian_energy(scaled).as_array(),
-                           0.25 * laplacian_energy(m2).as_array(), atol=1e-9)
+        assert np.allclose(laplacian_energy(scaled),
+                           0.25 * laplacian_energy(m2), atol=1e-9)
 
 
 class TestEnergyBounds:
     def test_fixture_membership_closed_forms(self, m1):
-        s = check_energy_bounds(m1)[0]
-        assert s.channel == "membership"
+        rows = bound_rows(m1)
+        det = rows["membership", "energy_determinant_bounds"]
+        km = rows["membership", "energy_mean_square_upper"]
         # det = product of eigenvalues = 0.16 * (-0.27) = -0.0432 exactly
         lo = math.sqrt(12 * math.sqrt(0.0432) + 1.5)
-        assert s.bound_lo == pytest.approx(lo, abs=1e-12)
-        # summary upper bound: Frobenius sqrt(2 * 4 * 0.75) = sqrt(6); the
+        assert det.bound_lo == pytest.approx(lo, abs=1e-12)
+        # Frobenius upper bound sqrt(2 * 4 * 0.75) = sqrt(6); the
         # mean-square bound is tighter but out of hypothesis here
-        assert s.bound_hi == pytest.approx(math.sqrt(6), abs=1e-12)
-        assert s.satisfied
-        km = {c.quantity: c for c in s.checks}["energy_mean_square_upper"]
-        assert km.upper == pytest.approx(
+        assert det.bound_hi == pytest.approx(math.sqrt(6), abs=1e-12)
+        assert det.satisfied
+        assert km.bound_hi == pytest.approx(
             0.375 + math.sqrt(3 * (1.5 - 0.375 ** 2)), abs=1e-12)
-        assert not km.applicable
+        assert 2.0 * square_weight_sum(m1, 0) < m1.n
         assert km.satisfied
 
     def test_mean_square_bound_out_of_hypothesis_case(self):
         # Equal-weight triangle with w = 0.2: the raw bound expression is
         # exceeded (0.8 > 0.7635...) but its hypothesis 2 sum(w^2) >= p
-        # fails, so the check is vacuously satisfied and flagged
-        # inapplicable.
-        s = check_energy_bounds(uniform_k3(0.2))[0]
-        km = {c.quantity: c for c in s.checks}["energy_mean_square_upper"]
-        assert km.value > km.upper
-        assert not km.applicable
+        # fails, so the row is vacuously satisfied.
+        h = uniform_k3(0.2)
+        rows = bound_rows(h)
+        km = rows["membership", "energy_mean_square_upper"]
+        assert km.value > km.bound_hi
+        assert 2.0 * square_weight_sum(h, 0) < h.n
         assert km.satisfied
-        assert s.satisfied
+        assert rows["membership", "energy_determinant_bounds"].satisfied
 
     def test_mean_square_bound_equality_case(self):
         # Complete graph with unit membership: energy 4 equals the bound,
@@ -290,66 +324,76 @@ class TestEnergyBounds:
             for j in range(3):
                 if i != j:
                     a[i, j] = (1.0, 0.0, 0.0)
-        s = check_energy_bounds(make_hfpr(a))[0]
-        km = {c.quantity: c for c in s.checks}["energy_mean_square_upper"]
-        assert km.applicable
+        h = make_hfpr(a)
+        km = bound_rows(h)["membership", "energy_mean_square_upper"]
+        assert 2.0 * square_weight_sum(h, 0) >= h.n
         assert km.satisfied
         assert km.value == pytest.approx(4.0, abs=1e-9)
-        assert km.upper == pytest.approx(4.0, abs=1e-9)
+        assert km.bound_hi == pytest.approx(4.0, abs=1e-9)
 
     def test_all_fixture_channels_satisfied(self, experts):
         for h in experts:
-            for s in check_energy_bounds(h):
-                assert s.satisfied
-                assert s.bound_lo <= s.value + 1e-9
-                assert s.value <= s.bound_hi + 1e-9
+            for (_, quantity), r in bound_rows(h).items():
+                if not quantity.startswith("energy_"):
+                    continue
+                assert r.satisfied
+                if r.bound_lo is not None:
+                    assert r.bound_lo <= r.value + 1e-9
+                assert r.value <= r.bound_hi + 1e-9
 
 
 class TestLaplacianBounds:
     def test_fixture_membership_closed_forms(self, m1):
-        s = check_laplacian_bounds(m1)[0]
+        rows = bound_rows(m1)
         # aux = sum(w^2) + dev/2 = 0.75 + 0.015 = 0.765
-        assert s.aux == pytest.approx(0.765, abs=1e-12)
-        assert s.bound_lo == pytest.approx(2 * math.sqrt(0.765), abs=1e-12)
-        by_name = {c.quantity: c for c in s.checks}
-        assert by_name["laplacian_energy_frobenius_upper"].upper == \
-            pytest.approx(math.sqrt(8 * 0.765), abs=1e-12)
+        assert laplacian_terms(m1).aux[0, 0] == pytest.approx(0.765,
+                                                              abs=1e-12)
+        spread = rows["membership", "laplacian_energy_spread_lower"]
+        frob = rows["membership", "laplacian_energy_frobenius_upper"]
+        shift = rows["membership", "laplacian_energy_max_shift_upper"]
+        assert spread.bound_lo == pytest.approx(2 * math.sqrt(0.765),
+                                                abs=1e-12)
+        assert frob.bound_hi == pytest.approx(math.sqrt(8 * 0.765),
+                                              abs=1e-12)
         # largest shifted eigenvalue 1.5 - 1.05 = 0.45
-        assert by_name["laplacian_energy_max_shift_upper"].upper == \
-            pytest.approx(0.45 + math.sqrt(3 * (1.53 - 0.45 ** 2)),
-                          abs=1e-12)
-        assert s.bound_hi == pytest.approx(2.4456202043475104, abs=1e-12)
-        assert s.satisfied
+        assert shift.bound_hi == pytest.approx(
+            0.45 + math.sqrt(3 * (1.53 - 0.45 ** 2)), abs=1e-12)
+        assert min(frob.bound_hi, shift.bound_hi) == pytest.approx(
+            2.4456202043475104, abs=1e-12)
+        assert spread.satisfied and frob.satisfied and shift.satisfied
 
     def test_all_fixture_channels_satisfied(self, experts):
         for h in experts:
-            for s in check_laplacian_bounds(h):
-                assert s.satisfied
+            for (_, quantity), r in bound_rows(h).items():
+                if quantity.startswith("laplacian_"):
+                    assert r.satisfied
 
 
 class TestEigenIdentities:
     def test_fixture_membership(self, m1):
-        s = eigen_identities(m1)[0]
-        assert dict(s.residuals)["laplacian_trace"] == pytest.approx(
-            0.0, abs=1e-12)
-        assert max(abs(r) for _, r in s.residuals) < 1e-12
-        assert np.allclose(sorted(s.shifted, reverse=True),
+        t = laplacian_terms(m1)
+        residuals = _identity_residuals(t)
+        trace = IDENTITY_NAMES.index("laplacian_trace")
+        assert residuals[0, 0, trace] == pytest.approx(0.0, abs=1e-12)
+        assert residuals[0, 0].max() < 1e-12
+        shifted = t.psi[0, 0].tolist()
+        assert np.allclose(sorted(shifted, reverse=True),
                            (0.45, 0.45, 0.15, -1.05), atol=1e-9)
-        assert sum(s.shifted) == pytest.approx(0.0, abs=1e-12)
-        assert sum(x ** 2 for x in s.shifted) == pytest.approx(
+        assert sum(shifted) == pytest.approx(0.0, abs=1e-12)
+        assert sum(x ** 2 for x in shifted) == pytest.approx(
             2 * 0.765, abs=1e-12)
 
     def test_random_instances(self):
         rng = np.random.default_rng(42)
-        from hfgdm import random_hfpr
         for _ in range(5):
             h = random_hfpr(6, rng)
-            for s in eigen_identities(h):
-                assert max(abs(r) for _, r in s.residuals) < 1e-8
+            residuals = _identity_residuals(laplacian_terms(h))
+            assert residuals.max() < 1e-8
+            fixture_survey_rows([h])  # raises if an identity fails
 
 
 def _hex_triples(triples):
-    return [tuple(v.hex() for v in t.as_tuple()) for t in triples]
+    return [tuple(v.hex() for v in t) for t in np.asarray(triples).tolist()]
 
 
 class TestStackedEnergies:
@@ -377,6 +421,16 @@ class TestStackedEnergies:
         reference_lap = [tuple(_reference_terms(h)[-1].tolist()) for h in rels]
         assert _hex_triples(stacked_lap) == [
             tuple(v.hex() for v in t) for t in reference_lap]
+
+    def test_read_only_arrays(self, experts):
+        for kind, one in ((spectral.energies, energy),
+                          (spectral.laplacian_energies, laplacian_energy)):
+            stacked = kind(experts)
+            assert stacked.shape == (len(experts), len(CHANNELS))
+            assert one(experts[0]).shape == (len(CHANNELS),)
+            for a in (stacked, one(experts[0])):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
 
     def test_mixed_sizes_and_no_relations_rejected(self, m1):
         from hfgdm import DimensionMismatch
@@ -529,21 +583,19 @@ class TestStackedAgainstScalarReference:
                 for row in survey_rows_reference(k, h)]
         assert exact(got) == exact(want)
 
-    def test_single_relation_checkers_equal_reference(self, experts):
+    def test_identity_residuals_and_scales_equal_reference(self, experts):
         relations = list(experts) + [
             random_hfpr(n, np.random.default_rng(n)) for n in (1, 2, 9)]
         for h in relations:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                summaries = check_energy_bounds(h) + check_laplacian_bounds(h)
-                identities = eigen_identities(h)
-            got = [SurveyRow(0, h.n, s.channel, c.quantity, c.value,
-                             c.lower, c.upper, c.satisfied)
-                   for s in summaries for c in s.checks]
-            assert exact(got) == exact(survey_rows_reference(0, h))
-            assert [(s.channel, identity, r) for s in identities
-                    for identity, r in s.residuals] == \
-                identity_residuals_reference(h)
+            t = laplacian_terms(h)
+            residuals, scales = _identity_residuals(t), _identity_scales(t)
+            got = [(name, identity, float(r), float(sc))
+                   for name, rs, ss in zip(CHANNELS, residuals[0], scales[0])
+                   for identity, r, sc in zip(IDENTITY_NAMES, rs, ss)]
+            want = [(name, identity, r, sc) for (name, identity, r),
+                    (_, _, sc) in zip(identity_residuals_reference(h),
+                                      identity_scales_reference(h))]
+            assert got == want
 
 
 class TestIdentityFailure:
@@ -551,7 +603,7 @@ class TestIdentityFailure:
             self, m1, monkeypatch):
         monkeypatch.setattr(spectral, "IDENTITY_TOL", -1.0)
         with pytest.raises(IdentityViolated) as err:
-            eigen_identities(m1)
+            fixture_survey_rows([m1])
         want = identity_residuals_reference(m1)[0]
         assert (err.value.channel, err.value.identity,
                 err.value.residual) == want
@@ -574,15 +626,18 @@ class TestIdentityFailure:
                 err.value.residual) == want
 
     def test_survey_reports_first_failing_instance(self, monkeypatch):
-        # The tolerance sits at the largest residual of the first block of
-        # 7 instances, so the first instance over it lies in a later block
-        # and in another size group than instance 0.
+        # The tolerance sits at the largest scaled residual of the first
+        # block of 7 instances, so the first instance over it lies in a
+        # later block and in another size group than instance 0.
         seed, count, n_range = 6, 40, (1, 12)
         relations = _survey_relations(seed, count, n_range)
-        residuals = [identity_residuals_reference(h) for h in relations]
-        tol = max(r for rs in residuals[:7] for _, _, r in rs)
-        k, want = next((k, x) for k, rs in enumerate(residuals)
-                       for x in rs if x[2] > tol)
+        judged = [list(zip(identity_residuals_reference(h),
+                           identity_scales_reference(h)))
+                  for h in relations]
+        tol = max(r / sc for pairs in judged[:7]
+                  for (_, _, r), (_, _, sc) in pairs)
+        k, want = next((k, x) for k, pairs in enumerate(judged)
+                       for x, (_, _, sc) in pairs if x[2] > tol * sc)
         assert k >= 7 and relations[k].n != relations[0].n
         monkeypatch.setattr(spectral, "IDENTITY_TOL", tol)
         monkeypatch.setattr(spectral, "SURVEY_BLOCK", 7)
