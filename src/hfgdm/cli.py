@@ -2,12 +2,13 @@
 
 Input is a single strict-schema JSON document per scenario (see
 parse_input). Machine output serializes every float with 17 significant
-digits so documents round-trip exactly; a float array is formatted in one
-pass, with the same bytes as its nested lists. Tables render 4 decimal
-places and mirror the published case-study table column order (gamma,
-score vectors, similarities to the ideals, closeness, ranking) for
-eyeball diffing. All output is written once, atomically, at the end of
-a run.
+digits so documents round-trip exactly. A report is laid out in one walk
+as a %-template with a slot per float (a float array gives the same bytes
+as its nested lists); each distinct float is formatted once and the
+template filled in one step. Tables render 4 decimal places and mirror
+the published case-study table column order (gamma, score vectors,
+similarities to the ideals, closeness, ranking) for eyeball diffing. All
+output is written once, atomically, at the end of a run.
 
 Exit codes: 0 success, 1 internal error, 2 input validation failure,
 3 bound violation in verify-bounds.
@@ -39,7 +40,7 @@ from .pipeline import (
     RankingReport,
     run as run_pipeline,
 )
-from .similarity import pair_similarity
+from .similarity import _resolve_pairwise, pair_similarity
 from .spectral import (bounds_survey, energies, fixture_survey_rows,
                        laplacian_energies)
 
@@ -62,19 +63,26 @@ class InputDocument:
     published: dict | None
 
 
-def _fmt_float(x: float) -> str:
-    return "%.17g" % float(x)
+# The string encoder json.dumps itself uses (json's C one when present).
+_encode_string = json.encoder.encode_basestring_ascii
+# Values whose list _emit_json keeps on one line.
+_SCALARS = (int, float, str, bool, np.integer, np.floating)
+
+
+def _string(s: str) -> str:
+    """A JSON string literal, as json.dumps writes it, with % doubled for
+    a %-template."""
+    return _encode_string(s).replace("%", "%%")
 
 
 @functools.lru_cache(maxsize=256)
 def _array_template(shape: tuple[int, ...], indent: int) -> str:
-    """The layout _emit_json gives nested lists of this shape, with a
-    %.17g slot per float in row-major order; built once per shape and
-    indent."""
+    """The layout _emit_json gives nested lists of this shape, with a %s
+    slot per float in row-major order; built once per shape and indent."""
     if not shape[0]:
         return "[]"
     if len(shape) == 1:
-        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+        return "[" + ", ".join(["%s"] * shape[0]) + "]"
     inner = "  " * (indent + 1)
     row = _array_template(shape[1:], indent + 1)
     return ("[\n" + inner + (",\n" + inner).join([row] * shape[0])
@@ -82,40 +90,71 @@ def _array_template(shape: tuple[int, ...], indent: int) -> str:
 
 
 def _emit_json(obj, indent: int = 0) -> str:
-    """Canonical JSON: insertion-ordered keys, floats at 17 sig digits."""
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
-        return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+    """Canonical JSON: insertion-ordered keys, floats at 17 sig digits.
+
+    One walk of obj lays out the text as a %-template with a slot per
+    float, then each distinct float (by bit pattern, so -0.0 stays apart
+    from 0.0) is formatted once and the template filled in one step.
+    """
+    parts: list[str] = []
+    floats: list[float] = []
+    _layout(obj, indent, parts, floats)
+    template = "".join(parts)
+    bits = np.array(floats, dtype=float).view(np.uint64)
+    distinct, slot = np.unique(bits, return_inverse=True)
+    values = tuple(distinct.view(np.float64).tolist())
+    text = ("%.17g," * len(values) % values).split(",")
+    return template % tuple(map(text.__getitem__, slot.tolist()))
+
+
+def _layout(obj, indent: int, parts: list[str], floats: list[float]) -> None:
+    """Append obj's text to parts, a %s slot in place of each float, and
+    its floats to floats in the order of their slots."""
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
+        parts.append(_string(obj))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append("%s")
+        floats.append(float(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        parts.append(_array_template(obj.shape, indent))
+        floats.extend(obj.ravel().tolist())
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {_emit_json(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if set(map(type, items)) == {str}:
-            return json.dumps(items)  # the same bytes as the loop below
-        flat = all(isinstance(v, (int, float, str, bool, np.integer,
-                                  np.floating)) or v is None for v in items)
-        if flat:
-            return "[" + ", ".join(_emit_json(v, indent + 1) for v in items) + "]"
-        parts = [f"{inner}{_emit_json(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+            parts.append("{}")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts.append(sep + _string(str(key)) + ": ")
+            _layout(value, indent + 1, parts, floats)
+            sep = "," + inner
+        parts.append("\n" + "  " * indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        if all(type(v) is str for v in obj):  # labels: one join
+            parts.append("[" + ", ".join(map(_string, obj)) + "]")
+            return
+        if all(v is None or isinstance(v, _SCALARS) for v in obj):
+            sep, each, end = "[", ", ", "]"
+        else:
+            inner = "\n" + "  " * (indent + 1)
+            sep, each = "[" + inner, "," + inner
+            end = "\n" + "  " * indent + "]"
+        for value in obj:
+            parts.append(sep)
+            _layout(value, indent + 1, parts, floats)
+            sep = each
+        parts.append(end)
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _require_mapping(obj, where: str) -> dict:
@@ -330,7 +369,11 @@ def _document(raw) -> InputDocument:
 
     override_readers = {
         "c1": _ARRAY,
-        "pair_similarity": pairs("config.overrides.pair_similarity"),
+        # Checked as run checks it, so every command refuses what run would.
+        "pair_similarity": (
+            lambda mapping: _resolve_pairwise(_pair_map(
+                mapping, ids, "config.overrides.pair_similarity"), len(ids)),
+            "an object of pair similarities"),
         "ca": _ARRAY,
         "c": _ARRAY,
         "aggregated": (lambda v: make_hfpr(_reals(v), labels=alternatives),

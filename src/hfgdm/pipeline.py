@@ -5,7 +5,11 @@ triples c1; (iii) pairwise similarities; (iv) similarity weights ca;
 (v) objective scores c2 = eta*c1 + (1-eta)*ca; (vi) final scores
 c = gamma_blend*c1 + (1-gamma_blend)*c2; (vii) weighted aggregation into
 one relation; (viii) similarities to the ideals; (ix) closeness and
-ranking. A run repeats stages v-ix once per gamma_blend grid value.
+ranking. A run evaluates the whole gamma_blend grid as one stack: c2 is
+blended once, c for every grid value in one (g, l, 3) expression, and
+the aggregates' ideal similarities, closeness and rankings as (g, n)
+arrays. Only stage vii runs once per grid value, in grid order, so a
+closure failure names the first failing value.
 
 Checkpoint overrides can inject values at stages ii (c1), iii (pairwise
 similarities), iv (ca), vi (c), and vii (the aggregated relation); every
@@ -35,7 +39,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .similarity import closeness, ideal_similarities, mean_similarity_degree
+from .similarity import _ideal_rows, _mean_degree, _resolve_pairwise, closeness
 # energy and laplacian_energy stay importable from this module; a run
 # solves every expert at once through energies and laplacian_energies.
 from .spectral import energies, energy, laplacian_energies, laplacian_energy
@@ -72,7 +76,9 @@ class ScoreSet:
     vector of stage iv and ca_effective the (l, 3) triples it turned into
     under the blend convention. Invariants: ca sums to 1 within 1e-9, all
     components are nonnegative, and the two blend identities hold
-    componentwise within 1e-12.
+    componentwise within 1e-12. Construct through blend_scores, which
+    checks them; the score sets of one run are read-only views into one
+    stack, sharing c1, ca, ca_effective and c2.
     """
 
     c1: np.ndarray
@@ -83,28 +89,6 @@ class ScoreSet:
     eta: float
     gamma_blend: float
     convention: str
-
-    def __post_init__(self):
-        # Each check is written so that NaN fails it.
-        l = self.c1.shape[0]
-        for name, a in (("c1", self.c1), ("ca_effective", self.ca_effective),
-                        ("c2", self.c2), ("c", self.c)):
-            if a.shape != (l, 3):
-                raise OverrideShapeMismatch(f"{name} must have shape ({l}, 3)")
-            if not a.min() >= -_SCORE_TOL:
-                raise ParameterOutOfRange(f"{name} components must be nonnegative")
-        if self.ca.shape != (l,):
-            raise OverrideShapeMismatch(f"ca must have shape ({l},)")
-        if not abs(self.ca.sum() - 1.0) <= _SCORE_TOL:
-            raise ParameterOutOfRange(f"ca must sum to 1, got {self.ca.sum()!r}")
-        want_c2 = self.eta * self.c1 + (1.0 - self.eta) * self.ca_effective
-        if not np.max(np.abs(self.c2 - want_c2)) <= _BLEND_TOL:
-            raise ParameterOutOfRange("c2 does not satisfy the blend identity")
-        want_c = self.gamma_blend * self.c1 + (1.0 - self.gamma_blend) * self.c2
-        if not np.max(np.abs(self.c - want_c)) <= _BLEND_TOL:
-            raise ParameterOutOfRange("c does not satisfy the blend identity")
-        for name in ("c1", "ca", "ca_effective", "c2", "c"):
-            object.__setattr__(self, name, _freeze(getattr(self, name).copy()))
 
 
 @dataclass(frozen=True)
@@ -253,13 +237,13 @@ def uncertainty_scores(experts, mode: str = "energy",
     return raw / denom
 
 
-def _degrees_and_weights(experts, pairwise):
-    """Mean similarity degrees and their normalization, the stage-iv weights."""
+def _degrees_and_weights(experts, pairs):
+    """Mean similarity degrees and their normalization, the stage-iv
+    weights; pairs as similarity._resolve_pairwise returns them."""
     l = len(experts)
     if l < 2:
         raise NeedTwoExperts(f"need at least 2 relations, got {l}")
-    degrees = tuple(mean_similarity_degree(experts, b, pairwise=pairwise)
-                    for b in range(l))
+    degrees = tuple(_mean_degree(experts, b, pairs) for b in range(l))
     total = sum(degrees)
     if not np.isfinite(total):
         raise ParameterOutOfRange(
@@ -273,9 +257,11 @@ def similarity_weights(experts, pairwise=None) -> np.ndarray:
     """Stage-iv weights: normalized mean similarity degrees.
 
     pairwise optionally injects stage-iii values as a mapping from expert
-    index pairs to floats; anything not injected is computed.
+    index pairs to positive floats, each pair once in either orientation;
+    anything not injected is computed.
     """
-    return _degrees_and_weights(experts, pairwise)[1]
+    return _degrees_and_weights(
+        experts, _resolve_pairwise(pairwise, len(experts)))[1]
 
 
 def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
@@ -283,19 +269,28 @@ def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
     """Stages v-vi: objective scores c2 and final scores c.
 
     See the module docstring for the vector/scalar conventions; vector
-    requires exactly three experts.
+    requires exactly three experts. The score set of one gamma_blend
+    value: a grid of one for _blend_grid.
     """
+    return _blend_grid(c1, ca, eta, (gamma_blend,), convention)[0]
+
+
+def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple[ScoreSet, ...]:
+    """Stages v-vi for every gamma_blend value of grid at once: c2 once,
+    c as one (g, l, 3) stack, each ScoreSet invariant checked once over
+    the stack. Returns one ScoreSet per grid value, in grid order."""
     if not (0.0 <= eta <= 1.0):
         raise ParameterOutOfRange(f"eta = {eta!r} outside [0, 1]")
-    if not (0.0 <= gamma_blend <= 1.0):
-        raise ParameterOutOfRange(f"gamma_blend = {gamma_blend!r} outside [0, 1]")
+    for g in grid:
+        if not (0.0 <= g <= 1.0):
+            raise ParameterOutOfRange(f"gamma_blend = {g!r} outside [0, 1]")
     _check_choice("convention", convention, CONVENTIONS)
-    c1 = np.asarray(c1, dtype=float)
+    c1 = np.array(c1, dtype=float)
     if c1.ndim != 2 or c1.shape[1] != 3:
         raise OverrideShapeMismatch(
             f"c1 must have shape (l, 3), got {c1.shape}")
     l = c1.shape[0]
-    ca = np.asarray(ca, dtype=float)
+    ca = np.array(ca, dtype=float)
     if ca.shape != (l,):
         raise OverrideShapeMismatch(f"ca must have shape ({l},), got {ca.shape}")
     if convention == "auto":
@@ -308,11 +303,30 @@ def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
         ca_eff = np.tile(ca, (l, 1))
     else:
         ca_eff = np.repeat(ca[:, None], 3, axis=1)
+    gammas = np.array(grid, dtype=float)[:, None, None]
     c2 = eta * c1 + (1.0 - eta) * ca_eff
-    c = gamma_blend * c1 + (1.0 - gamma_blend) * c2
-    return ScoreSet(c1=c1.copy(), ca=ca.copy(), ca_effective=ca_eff, c2=c2,
-                    c=c, eta=float(eta), gamma_blend=float(gamma_blend),
-                    convention=convention)
+    c = gammas * c1 + (1.0 - gammas) * c2
+
+    # Each check is written so that NaN fails it.
+    for name, a in (("c1", c1), ("ca_effective", ca_eff), ("c2", c2),
+                    ("c", c)):
+        if not a.min() >= -_SCORE_TOL:
+            raise ParameterOutOfRange(f"{name} components must be nonnegative")
+    if not abs(ca.sum() - 1.0) <= _SCORE_TOL:
+        raise ParameterOutOfRange(f"ca must sum to 1, got {ca.sum()!r}")
+    want_c2 = eta * c1 + (1.0 - eta) * ca_eff
+    if not np.max(np.abs(c2 - want_c2)) <= _BLEND_TOL:
+        raise ParameterOutOfRange("c2 does not satisfy the blend identity")
+    want_c = gammas * c1 + (1.0 - gammas) * c2
+    if not np.max(np.abs(c - want_c)) <= _BLEND_TOL:
+        raise ParameterOutOfRange("c does not satisfy the blend identity")
+
+    for a in (c1, ca, ca_eff, c2, c):
+        _freeze(a)
+    return tuple(ScoreSet(c1=c1, ca=ca, ca_effective=ca_eff, c2=c2, c=c[k],
+                          eta=float(eta), gamma_blend=float(gammas[k, 0, 0]),
+                          convention=convention)
+                 for k in range(len(grid)))
 
 
 def aggregate_hfpr(experts, c) -> HFPR:
@@ -334,40 +348,27 @@ def rank(agg: HFPR, closeness_mode: str = "relative") -> tuple:
     Returns (s_plus, s_minus, f, ranking), the last four GammaRecord
     fields in their order: one tuple entry per alternative, and the
     alternative indices sorted by closeness descending, ties broken
-    toward the lower index.
+    toward the lower index. The ranking of one relation: a stack of one
+    for _rank_stack.
     """
-    n = agg.n
-    s_plus = tuple(ideal_similarities(agg, "positive").tolist())
-    s_minus = tuple(ideal_similarities(agg, "negative").tolist())
-    f = tuple(closeness(p, m, closeness_mode)
-              for p, m in zip(s_plus, s_minus))
-    order = tuple(sorted(range(n), key=lambda i: (-f[i], i)))
-    return s_plus, s_minus, f, order
+    return _rank_stack(agg.values[None], closeness_mode)[0]
 
 
-def _resolve_pairwise(pairwise, l: int) -> dict:
-    out = {}
-    for key, val in pairwise.items():
-        i, j = key
-        if not (0 <= i < l and 0 <= j < l) or i == j:
-            raise OverrideShapeMismatch(
-                f"pair_similarity key {key!r} is not a valid expert pair")
-        val = float(val)
-        if not val > 0.0:
-            raise ParameterOutOfRange(
-                f"pair_similarity override for experts {key!r} is {val!r}; "
-                "it must be positive")
-        pair = (int(i), int(j))
-        if pair[::-1] in out:
-            raise OverrideShapeMismatch(
-                f"pair_similarity gives experts {pair!r} in both "
-                "orientations; the measure is symmetric, so give it once")
-        out[pair] = val
-    return out
+def _rank_stack(values: np.ndarray, closeness_mode: str) -> list[tuple]:
+    """rank for each relation of a (g, n, n, 3) stack of aggregates, as
+    arrays over the whole stack; one (s_plus, s_minus, f, ranking) per
+    relation. Sorting by -f, stably, breaks ties toward the lower index."""
+    s_plus = _ideal_rows(values, "positive")
+    s_minus = _ideal_rows(values, "negative")
+    f = closeness(s_plus, s_minus, closeness_mode)
+    rows = zip(s_plus.tolist(), s_minus.tolist(), f.tolist(), (-f).tolist())
+    return [(tuple(p), tuple(m), tuple(fk),
+             tuple(sorted(range(len(fk)), key=neg.__getitem__)))
+            for p, m, fk, neg in rows]
 
 
 def run(experts, config: PipelineConfig | None = None) -> RankingReport:
-    """Execute stages i-ix once per gamma_grid value, deterministically.
+    """Execute stages i-ix over the whole gamma_grid, deterministically.
 
     Overrides replace their stage's output and everything downstream is
     recomputed from the injected values.
@@ -386,9 +387,7 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     else:
         c1 = uncertainty_scores(experts, config.mode, normalization)
 
-    pairwise = None
-    if ov.pair_similarity is not None:
-        pairwise = _resolve_pairwise(ov.pair_similarity, l)
+    pairs = _resolve_pairwise(ov.pair_similarity, l)
 
     degrees: tuple[float, ...] | None
     if ov.ca is not None:
@@ -398,24 +397,25 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
                 f"ca override must have shape ({l},), got {ca.shape}")
         degrees = None
     else:
-        degrees, ca = _degrees_and_weights(experts, pairwise)
+        degrees, ca = _degrees_and_weights(experts, pairs)
 
     if ov.aggregated is not None and ov.aggregated.n != experts[0].n:
         raise OverrideShapeMismatch(
             "aggregated override does not match the relation size")
 
-    records = []
-    for g in config.gamma_grid:
-        scores = blend_scores(c1, ca, config.eta, g, config.blend_convention)
-        if ov.c is not None:
-            c_used = _score_matrix(ov.c, l, "c override")
-        else:
-            c_used = scores.c
-        agg = ov.aggregated if ov.aggregated is not None \
-            else aggregate_hfpr(experts, c_used)
-        records.append(GammaRecord(
-            g, scores, _freeze(np.array(c_used)), agg,
-            *rank(agg, config.closeness_mode)))
+    grid = config.gamma_grid
+    scores = _blend_grid(c1, ca, config.eta, grid, config.blend_convention)
+    if ov.c is not None:
+        shared = _freeze(_score_matrix(ov.c, l, "c override").copy())
+        c_used = [shared] * len(grid)
+    else:
+        c_used = [s.c for s in scores]
+    if ov.aggregated is not None:
+        aggs = [ov.aggregated] * len(grid)
+    else:
+        aggs = [aggregate_hfpr(experts, c) for c in c_used]
+    ranked = _rank_stack(np.stack([a.values for a in aggs]),
+                         config.closeness_mode)
 
     return RankingReport(
         labels=experts[0].labels,
@@ -423,12 +423,13 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
         normalization=normalization,
         eta=config.eta,
         closeness_mode=config.closeness_mode,
-        convention=records[0].scores.convention,
+        convention=scores[0].convention,
         energies=energy_triples,
         laplacian_energies=lap_energies,
-        c1=_freeze(np.array(c1)),
+        c1=scores[0].c1,
         similarity_degrees=degrees,
-        ca=_freeze(np.array(ca)),
-        records=tuple(records),
+        ca=scores[0].ca,
+        records=tuple(GammaRecord(g, s, c, agg, *r) for g, s, c, agg, r
+                      in zip(grid, scores, c_used, aggs, ranked)),
         overridden=ov.stage_names(),
     )

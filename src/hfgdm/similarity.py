@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NeedTwoExperts,
+    OverrideShapeMismatch,
     ParameterOutOfRange,
 )
 
@@ -42,35 +43,74 @@ def pair_similarity(a: HFPR, b: HFPR) -> float:
     return float(1.0 / n + (2.0 / n ** 2) * terms.sum())
 
 
-def _pairwise_lookup(pairwise, i: int, j: int) -> float:
-    key = (i, j) if (i, j) in pairwise else (j, i)
-    return float(pairwise[key])
+def _pair_key(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
+
+
+def _resolve_pairwise(pairwise, l: int) -> dict | None:
+    """Stage-iii overrides as {(i, j): float} with i < j, or None for none.
+
+    Every key must be a pair of distinct expert indices below l, given in
+    one orientation only, since the measure is symmetric; every value
+    must be positive.
+    """
+    if pairwise is None:
+        return None
+    out = {}
+    for key, val in pairwise.items():
+        i, j = key
+        if not (0 <= i < l and 0 <= j < l) or i == j:
+            raise OverrideShapeMismatch(
+                f"pair_similarity key {key!r} is not a valid expert pair")
+        val = float(val)
+        if not val > 0.0:
+            raise ParameterOutOfRange(
+                f"pair_similarity override for experts {key!r} is {val!r}; "
+                "it must be positive")
+        pair = (int(i), int(j))
+        normalized = _pair_key(*pair)
+        if normalized in out:
+            raise OverrideShapeMismatch(
+                f"pair_similarity gives experts {pair!r} in both "
+                "orientations; the measure is symmetric, so give it once")
+        out[normalized] = val
+    return out
+
+
+def _mean_degree(experts, b: int, pairs: dict | None) -> float:
+    """mean_similarity_degree of expert b, with pairs as _resolve_pairwise
+    returns them."""
+    l = len(experts)
+    total = 0.0
+    for d in range(l):
+        if d == b:
+            continue
+        key = _pair_key(b, d)
+        if pairs is not None and key in pairs:
+            total += pairs[key]
+        else:
+            total += pair_similarity(experts[b], experts[d])
+    return total / (l - 1)
 
 
 def mean_similarity_degree(experts, b: int, pairwise=None) -> float:
     """Mean pairwise similarity of expert b against every other expert.
 
     pairwise optionally injects the pair values as a mapping from index
-    pairs to floats (either orientation); missing pairs are computed.
+    pairs to positive floats, each pair once in either orientation;
+    missing pairs are computed.
     """
     l = len(experts)
     if l < 2:
         raise NeedTwoExperts(f"need at least 2 relations, got {l}")
     if not (0 <= b < l):
         raise IndexOutOfRange(f"expert index {b} outside 0..{l - 1}")
-    total = 0.0
-    for d in range(l):
-        if d == b:
-            continue
-        if pairwise is not None and ((b, d) in pairwise or (d, b) in pairwise):
-            total += _pairwise_lookup(pairwise, b, d)
-        else:
-            total += pair_similarity(experts[b], experts[d])
-    return total / (l - 1)
+    return _mean_degree(experts, b, _resolve_pairwise(pairwise, l))
 
 
 def _ideal_rows(rows: np.ndarray, which: str) -> np.ndarray:
-    """Ideal similarity of each row of a (k, n, 3) stack, as a (k,) array.
+    """Ideal similarity of each row of an (..., n, 3) stack, as an (...)
+    array: (n,) for one relation, (g, n) for a stack of g of them.
 
     Averages (1 - min t) / (1 + max t) over ALL n columns including the
     diagonal, with t = (1 - mu, gamma, 1 - beta) against the positive
@@ -93,23 +133,24 @@ def ideal_similarities(agg: HFPR, which: str) -> np.ndarray:
     return _ideal_rows(agg.values, which)
 
 
-def closeness(s_plus: float, s_minus: float, mode: str = "relative") -> float:
+def closeness(s_plus, s_minus, mode: str = "relative"):
     """Ranking score from the two ideal similarities.
 
     relative mode: s+ / (s+ + s-); ratio mode: s+ / s-. Higher is better
     in both; for fixed positive inputs they induce rankings identical up
     to rounding (scores 1 ulp apart in one mode can tie or swap in the
-    other).
+    other). Takes two floats, or two arrays of one shape scored
+    elementwise; an error is raised when any element breaks its rule.
     """
     if mode not in ("relative", "ratio"):
         raise ParameterOutOfRange(f"mode = {mode!r} not one of relative|ratio")
-    if s_plus < 0.0 or s_minus < 0.0:
+    if np.any(s_plus < 0.0) or np.any(s_minus < 0.0):
         raise ParameterOutOfRange("ideal similarities must be nonnegative")
     if mode == "relative":
         denom = s_plus + s_minus
-        if denom <= 0.0:
+        if np.any(denom <= 0.0):
             raise DegenerateDenominator("s_plus + s_minus must be positive")
         return s_plus / denom
-    if s_minus <= 0.0:
+    if np.any(s_minus <= 0.0):
         raise DegenerateDenominator("ratio mode needs s_minus > 0")
     return s_plus / s_minus

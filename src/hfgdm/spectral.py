@@ -38,7 +38,8 @@ from .errors import DimensionMismatch, IdentityViolated
 
 IDENTITY_TOL = 1e-8
 BOUND_TOL = 1e-9
-SURVEY_BLOCK = 256  # random instances held and evaluated at once
+SURVEY_BLOCK = 256  # most random instances held and evaluated at once
+SURVEY_BLOCK_BYTES = 64 * 2 ** 20  # cap on one block's adjacency stack
 IDENTITIES = ("laplacian_trace", "laplacian_square", "shifted_sum",
               "shifted_square")
 
@@ -290,14 +291,18 @@ def bounds_survey(seed: int = 42, count: int = 1000,
     Every instance's Laplacian spectra must also pass the identities, as
     a residual safety net. Row order per instance: the two energy rows
     for each channel, then the three Laplacian rows for each channel.
-    Instances are drawn and evaluated SURVEY_BLOCK at a time, so only one
-    block's relations are held at once.
+    Instances are drawn and evaluated a block at a time, so only one
+    block's relations are held at once: SURVEY_BLOCK instances, or fewer
+    when the adjacency stack of a block of the largest size would exceed
+    SURVEY_BLOCK_BYTES, but always at least one.
     """
     rows: list[SurveyRow] = []
     lo, hi = n_range
-    for start in range(0, count, SURVEY_BLOCK):
+    size = max(1, min(SURVEY_BLOCK,
+                      SURVEY_BLOCK_BYTES // (3 * hi * hi * 8)))
+    for start in range(0, count, size):
         block = []
-        for k in range(start, min(start + SURVEY_BLOCK, count)):
+        for k in range(start, min(start + size, count)):
             rng = np.random.default_rng([seed, k])
             block.append(random_hfpr(int(rng.integers(lo, hi + 1)), rng))
         rows.extend(_survey_rows(block, start))

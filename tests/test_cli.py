@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 import hfgdm.cli as cli
 from hfgdm import energy, laplacian_energy
-from hfgdm.cli import _emit_json, _fmt_float, main, parse_input
+from hfgdm.cli import _emit_json, main, parse_input
 from hfgdm.errors import SchemaViolation, TripleOutOfRange, ValidationError
 from hfgdm.fixtures import read_text
 from hfgdm.spectral import SurveyRow
@@ -31,6 +32,7 @@ CSV_HEADER = "seed,n,channel,quantity,value,bound_lo,bound_hi,satisfied"
 DATA = Path(__file__).resolve().parent / "data"
 SHARED_DOC = str(DATA / "shared_weights.json")
 PANEL_DOC = str(DATA / "panel_shared.json")
+ESCAPES_DOC = str(DATA / "escapes.json")
 SMARTPHONE = json.loads(read_text("smartphone.json"))
 
 
@@ -370,7 +372,7 @@ class TestVerifyBounds:
         assert main(["verify-bounds", "--fixtures", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 45
-        assert _fmt_float(2.394436802675439) in out.read_text()
+        assert "%.17g" % 2.394436802675439 in out.read_text()
         assert all(line.endswith(",true") for line in lines[1:])
 
     def test_survey_at_1024_alternatives_exits_0_quietly(self, capsys):
@@ -407,16 +409,16 @@ class TestVerifyBounds:
         max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_csv_matches_row_writer(self, rows):
-        # The one-template CSV against csv.writer with one _fmt_float per
-        # float, the way the rows were written before.
+        # The one-template CSV against csv.writer with one %.17g format
+        # per float, the way the rows were written before.
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for r in rows:
             writer.writerow([
-                r.seed, r.n, r.channel, r.quantity, _fmt_float(r.value),
-                "" if r.bound_lo is None else _fmt_float(r.bound_lo),
-                "" if r.bound_hi is None else _fmt_float(r.bound_hi),
+                r.seed, r.n, r.channel, r.quantity, "%.17g" % r.value,
+                "" if r.bound_lo is None else "%.17g" % r.bound_lo,
+                "" if r.bound_hi is None else "%.17g" % r.bound_hi,
                 "true" if r.satisfied else "false"])
         assert cli._survey_csv(rows) == buf.getvalue()
 
@@ -492,11 +494,11 @@ class TestFloatFormat:
     def test_round_trip_exactness(self):
         for x in (0.1, 1 / 3, np.pi, 2.1114877048604002, 1e-300,
                   12345.678901234567, 5e-324):
-            assert float(_fmt_float(x)) == x
+            assert float(_emit_json(x)) == x
 
     def test_integers_stay_short(self):
-        assert _fmt_float(1.0) == "1"
-        assert _fmt_float(0.5) == "0.5"
+        assert _emit_json(1.0) == "1"
+        assert _emit_json(0.5) == "0.5"
 
 
 # Arrays of one to three axes, zero-length ones included, mixing edge
@@ -528,6 +530,105 @@ class TestArrayEmitter:
         assert _emit_json(np.zeros(0)) == "[]"
         assert _emit_json(np.zeros((0, 3))) == "[]"
         assert _emit_json(np.zeros((2, 0))) == "[\n  [],\n  []\n]"
+
+
+def _reference_template(shape, indent):
+    if not shape[0]:
+        return "[]"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    inner = "  " * (indent + 1)
+    row = _reference_template(shape[1:], indent + 1)
+    return ("[\n" + inner + (",\n" + inner).join([row] * shape[0])
+            + "\n" + "  " * indent + "]")
+
+
+def reference_emit_json(obj, indent=0):
+    """The emitter that formats one value at a time, kept as the
+    reference for the one-template emitter."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        return _reference_template(obj.shape, indent) % tuple(
+            obj.ravel().tolist())
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return "%.17g" % float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: "
+                 f"{reference_emit_json(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            return "[]"
+        flat = all(isinstance(v, (int, float, str, bool, np.integer,
+                                  np.floating)) or v is None for v in items)
+        if flat:
+            return "[" + ", ".join(reference_emit_json(v, indent + 1)
+                                   for v in items) + "]"
+        parts = [f"{inner}{reference_emit_json(v, indent + 1)}"
+                 for v in items]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+                     1 / 3]),
+    st.floats())
+edge_texts = st.one_of(
+    st.sampled_from(["", "%", "%s", "%%", "%d%s%", "100%", '"', '\\"', "\\",
+                     "\u00e9", "t\u00e9%s\"", "\u65e5\u672c", "\n\t",
+                     "\ud800"]),
+    st.text(max_size=8))
+emit_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), edge_floats, edge_texts,
+    edge_floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                            min_side=0, max_side=4),
+               elements=edge_floats))
+emit_payloads = st.recursive(
+    emit_leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(edge_texts, inner, max_size=4),
+    max_leaves=25)
+
+
+class TestEmitterMatchesReference:
+    @given(obj=emit_payloads, indent=st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes(self, obj, indent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _emit_json(obj, indent) == reference_emit_json(obj, indent)
+
+    def test_edge_values_spelled_out(self):
+        payload = {"%s": [-0.0, 0.0, 5e-324, 1.7976931348623157e308],
+                   "a": np.array([[[-0.0]], [[0.0]]]), "b": np.zeros((0,)),
+                   'q"\\': ["%", "\u00e9", 1, True, None, {}, []]}
+        assert _emit_json(payload) == reference_emit_json(payload)
+        assert '"%s": [-0, 0, 4.9406564584124654e-324, ' \
+            '1.7976931348623157e+308]' in _emit_json(payload)
+
+    @pytest.mark.parametrize("bad", [np.array(1.0), np.arange(3), np.bool_(1),
+                                     {1, 2}])
+    def test_unserializable_values_raise_as_before(self, bad):
+        for emit in (_emit_json, reference_emit_json):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                emit({"x": [1.5, bad]})
 
 
 class TestSubprocess:
@@ -789,6 +890,23 @@ def test_energy_and_fixture_survey_check_published_and_overrides(tmp_path):
             assert ".".join(path) in err
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ({"e1:e2": -1, "e1:e3": 0.8, "e2:e3": 0.8},
+     "error: pair_similarity override for experts (0, 1) is -1.0; "
+     "it must be positive\n"),
+    ({"e1:e2": 0.5, "e2:e1": 0.9, "e1:e3": 0.8, "e2:e3": 0.8},
+     "error: pair_similarity gives experts (1, 0) in both orientations; "
+     "the measure is symmetric, so give it once\n"),
+], ids=["negative", "both-orientations"])
+def test_every_command_checks_pair_overrides_as_run_does(tmp_path, pairs,
+                                                         message):
+    doc = write_doc(tmp_path, edited(
+        ("config", "overrides", "pair_similarity"), pairs))
+    for argv in (["run", doc], ["energy", doc],
+                 ["verify-bounds", "--fixtures", doc]):
+        assert main_output(argv) == (2, "", message), argv
+
+
 def _reject_constant(token):
     raise ValueError(f"non-finite number {token} in JSON output")
 
@@ -861,6 +979,7 @@ GOLDENS = {
     "run_shared_weights.json": ["run", SHARED_DOC, "--format", "json"],
     "run_panel_shared.txt": ["run", PANEL_DOC],
     "run_panel_shared.json": ["run", PANEL_DOC, "--format", "json"],
+    "run_escapes.json": ["run", ESCAPES_DOC, "--format", "json"],
 }
 
 
@@ -903,3 +1022,15 @@ def test_output_matches_golden(name):
         for got, want in zip(got_rows, want_rows):
             assert_json_close([_csv_cell(c) for c in got],
                               [_csv_cell(c) for c in want])
+
+
+def test_escaped_strings_match_golden_byte_for_byte():
+    # Labels and ids holding %s, a quote and a non-ASCII letter: every
+    # string literal must keep its exact escaped bytes, which the parsed
+    # comparison above cannot see.
+    literal = re.compile(r'"(?:[^"\\]|\\.)*"')
+    rc, out, _ = main_output(GOLDENS["run_escapes.json"])
+    want = (DATA / "golden" / "run_escapes.json").read_text(encoding="utf-8")
+    assert rc == 0
+    assert literal.findall(out) == literal.findall(want)
+    assert '"t%s1", "t\\"2", "t\\u00e93", "t4 100%"' in out

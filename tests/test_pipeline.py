@@ -487,3 +487,213 @@ class TestRun:
         from hfgdm import DimensionMismatch
         with pytest.raises(DimensionMismatch):
             run((experts[0], small), PipelineConfig())
+
+
+# -- the gamma grid as one stack ------------------------------------------
+
+def reference_records(experts, config, report):
+    """Stages v-ix one gamma_blend value at a time, each with scalar
+    Python arithmetic where it can, from the report's own c1 and ca: the
+    per-gamma loop the stacked run replaced. Returns one tuple of fields
+    per grid value."""
+    from hfgdm.similarity import ideal_similarities
+    ov = config.overrides
+    c1, ca = np.array(report.c1), np.array(report.ca)
+    l = len(experts)
+    if report.convention == "vector":
+        ca_eff = np.tile(ca, (l, 1))
+    else:
+        ca_eff = np.repeat(ca[:, None], 3, axis=1)
+    out = []
+    for g in config.gamma_grid:
+        c2 = config.eta * c1 + (1.0 - config.eta) * ca_eff
+        c = g * c1 + (1.0 - g) * c2
+        c_used = c if ov.c is None else np.asarray(ov.c, dtype=float)
+        agg = ov.aggregated if ov.aggregated is not None \
+            else aggregate_hfpr(experts, c_used)
+        s_plus = tuple(ideal_similarities(agg, "positive").tolist())
+        s_minus = tuple(ideal_similarities(agg, "negative").tolist())
+        if config.closeness_mode == "relative":
+            f = tuple(p / (p + m) for p, m in zip(s_plus, s_minus))
+        else:
+            f = tuple(p / m for p, m in zip(s_plus, s_minus))
+        ranking = tuple(sorted(range(agg.n), key=lambda i: (-f[i], i)))
+        out.append((g, c1, ca, ca_eff, c2, c, c_used, agg.values,
+                    s_plus, s_minus, f, ranking))
+    return out
+
+
+def stacked_records(report):
+    return [(r.gamma_blend, r.scores.c1, r.scores.ca, r.scores.ca_effective,
+             r.scores.c2, r.scores.c, r.c_used, r.aggregated.values,
+             r.s_plus, r.s_minus, r.f, r.ranking) for r in report.records]
+
+
+def hexes(value):
+    if isinstance(value, tuple) and value and isinstance(value[0], int):
+        return value  # a ranking
+    return [float(x).hex() for x in np.ravel(value)]
+
+
+def assert_stack_matches_reference(experts, config):
+    report = run(experts, config)
+    got, want = stacked_records(report), reference_records(
+        experts, config, report)
+    assert len(got) == len(want) == len(config.gamma_grid)
+    for g, w in zip(got, want):
+        assert [hexes(x) for x in g] == [hexes(x) for x in w]
+    return report
+
+
+def closed_scores(rng, l):
+    """c1 rows (w, w, w) whose w sum to 1: with the scalar convention every
+    blend stays a convex mix of the relations, so aggregation closes."""
+    w = rng.uniform(0.1, 1.0, l)
+    return np.repeat((w / w.sum())[:, None], 3, axis=1)
+
+
+class TestStackedGrid:
+    @pytest.mark.parametrize("mode", ["relative", "ratio"])
+    @pytest.mark.parametrize("laplacian", [False, True])
+    def test_case_study_both_conventions(self, experts, mode, laplacian):
+        for convention in ("vector", "scalar"):
+            assert_stack_matches_reference(experts, PipelineConfig(
+                mode="laplacian" if laplacian else "energy",
+                closeness_mode=mode, blend_convention=convention))
+
+    @pytest.mark.parametrize("grid", [(0.5,), (0.3, 0.3, 1.0, 0.3),
+                                      (1.0, 0.0)])
+    def test_one_value_and_repeated_values(self, experts, grid):
+        report = assert_stack_matches_reference(
+            experts, PipelineConfig(gamma_grid=grid))
+        assert tuple(r.gamma_blend for r in report.records) == grid
+
+    def test_every_override(self, experts, m2):
+        for ov in (Overrides(c1=PUBLISHED_C1),
+                   Overrides(ca=PUBLISHED_CA),
+                   Overrides(pair_similarity=PUBLISHED_PAIRS, c=PUBLISHED_C),
+                   Overrides(aggregated=m2),
+                   Overrides(c1=PUBLISHED_C1, ca=PUBLISHED_CA, c=PUBLISHED_C,
+                             aggregated=m2)):
+            for mode in ("relative", "ratio"):
+                assert_stack_matches_reference(experts, PipelineConfig(
+                    closeness_mode=mode, overrides=ov))
+
+    def test_exact_ties_rank_by_index(self):
+        experts = tuple(uniform_relation(5, t) for t in (
+            (0.3, 0.3, 0.2), (0.1, 0.5, 0.2), (0.4, 0.2, 0.1)))
+        report = assert_stack_matches_reference(
+            experts, PipelineConfig(gamma_grid=(0.0, 0.5, 1.0)))
+        for r in report.records:
+            assert len(set(r.f)) == 1
+            assert r.ranking == (0, 1, 2, 3, 4)
+
+    def test_random_relations_up_to_n40_l12(self):
+        rng = np.random.default_rng(2024)
+        for n, l in [(2, 2), (3, 5), (8, 3), (17, 12), (40, 4), (40, 12)]:
+            experts = tuple(random_hfpr(n, rng) for _ in range(l))
+            grid = tuple(np.round(rng.uniform(0, 1, rng.integers(1, 7)), 3))
+            for mode in ("relative", "ratio"):
+                assert_stack_matches_reference(experts, PipelineConfig(
+                    gamma_grid=grid, eta=float(rng.uniform()),
+                    closeness_mode=mode, blend_convention="scalar",
+                    overrides=Overrides(c1=closed_scores(rng, l))))
+            shared = np.repeat(np.full((l, 1), 1.0 / l), 3, axis=1)
+            assert_stack_matches_reference(experts, PipelineConfig(
+                gamma_grid=grid, overrides=Overrides(c=shared)))
+
+    def test_score_sets_are_read_only_views_of_one_stack(self, experts):
+        report = run(experts, PipelineConfig())
+        first = report.records[0].scores
+        for r in report.records:
+            assert r.scores.c2 is first.c2 and r.scores.c1 is report.c1
+            assert r.c_used is r.scores.c
+            assert r.scores.c.base is first.c.base is not None
+            for a in (r.scores.c1, r.scores.ca, r.scores.ca_effective,
+                      r.scores.c2, r.scores.c):
+                assert not a.flags.writeable
+
+    def test_closure_failure_names_the_first_failing_gamma(self):
+        # eta = 0 makes c2 the shared weights 1/3, which close; c1 one-hot
+        # by channel does not. So gamma 0 closes, and 0.5 is the first
+        # value to fail, with a triple sum of its own.
+        top = uniform_relation(3, (0.9, 0.05, 0.05))
+        mid = uniform_relation(3, (0.05, 0.9, 0.05))
+        bot = uniform_relation(3, (0.05, 0.05, 0.9))
+        experts = (top, mid, bot)
+        config = PipelineConfig(
+            gamma_grid=(0.0, 0.5, 1.0), eta=0.0, blend_convention="scalar",
+            overrides=Overrides(c1=np.eye(3), ca=[1 / 3] * 3))
+        with pytest.raises(TripleOutOfRange) as stacked:
+            run(experts, config)
+        for g, fails in ((0.0, False), (0.5, True)):
+            c = blend_scores(np.eye(3), [1 / 3] * 3, 0.0, g, "scalar").c
+            if not fails:
+                aggregate_hfpr(experts, c)
+                continue
+            with pytest.raises(TripleOutOfRange) as single:
+                aggregate_hfpr(experts, c)
+            assert str(stacked.value) == str(single.value)
+
+    def test_blend_scores_is_the_grid_of_one(self, experts):
+        report = run(experts, PipelineConfig(gamma_grid=(0.7,)))
+        s = blend_scores(report.c1, report.ca, eta=0.5, gamma_blend=0.7)
+        got = report.records[0].scores
+        for name in ("c1", "ca", "ca_effective", "c2", "c"):
+            assert hexes(getattr(s, name)) == hexes(getattr(got, name))
+        assert (s.eta, s.gamma_blend, s.convention) == (
+            got.eta, got.gamma_blend, got.convention)
+
+    def test_score_invariants_checked_over_the_stack(self):
+        with pytest.raises(ParameterOutOfRange, match="ca must sum to 1"):
+            blend_scores(PUBLISHED_C1, [0.5, 0.5, 0.5])
+        with pytest.raises(ParameterOutOfRange,
+                           match="c1 components must be nonnegative"):
+            blend_scores([[-0.1, 0.5, 0.6]] * 3, PUBLISHED_CA)
+        with pytest.raises(ParameterOutOfRange, match="ca_effective "
+                           "components must be nonnegative"):
+            blend_scores(PUBLISHED_C1, [1.2, -0.1, -0.1])
+        with pytest.raises(ParameterOutOfRange,
+                           match="c1 components must be nonnegative"):
+            blend_scores([[np.nan, 0.5, 0.5]] * 3, PUBLISHED_CA)
+        with pytest.raises(ParameterOutOfRange, match=r"gamma_blend = 1\.5"):
+            blend_scores(PUBLISHED_C1, PUBLISHED_CA, gamma_blend=1.5)
+
+
+class TestPairOverridesInLibrary:
+    """similarity_weights and mean_similarity_degree check a pair map as
+    run does."""
+
+    def test_non_positive_value_rejected(self, experts):
+        from hfgdm import mean_similarity_degree
+        with pytest.raises(ParameterOutOfRange, match=r"\(0, 1\) is -1\.0"):
+            similarity_weights(experts, {(0, 1): -1.0})
+        with pytest.raises(ParameterOutOfRange, match=r"\(0, 1\) is -1\.0"):
+            mean_similarity_degree(experts, 2, {(0, 1): -1.0})
+
+    def test_both_orientations_rejected(self, experts):
+        from hfgdm import mean_similarity_degree
+        pairs = {(0, 1): 0.5, (1, 0): 0.9, (0, 2): 0.8, (1, 2): 0.8}
+        with pytest.raises(OverrideShapeMismatch,
+                           match=r"\(1, 0\) in both orientations"):
+            similarity_weights(experts, pairs)
+        for b in range(3):
+            with pytest.raises(OverrideShapeMismatch,
+                               match=r"\(1, 0\) in both orientations"):
+                mean_similarity_degree(experts, b, pairs)
+
+    def test_invalid_pair_rejected(self, experts):
+        from hfgdm import mean_similarity_degree
+        with pytest.raises(OverrideShapeMismatch, match="valid expert pair"):
+            similarity_weights(experts, {(0, 3): 1.0})
+        with pytest.raises(OverrideShapeMismatch, match="valid expert pair"):
+            mean_similarity_degree(experts, 0, {(2, 2): 1.0})
+
+    def test_weights_agree_with_run(self, experts):
+        reversed_pairs = {(j, i): v for (i, j), v in PUBLISHED_PAIRS.items()}
+        report = run(experts, PipelineConfig(
+            overrides=Overrides(pair_similarity=reversed_pairs)))
+        assert np.array_equal(similarity_weights(experts, reversed_pairs),
+                              report.ca)
+        assert np.array_equal(similarity_weights(experts, PUBLISHED_PAIRS),
+                              report.ca)

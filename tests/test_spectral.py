@@ -483,6 +483,37 @@ class TestSurvey:
                 assert r.value <= r.bound_hi + 1e-9
 
 
+    @pytest.mark.parametrize("n_range, count, blocks", [
+        ((3, 8), 600, [256, 256, 88]),
+        ((1, 104), 300, [256, 44]),        # 3 * 104^2 * 8 B * 256 < 64 MB
+        ((3, 105), 300, [253, 47]),
+        ((512, 512), 25, [10, 10, 5]),     # 6 MB a relation
+        ((3000, 3000), 2, [1, 1]),         # one relation exceeds the cap
+    ])
+    def test_block_bytes_capped_from_the_largest_size(
+            self, monkeypatch, n_range, count, blocks):
+        # Stubs record what would be drawn and evaluated; nothing large
+        # is allocated. The sizes drawn, and so the rows, keep their seeds.
+        drawn, sizes = [], []
+
+        def draw(n, rng):
+            drawn.append(n)
+            return n
+
+        def rows(block, first_key):
+            sizes.append((len(block), first_key))
+            return []
+        monkeypatch.setattr(spectral, "random_hfpr", draw)
+        monkeypatch.setattr(spectral, "_survey_rows", rows)
+        assert bounds_survey(seed=3, count=count, n_range=n_range) == []
+        assert [k for k, _ in sizes] == blocks
+        assert [key for _, key in sizes] == [
+            sum(blocks[:i]) for i in range(len(blocks))]
+        lo, hi = n_range
+        assert drawn == [int(np.random.default_rng([3, k]).integers(
+            lo, hi + 1)) for k in range(count)]
+
+
 def _survey_relations(seed, count, n_range):
     lo, hi = n_range
     out = []
