@@ -656,14 +656,13 @@ _SURVEY_ROW = {key: _survey_row_template(*key)
 
 def _survey_csv(rows) -> str:
     """The survey CSV: a header and one line per row, floats at 17
-    significant digits, formatted by one template over all rows. No
-    field needs CSV quoting: channels and quantities are fixed names."""
-    fields = [(r.seed, r.n, r.channel, r.quantity, r.value, r.bound_lo,
-               r.bound_hi, r.satisfied) for r in rows]
-    template = "".join([_SURVEY_ROW[f[5] is not None, f[6] is not None, f[7]]
-                        for f in fields])
+    significant digits, formatted by one template over all rows, which
+    are tuples in column order. No field needs CSV quoting: channels and
+    quantities are fixed names."""
+    template = "".join([_SURVEY_ROW[r[5] is not None, r[6] is not None, r[7]]
+                        for r in rows])
     return ("seed,n,channel,quantity,value,bound_lo,bound_hi,satisfied\n"
-            + template % tuple(itertools.chain.from_iterable(fields)))
+            + template % tuple(itertools.chain.from_iterable(rows)))
 
 
 def cmd_verify_bounds(args) -> int:

@@ -11,15 +11,18 @@ Frobenius identities every Laplacian spectrum must satisfy.
 
 Every function here takes relations, which make_hfpr found symmetric
 and finite, and every spectrum comes from _kernels.eigenvalues on their
-channel matrices. Energies, bounds and identities are evaluated on a
-(k, 3, n, n) stack of the channel matrices of k same-size relations,
-giving (k, 3) arrays: energies and laplacian_energies take a panel of
-relations at once, the survey groups its instances by n and evaluates
-each group at once, and the single-relation functions are a stack of one
-through the same code. The three pow terms (|det|^(2/p), (2W/p)^2 and
-psi1^2) are taken with Python float pow on the (k, 3) values, because
-numpy's array power can differ from it in the last bit and the survey's
-printed bounds are byte-stable.
+channel matrices, stacked (k, 3, n, n) for k same-size relations:
+energies and laplacian_energies take a panel of relations at once, and
+the single-relation functions are a stack of one through the same code.
+The survey groups a block of instances by n. Per group it does only what
+depends on n: one solve of the stacked adjacency and Laplacian matrices
+and the sums along n. Those (k, 3) sums are scattered into instance
+order, and the bounds, verdicts, identities and rows are computed once
+for the whole block, elementwise, so each float is the same IEEE
+operation it would be in a group of one. The three pow terms
+(|det|^(2/p), (2W/p)^2 and psi1^2) are taken with Python float pow on
+the (k, 3) values, because numpy's array power can differ from it in the
+last bit and the survey's printed bounds are byte-stable.
 
 A reported bound violation is a finding, not an error, in the random
 survey; the bundled fixtures are expected to satisfy every bound.
@@ -34,7 +37,7 @@ import numpy as np
 
 from ._kernels import eigenvalues
 from .core import CHANNELS, HFPR, _freeze, _upper_indices, random_hfpr
-from .errors import DimensionMismatch, IdentityViolated
+from .errors import DimensionMismatch, IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
 BOUND_TOL = 1e-9
@@ -145,132 +148,90 @@ def laplacian_energy(h: HFPR) -> np.ndarray:
     return laplacian_energies([h])[0]
 
 
-class _Bound(NamedTuple):
-    """One bound on a quantity over a stack of relations, as (k, 3)
-    arrays: its lower and upper sides (None for a side the bound lacks)
-    and the verdict."""
-
-    quantity: str
-    lower: np.ndarray | None
-    upper: np.ndarray | None
-    satisfied: np.ndarray
-
-
-def _energy_bounds(adj: np.ndarray) -> tuple[np.ndarray, tuple[_Bound, ...]]:
-    """The energies and the two energy bounds of a (k, 3, p, p) stack.
-
-    The determinant row carries the lower bound
-    sqrt(p(p-1)|det|^(2/p) + 2*sum w_ij*w_ji) and the Frobenius upper
-    bound sqrt(2p * W), with W the sum of squared upper-triangle weights;
-    det comes from the eigenvalue product, taken in the log domain where
-    that product leaves the float range. The mean-square row carries
-    2W/p + sqrt((p-1)(2W - (2W/p)^2)), asserted only under its classical
-    hypothesis 2W >= p and satisfied vacuously where that fails.
-    """
-    p = adj.shape[-1]
-    w = eigenvalues(adj)
-    upper = _upper_weights(adj)
-    w2 = np.square(upper).sum(axis=-1)
-    prod = (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1)
-    e = np.abs(w).sum(axis=-1)
-    lo = np.sqrt(p * (p - 1) * _det_term(w) + 2.0 * prod)
-    hi_frob = np.sqrt(2.0 * p * w2)
-    mean_sq = 2.0 * w2 / p
-    hi_ms = mean_sq + np.sqrt(
-        (p - 1) * np.maximum(2.0 * w2 - _pow(mean_sq, 2), 0.0))
-    return e, (
-        _Bound("energy_determinant_bounds", lo, hi_frob,
-               (lo - BOUND_TOL <= e) & (e <= hi_frob + BOUND_TOL)),
-        _Bound("energy_mean_square_upper", None, hi_ms,
-               (e <= hi_ms + BOUND_TOL) | (2.0 * w2 < p)),
-    )
+def _identity_sums(w: np.ndarray, d: np.ndarray, psi: np.ndarray) -> list:
+    """The sums along n that the identities compare, each (k, 3), from a
+    stack's Laplacian spectra w, degrees d and shifted spectra psi: of w,
+    w², d², psi and psi², and of the positive and the negative part of
+    psi."""
+    return [w.sum(axis=-1), np.square(w).sum(axis=-1),
+            np.square(d).sum(axis=-1), psi.sum(axis=-1),
+            np.square(psi).sum(axis=-1), np.maximum(psi, 0.0).sum(axis=-1),
+            np.minimum(psi, 0.0).sum(axis=-1)]
 
 
-def _laplacian_bounds(t: _LaplacianTerms) -> tuple[_Bound, ...]:
-    """The three bounds on the Laplacian energies of a stack.
-
-    With dev = sum (d_i - 2S/n)^2 and aux = W + dev/2: the spread lower
-    bound 2*sqrt(aux), the Frobenius upper bound sqrt(2n*aux), and the
-    max-shift upper bound psi1 + sqrt((n-1)(2*aux - psi1^2)) where psi1 is
-    the largest shifted eigenvalue (not the largest absolute value).
-    """
-    n = t.psi.shape[-1]
-    le = t.energy
-    lo_spread = 2.0 * np.sqrt(t.aux)
-    hi_frob = np.sqrt(2.0 * n * t.aux)
-    psi1 = t.psi[..., 0]
-    hi_shift = psi1 + np.sqrt(
-        (n - 1) * np.maximum(2.0 * t.aux - _pow(psi1, 2), 0.0))
-    return (
-        _Bound("laplacian_energy_spread_lower", lo_spread, None,
-               le >= lo_spread - BOUND_TOL),
-        _Bound("laplacian_energy_frobenius_upper", None, hi_frob,
-               le <= hi_frob + BOUND_TOL),
-        _Bound("laplacian_energy_max_shift_upper", None, hi_shift,
-               le <= hi_shift + BOUND_TOL),
-    )
+def _identity_check(sums, s, w2, aux) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 3, 4) identity residuals and the scales they are judged on, the
+    last axis in IDENTITIES order, from _identity_sums and the (k, 3)
+    weight sums s, w2 and aux. Rounding grows with the size of the sides
+    an identity compares, so a scale is max(1, |left|, |right|); the
+    shifted sum's sides are the positive and the negative part of the
+    shifted spectrum, which must balance."""
+    w_sum, w_sq, d_sq, psi_sum, psi_sq, psi_pos, psi_neg = sums
+    residuals = np.abs(np.stack([
+        w_sum - 2.0 * s, w_sq - (2.0 * w2 + d_sq), psi_sum,
+        psi_sq - 2.0 * aux], axis=-1))
+    sides = np.abs(np.stack([(w_sum, 2.0 * s), (w_sq, 2.0 * w2 + d_sq),
+                             (psi_pos, psi_neg), (psi_sq, 2.0 * aux)],
+                            axis=-1))
+    return residuals, np.maximum(1.0, sides.max(axis=0))
 
 
 def _identity_residuals(t: _LaplacianTerms) -> np.ndarray:
-    """(k, 3, 4) identity residuals, the last axis in IDENTITIES order."""
-    d2 = np.square(t.d).sum(axis=-1)
-    return np.stack([
-        np.abs(t.w.sum(axis=-1) - 2.0 * t.s),
-        np.abs(np.square(t.w).sum(axis=-1) - (2.0 * t.w2 + d2)),
-        np.abs(t.psi.sum(axis=-1)),
-        np.abs(np.square(t.psi).sum(axis=-1) - 2.0 * t.aux),
-    ], axis=-1)
+    """(k, 3, 4) identity residuals of a stack's Laplacian terms."""
+    return _identity_check(_identity_sums(t.w, t.d, t.psi),
+                           t.s, t.w2, t.aux)[0]
 
 
 def _identity_scales(t: _LaplacianTerms) -> np.ndarray:
-    """(k, 3, 4) scales the identity residuals are judged on, since
-    rounding grows with the size of the sides an identity compares:
-    max(1, |left|, |right|). The shifted sum's sides are the positive and
-    the negative part of the shifted spectrum, which must balance."""
-    sides = np.abs(np.stack([
-        (t.w.sum(axis=-1), 2.0 * t.s),
-        (np.square(t.w).sum(axis=-1),
-         2.0 * t.w2 + np.square(t.d).sum(axis=-1)),
-        (np.maximum(t.psi, 0.0).sum(axis=-1),
-         np.minimum(t.psi, 0.0).sum(axis=-1)),
-        (np.square(t.psi).sum(axis=-1), 2.0 * t.aux),
-    ], axis=-1))
-    return np.maximum(1.0, sides.max(axis=0))
+    """(k, 3, 4) scales of a stack's identity residuals."""
+    return _identity_check(_identity_sums(t.w, t.d, t.psi),
+                           t.s, t.w2, t.aux)[1]
 
 
-def _first_violation(t: _LaplacianTerms
-                     ) -> tuple[int, IdentityViolated] | None:
-    """The first identity residual over IDENTITY_TOL times its scale in
-    (instance, channel, identity) order, as its instance index and error;
-    None if none is."""
-    residuals = _identity_residuals(t)
-    # A scale is at least 1, so a stack whose every residual is within
-    # IDENTITY_TOL needs no scales.
-    if not (residuals > IDENTITY_TOL).any():
-        return None
-    over = residuals > IDENTITY_TOL * _identity_scales(t)
-    if not over.any():
-        return None
-    j, c, i = np.unravel_index(int(over.argmax()), over.shape)
-    return int(j), IdentityViolated(
-        CHANNELS[c], IDENTITIES[i], float(residuals[j, c, i]))
+def _group_sums(adj: np.ndarray) -> np.ndarray:
+    """Every reduction along n that the survey reads of a (k, 3, n, n)
+    stack of one size, as one (15, k, 3) array: the energies, |det|^(2/p),
+    the sums of the upper-triangle weights' squares, of their products
+    with their mirrors and of the weights, dev = sum (d - 2s/n)^2, the
+    Laplacian energies, the largest shifted eigenvalue psi1, then the
+    seven _identity_sums.
+
+    The adjacency matrices and the Laplacians are solved in one call. The
+    identities read their own copy of the Laplacians, so each relation
+    has 9 solves of 6 distinct matrices, the count perfbench pins.
+    """
+    n = adj.shape[-1]
+    lap = _laplacians(adj)
+    w, w_lap, w_id = eigenvalues(np.array([adj, lap, lap]))
+    upper = _upper_weights(adj)
+    s = upper.sum(axis=-1)
+    d = lap.diagonal(axis1=-2, axis2=-1)
+    shift = (2.0 * s / n)[..., None]
+    psi = (w_lap - shift)[..., ::-1]
+    return np.array([
+        np.abs(w).sum(axis=-1), _det_term(w), np.square(upper).sum(axis=-1),
+        (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1), s,
+        np.square(d - shift).sum(axis=-1), np.abs(psi).sum(axis=-1),
+        psi[..., 0], *_identity_sums(w_id, d, (w_id - shift)[..., ::-1])])
 
 
-def _columns(bounds: tuple[_Bound, ...], k: int) -> list[tuple]:
-    """Each bound of a stack of k relations as its quantity and the
-    nested (k, 3) lists of its lower side, upper side and verdict, with
-    None for a missing side."""
-    def listed(a):
-        return [[None] * len(CHANNELS)] * k if a is None else a.tolist()
+class SurveyRow(NamedTuple):
+    """One CSV row of the bounds survey: a named tuple whose fields are in
+    CSV column order, with None for a side its bound lacks.
 
-    return [(b.quantity, listed(b.lower), listed(b.upper),
-             b.satisfied.tolist())
-            for b in bounds]
-
-
-@dataclass(frozen=True)
-class SurveyRow:
-    """One CSV row of the random bounds survey."""
+    With W the sum of squared upper-triangle weights of a p x p channel,
+    the energy rows carry energy_determinant_bounds, the lower bound
+    sqrt(p(p-1)|det|^(2/p) + 2*sum w_ij*w_ji) (det from the eigenvalue
+    product, in the log domain where that leaves the float range) and
+    the Frobenius upper bound sqrt(2p * W); and energy_mean_square_upper,
+    2W/p + sqrt((p-1)(2W - (2W/p)^2)), asserted only under its classical
+    hypothesis 2W >= p and satisfied vacuously where that fails. With
+    dev = sum (d_i - 2S/n)^2 and aux = W + dev/2, the Laplacian rows
+    carry the spread lower bound 2*sqrt(aux), the Frobenius upper bound
+    sqrt(2n*aux), and the max-shift upper bound psi1 + sqrt((n-1)(2*aux -
+    psi1^2)), where psi1 is the largest shifted eigenvalue (not the
+    largest absolute value).
+    """
 
     seed: int
     n: int
@@ -282,22 +243,48 @@ class SurveyRow:
     satisfied: bool
 
 
+QUANTITIES = ("energy_determinant_bounds", "energy_mean_square_upper",
+              "laplacian_energy_spread_lower",
+              "laplacian_energy_frobenius_upper",
+              "laplacian_energy_max_shift_upper")
+# An instance's 15 rows as positions 5c + b of its (channel c, bound b)
+# cells: both energy bounds of each channel, then the three Laplacian ones.
+_ROW_ORDER = [5 * c + b for bounds in ((0, 1), (2, 3, 4))
+              for c in range(len(CHANNELS)) for b in bounds]
+_ROW_NAMES = [(CHANNELS[i // 5], QUANTITIES[i % 5]) for i in _ROW_ORDER]
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int, if it is an integer of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ParameterOutOfRange(
+            f"{name} = {value!r} must be an integer of at least {least}")
+    return int(value)
+
+
 def bounds_survey(seed: int = 42, count: int = 1000,
                   n_range: tuple[int, int] = (3, 8)) -> list[SurveyRow]:
     """Bound rows for `count` random HFPRs, deterministic per seed.
 
-    Instance k draws its dimension and entries from
-    numpy.random.default_rng([seed, k]); the emitted seed column is k.
-    Every instance's Laplacian spectra must also pass the identities, as
-    a residual safety net. Row order per instance: the two energy rows
-    for each channel, then the three Laplacian rows for each channel.
-    Instances are drawn and evaluated a block at a time, so only one
-    block's relations are held at once: SURVEY_BLOCK instances, or fewer
-    when the adjacency stack of a block of the largest size would exceed
-    SURVEY_BLOCK_BYTES, but always at least one.
+    Instance k draws its dimension from n_range = (lo, hi), inclusive, and
+    its entries from numpy.random.default_rng([seed, k]); the emitted seed
+    column is k. Every instance's Laplacian spectra must also pass the
+    identities, as a residual safety net. Row order per instance: the two
+    energy rows for each channel, then the three Laplacian rows for each
+    channel. Instances are drawn and evaluated a block at a time, so only
+    one block's relations are held at once: SURVEY_BLOCK instances, or
+    fewer when the adjacency stack of a block of the largest size would
+    exceed SURVEY_BLOCK_BYTES, but always at least one. A seed or count
+    below 0, or an n_range that is not integers 1 <= lo <= hi, raises
+    ParameterOutOfRange naming the argument; count = 0 gives no rows.
     """
-    rows: list[SurveyRow] = []
+    seed = _integer("seed", seed, 0)
+    count = _integer("count", count, 0)
     lo, hi = n_range
+    lo = _integer("n_range lo", lo, 1)
+    hi = _integer("n_range hi", hi, lo)
+    rows: list[SurveyRow] = []
     size = max(1, min(SURVEY_BLOCK,
                       SURVEY_BLOCK_BYTES // (3 * hi * hi * 8)))
     for start in range(0, count, size):
@@ -313,42 +300,65 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
     """Bound rows for relations keyed first_key onwards, whose Laplacian
     spectra must also pass the identities.
 
-    Relations of one size are evaluated as one stack; rows come out in
-    instance order, and an identity failure raises IdentityViolated for
-    the first failing instance. Bound columns always carry the computed
-    expressions so the report is inspectable; `satisfied` is the
-    assertion, and for the mean-square upper bound it holds vacuously
-    when that bound's hypothesis (2 Σ w² ≥ p) fails on the instance.
+    Each size group gives its reductions along n (_group_sums), scattered
+    into one (15, k, 3) array in instance order; the bounds, verdicts,
+    identities and rows are then computed once for the whole block. The
+    first identity residual over IDENTITY_TOL times its scale, in
+    (instance, channel, identity) order, raises IdentityViolated. Bound
+    columns always carry the computed expressions so the report is
+    inspectable; `satisfied` is the assertion, and for the mean-square
+    upper bound it holds vacuously when that bound's hypothesis
+    (2 Σ w² ≥ p) fails on the instance.
     """
+    sizes = [h.n for h in relations]
+    k = len(sizes)
     groups: dict[int, list[int]] = {}
-    for i, h in enumerate(relations):
-        groups.setdefault(h.n, []).append(i)
-    per_instance: list = [None] * len(relations)
-    first = None
-    for n, members in groups.items():
-        adj = _channels([relations[i] for i in members])
-        e, energy_bounds = _energy_bounds(adj)
-        t = _laplacian_terms(adj)
-        # The identities solve the Laplacians again; perfbench pins 9
-        # solves of 6 matrices per instance.
-        violation = _first_violation(_laplacian_terms(adj))
-        if violation is not None and (
-                first is None or members[violation[0]] < first[0]):
-            first = (members[violation[0]], violation[1])
-        kinds = [(e.tolist(), _columns(energy_bounds, len(members))),
-                 (t.energy.tolist(),
-                  _columns(_laplacian_bounds(t), len(members)))]
-        for j, i in enumerate(members):
-            key = first_key + i
-            per_instance[i] = [
-                SurveyRow(key, n, name, q, values[j][c], lo[j][c],
-                          hi[j][c], ok[j][c])
-                for values, columns in kinds
-                for c, name in enumerate(CHANNELS)
-                for q, lo, hi, ok in columns]
-    if first is not None:
-        raise first[1]
-    return [row for rows in per_instance for row in rows]
+    for i, n in enumerate(sizes):
+        groups.setdefault(n, []).append(i)
+    sums = np.empty((15, k, len(CHANNELS)))  # the 15 _group_sums
+    for members in groups.values():
+        sums[:, members] = _group_sums(
+            _channels([relations[i] for i in members]))
+    e, det_term, w2, prod, s, dev, le, psi1, *identity_sums = sums
+    aux = w2 + 0.5 * dev
+    residuals, scales = _identity_check(identity_sums, s, w2, aux)
+    over = residuals > IDENTITY_TOL * scales
+    if over.any():
+        j, c, i = np.unravel_index(int(over.argmax()), over.shape)
+        raise IdentityViolated(CHANNELS[c], IDENTITIES[i],
+                               float(residuals[j, c, i]))
+
+    # p is n, as a column against the (k, 3) values.
+    p = np.array(sizes, dtype=float)[:, None]
+    lo_det = np.sqrt(p * (p - 1) * det_term + 2.0 * prod)
+    hi_det = np.sqrt(2.0 * p * w2)
+    mean_sq = 2.0 * w2 / p
+    hi_ms = mean_sq + np.sqrt(
+        (p - 1) * np.maximum(2.0 * w2 - _pow(mean_sq, 2), 0.0))
+    lo_spread = 2.0 * np.sqrt(aux)
+    hi_frob = np.sqrt(2.0 * p * aux)
+    hi_shift = psi1 + np.sqrt(
+        (p - 1) * np.maximum(2.0 * aux - _pow(psi1, 2), 0.0))
+    ok = np.stack([
+        (lo_det - BOUND_TOL <= e) & (e <= hi_det + BOUND_TOL),
+        (e <= hi_ms + BOUND_TOL) | (2.0 * w2 < p),
+        le >= lo_spread - BOUND_TOL,
+        le <= hi_frob + BOUND_TOL,
+        le <= hi_shift + BOUND_TOL,
+    ], axis=-1).reshape(k, 15)[:, _ROW_ORDER]
+    # (value, lower, upper) of each (channel, bound) cell, as Python
+    # floats, with None for a side the bound lacks.
+    none = np.full(e.shape, None)
+    cells = np.stack([
+        e, lo_det, hi_det, e, none, hi_ms, le, lo_spread, none,
+        le, none, hi_frob, le, none, hi_shift,
+    ], axis=-1).reshape(k, 15, 3)[:, _ROW_ORDER]
+    return [SurveyRow(key, n, channel, quantity, value, lower, upper, sat)
+            for key, n, instance, verdicts in zip(
+                range(first_key, first_key + k), sizes,
+                cells.tolist(), ok.tolist())
+            for (channel, quantity), (value, lower, upper), sat in zip(
+                _ROW_NAMES, instance, verdicts)]
 
 
 def fixture_survey_rows(experts) -> list[SurveyRow]:

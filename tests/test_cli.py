@@ -428,6 +428,20 @@ class TestVerifyBounds:
         assert main(["verify-bounds", "--n-range", "8:3"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--count", "0"], "count must be at least 1"),
+        (["--count", "-3"], "count must be at least 1"),
+        (["--seed", "-1"], "seed -1 must be non-negative"),
+        (["--n-range", "5:3"], "invalid n range '5:3'"),
+        (["--n-range", "0:3"], "invalid n range '0:3'"),
+        (["--n-range", "3.5:4"], "cannot parse n range '3.5:4', want LO:HI"),
+    ])
+    def test_bad_arguments_keep_cli_messages(self, args, message):
+        # bounds_survey checks these too, but the CLI's own messages are
+        # the ones printed.
+        assert main_output(["verify-bounds", *args]) == (
+            2, "", f"error: {message}\n")
+
     def test_negative_seed_exits_2(self, capsys):
         # numpy rejects a negative seed; it is refused as input first.
         assert main(["verify-bounds", "--seed", "-5", "--count", "2"]) == 2
@@ -975,6 +989,9 @@ GOLDENS = {
     "verify_bounds_fixtures.csv": ["verify-bounds", "--fixtures"],
     "verify_bounds_count40_seed9.csv": ["verify-bounds", "--count", "40",
                                         "--seed", "9"],
+    "verify_bounds_count60_seed3_n1-12.csv": ["verify-bounds", "--count",
+                                              "60", "--seed", "3",
+                                              "--n-range", "1:12"],
     "run_shared_weights.txt": ["run", SHARED_DOC],
     "run_shared_weights.json": ["run", SHARED_DOC, "--format", "json"],
     "run_panel_shared.txt": ["run", PANEL_DOC],
@@ -1022,6 +1039,15 @@ def test_output_matches_golden(name):
         for got, want in zip(got_rows, want_rows):
             assert_json_close([_csv_cell(c) for c in got],
                               [_csv_cell(c) for c in want])
+
+
+def test_survey_golden_byte_for_byte():
+    # n = 1..12 puts n = 1 and 2 and many size groups into one block; every
+    # printed bound keeps its last digit, not just its value within 1e-12.
+    name = "verify_bounds_count60_seed3_n1-12.csv"
+    rc, out, err = main_output(GOLDENS[name])
+    assert (rc, err) == (0, "")
+    assert out == (DATA / "golden" / name).read_text(encoding="utf-8")
 
 
 def test_escaped_strings_match_golden_byte_for_byte():

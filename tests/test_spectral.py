@@ -11,11 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfgdm import (
     CHANNELS,
     AsymmetricEntry,
     IdentityViolated,
+    ParameterOutOfRange,
     TripleOutOfRange,
     bounds_survey,
     energy,
@@ -676,3 +679,109 @@ class TestIdentityFailure:
             bounds_survey(seed=seed, count=count, n_range=n_range)
         assert (err.value.channel, err.value.identity,
                 err.value.residual) == want
+
+
+class TestSurveyArguments:
+    """bounds_survey checks its arguments before drawing anything."""
+
+    @pytest.mark.parametrize("given_args, name", [
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"count": -3}, "count"),
+        ({"count": True}, "count"),
+        ({"n_range": (5, 3)}, "n_range"),
+        ({"n_range": (3.5, 4)}, "n_range"),
+        ({"n_range": (3, 4.0)}, "n_range"),
+        ({"n_range": (0, 3)}, "n_range"),
+    ])
+    def test_out_of_range_argument_is_named(self, monkeypatch, given_args,
+                                            name):
+        def draw(n, rng):
+            raise AssertionError("drew before checking the arguments")
+        monkeypatch.setattr(spectral, "random_hfpr", draw)
+        args = {"seed": 1, "count": 2, "n_range": (3, 4)} | given_args
+        with pytest.raises(ParameterOutOfRange, match=rf"^{name}\b"):
+            bounds_survey(**args)
+
+    def test_count_zero_gives_no_rows(self):
+        assert bounds_survey(seed=1, count=0) == []
+
+    def test_numpy_integers_accepted(self):
+        got = bounds_survey(seed=np.int64(5), count=np.int32(3),
+                            n_range=(np.int64(3), np.uint8(5)))
+        assert got == bounds_survey(seed=5, count=3, n_range=(3, 5))
+
+
+class TestBlockPass:
+    """Each size group's sums are scattered into one block, which is
+    bounded and checked once; every row must keep the bytes of the
+    one-relation reference however the instances fall into blocks and
+    groups."""
+
+    def test_no_relations_give_no_rows(self):
+        assert fixture_survey_rows([]) == []
+
+    def test_rows_are_tuples_in_column_order(self, m1):
+        row = fixture_survey_rows([m1])[0]
+        assert isinstance(row, tuple)
+        assert SurveyRow._fields == ("seed", "n", "channel", "quantity",
+                                     "value", "bound_lo", "bound_hi",
+                                     "satisfied")
+        assert tuple(row) == (row.seed, row.n, row.channel, row.quantity,
+                              row.value, row.bound_lo, row.bound_hi,
+                              row.satisfied)
+
+    @pytest.mark.parametrize("block", [3, 256])
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 30),
+           ends=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    @settings(max_examples=15, deadline=None)
+    def test_survey_equals_reference(self, block, seed, count, ends):
+        n_range = (min(ends), max(ends))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "SURVEY_BLOCK", block)
+            got = bounds_survey(seed=seed, count=count, n_range=n_range)
+        want = [row for k, h in enumerate(
+                    _survey_relations(seed, count, n_range))
+                for row in survey_rows_reference(k, h)]
+        assert exact(got) == exact(want)
+
+
+class TestScaling:
+    """Energy and Laplacian energy are homogeneous of degree 1: scaling a
+    relation by t in (0, 1] scales both by t, and so every bound side the
+    survey prints, except the mean-square bound, whose hypothesis
+    2 sum w^2 >= p is not scale-free. t stays at or above 1e-6, where the
+    squares and products the bounds form stay normal floats; far below it
+    they underflow, and no float computation can keep the property."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10),
+           l=st.integers(1, 4),
+           t=st.floats(min_value=1e-6, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_energies_scale_by_t(self, seed, n, l, t):
+        rng = np.random.default_rng(seed)
+        rels = [random_hfpr(n, rng) for _ in range(l)]
+        scaled = [make_hfpr(t * h.values) for h in rels]
+        for kind in (spectral.energies, spectral.laplacian_energies):
+            np.testing.assert_allclose(kind(scaled), t * kind(rels),
+                                       rtol=1e-12, atol=0.0)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10),
+           t=st.floats(min_value=1e-6, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_survey_rows_scale_by_t(self, seed, n, t):
+        h = random_hfpr(n, np.random.default_rng(seed))
+        rows = fixture_survey_rows([h])
+        scaled = fixture_survey_rows([make_hfpr(t * h.values)])
+        for r, s in zip(rows, scaled):
+            assert (s.channel, s.quantity) == (r.channel, r.quantity)
+            sides = [("value", r.value, s.value),
+                     ("bound_lo", r.bound_lo, s.bound_lo)]
+            if r.quantity != "energy_mean_square_upper":
+                sides.append(("bound_hi", r.bound_hi, s.bound_hi))
+            for field, v, sv in sides:
+                if v is None:
+                    assert sv is None, (r.quantity, field)
+                else:
+                    assert sv == pytest.approx(t * v, rel=1e-12, abs=0.0), \
+                        (r.channel, r.quantity, field)
