@@ -11,6 +11,7 @@ command-line tool).
 from .core import (
     CHANNELS,
     HFPR,
+    Panel,
     VertexAttribute,
     make_hfpr,
     random_hfpr,

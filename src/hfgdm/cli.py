@@ -10,8 +10,9 @@ the published case-study table column order (gamma, score vectors,
 similarities to the ideals, closeness, ranking) for eyeball diffing. All
 output is written once, atomically, at the end of a run.
 
-Exit codes: 0 success, 1 internal error, 2 input validation failure,
-3 bound violation in verify-bounds.
+Exit codes: 0 success, 1 internal error, 2 input validation failure or
+an input or --out path that cannot be read or written, 3 bound violation
+in verify-bounds.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fixtures
-from .core import HFPR, VertexAttribute, make_hfpr, random_hfpr
+from .core import Panel, VertexAttribute, make_hfpr, random_hfpr
 from .errors import ComputationError, SchemaViolation, ValidationError
 from .pipeline import (
     CLOSENESS_MODES,
@@ -51,14 +52,16 @@ _TOP_KEYS = {"alternatives", "experts", "config", "published", "vertex_attrs"}
 class InputDocument:
     """One parsed and validated scenario document.
 
-    published holds converted values: pair_similarity maps expert index
-    pairs to floats, similarity_degrees and ca are float arrays, ranking
-    is a tuple of labels.
+    experts is the Panel of the expert relations, which run and the
+    spectra take without a second check. published holds converted
+    values: pair_similarity maps expert index pairs to floats,
+    similarity_degrees and ca are float arrays, ranking is a tuple of
+    labels.
     """
 
     alternatives: tuple[str, ...]
     expert_ids: tuple[str, ...]
-    experts: tuple[HFPR, ...]
+    experts: Panel
     config: PipelineConfig
     published: dict | None
 
@@ -398,7 +401,7 @@ def _document(raw) -> InputDocument:
     return InputDocument(
         alternatives=alternatives,
         expert_ids=ids,
-        experts=tuple(relations),
+        experts=Panel.of(relations),
         config=config,
         published=published,
     )
@@ -552,20 +555,43 @@ def _report_table(doc: InputDocument, report: RankingReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _PathError(Exception):
+    """A path a command cannot read or write; main reports it, exit 2."""
+
+
+def _read_input(path: str) -> InputDocument:
+    """parse_input, with a path that exists but cannot be read, such as
+    a directory, reported as a _PathError naming it. A missing path still
+    raises FileNotFoundError."""
+    try:
+        return parse_input(path)
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as e:
+        raise _PathError(f"cannot read input {path}: "
+                         f"{getattr(e, 'strerror', None) or e}") from None
+
+
 def _write_output(text: str, out_path: str | None) -> None:
+    """Write text to stdout, or atomically to out_path: a temp file in its
+    directory, renamed over it. A failure leaves no temp file behind and
+    is a _PathError naming out_path."""
     if out_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise _PathError(
+            f"cannot write output {out_path}: {e.strerror or e}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # run flag -> the PipelineConfig field it sets
@@ -599,7 +625,7 @@ def _merged_config(doc: InputDocument, args) -> PipelineConfig:
 
 
 def cmd_run(args) -> int:
-    doc = parse_input(args.input)
+    doc = _read_input(args.input)
     config = _merged_config(doc, args)
     report = run_pipeline(doc.experts, config)
     if args.format == "json":
@@ -611,7 +637,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    doc = parse_input(args.input)
+    doc = _read_input(args.input)
     adjacency = energies(doc.experts)
     lap = laplacian_energies(doc.experts)
     if args.format == "json":
@@ -667,7 +693,7 @@ def _survey_csv(rows) -> str:
 
 def cmd_verify_bounds(args) -> int:
     if args.fixtures is not None:
-        doc = parse_input(args.fixtures)
+        doc = _read_input(args.fixtures)
         rows = fixture_survey_rows(doc.experts)
     else:
         if args.count < 1:
@@ -787,7 +813,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: input not found: {e}", file=sys.stderr)
         return 2
-    except ValidationError as e:
+    except (ValidationError, _PathError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ComputationError as e:

@@ -13,6 +13,12 @@ relation once, symmetry included: a valid array is accepted after a few
 whole-array reductions, and only an invalid one is scanned rule by rule
 for the first offending entry in row-major order. Later stages trust the
 HFPR type and do not check it again.
+
+A Panel is the group of relations that every later stage works on: the
+l experts' relations, nonempty and of one size, with their values
+stacked once. Panel.of is the one place that checks a group and stacks
+it; every function that takes a group accepts a Panel as is, or a
+sequence of relations that it turns into one.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .errors import (
     DiagonalNotZero,
     DimensionMismatch,
     EdgeExceedsVertexBound,
+    NeedTwoExperts,
     ParameterOutOfRange,
     TripleOutOfRange,
     ValidationError,
@@ -101,6 +108,44 @@ class HFPR:
         n = self.n
         return _freeze(np.ascontiguousarray(
             self.values.reshape(n * n, 3)[_upper_indices(n)].T))
+
+
+def _one_size(relations) -> int:
+    """The one size n of relations, or DimensionMismatch naming theirs."""
+    sizes = {h.n for h in relations}
+    if len(sizes) != 1:
+        raise DimensionMismatch(f"mixed relation sizes {sorted(sizes)}")
+    return sizes.pop()
+
+
+@dataclass(frozen=True, eq=False)
+class Panel:
+    """Relations of one size as a sequence, stacked once: read-only
+    (l, n, n, 3) values, and the same bytes as contiguous (l, 3, n, n)
+    channel matrices. Construct through Panel.of."""
+
+    relations: tuple[HFPR, ...]
+    values: np.ndarray
+    channels: np.ndarray
+
+    @classmethod
+    def of(cls, relations) -> Panel:
+        """A Panel as is; else nonempty relations of one size, stacked."""
+        if isinstance(relations, Panel):
+            return relations
+        relations = tuple(relations)
+        if not relations:
+            raise NeedTwoExperts("need at least 1 relation")
+        _one_size(relations)
+        values = _freeze(np.stack([h.values for h in relations]))
+        return cls(relations, values, _freeze(
+            np.ascontiguousarray(values.transpose(0, 3, 1, 2))))
+
+    def __len__(self) -> int:
+        return len(self.relations)
+
+    def __getitem__(self, k):
+        return self.relations[k]
 
 
 def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:

@@ -9,7 +9,13 @@ ranking. A run evaluates the whole gamma_blend grid as one stack: c2 is
 blended once, c for every grid value in one (g, l, 3) expression, and
 the aggregates' ideal similarities, closeness and rankings as (g, n)
 arrays. Only stage vii runs once per grid value, in grid order, so a
-closure failure names the first failing value.
+closure failure names the first failing value, and run's message says
+so: "stage vii (aggregation) at gamma_blend = g: " before
+aggregate_hfpr's own.
+
+Every function that takes the experts' relations takes a Panel, or a
+sequence of relations that Panel.of checks and stacks. run builds that
+Panel once, or takes the one it is given, and hands it to every stage.
 
 Checkpoint overrides can inject values at stages ii (c1), iii (pairwise
 similarities), iv (ca), vi (c), and vii (the aggregated relation); every
@@ -31,12 +37,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import HFPR, _freeze, make_hfpr
+from .core import HFPR, Panel, _freeze, make_hfpr
 from .errors import (
-    DimensionMismatch,
     NeedTwoExperts,
     OverrideShapeMismatch,
     ParameterOutOfRange,
+    TripleOutOfRange,
     ZeroDenominator,
 )
 from .similarity import _ideal_rows, _mean_degree, _resolve_pairwise, closeness
@@ -185,32 +191,6 @@ class RankingReport:
     overridden: tuple[str, ...]
 
 
-class _Checked(tuple):
-    """Relations that passed _check_experts, with their values stacked
-    into one read-only (l, n, n, 3) array."""
-
-    values: np.ndarray
-
-
-def _check_experts(experts) -> _Checked:
-    """Nonempty and of one relation size: what every stage needs beyond
-    what make_hfpr already checked of each relation, symmetry included.
-
-    Returns the relations as a _Checked, which later stages accept
-    without checking again.
-    """
-    if isinstance(experts, _Checked):
-        return experts
-    if len(experts) == 0:
-        raise NeedTwoExperts("need at least 1 relation")
-    ns = {h.n for h in experts}
-    if len(ns) != 1:
-        raise DimensionMismatch(f"mixed relation sizes {sorted(ns)}")
-    checked = _Checked(experts)
-    checked.values = _freeze(np.stack([h.values for h in experts]))
-    return checked
-
-
 def uncertainty_scores(experts, mode: str = "energy",
                        normalization: str = "auto") -> np.ndarray:
     """Stage-ii score triples from per-expert energies.
@@ -223,7 +203,6 @@ def uncertainty_scores(experts, mode: str = "energy",
     """
     _check_choice("mode", mode, MODES)
     _check_choice("normalization", normalization, NORMALIZATIONS)
-    experts = _check_experts(experts)
     measure = energies if mode == "energy" else laplacian_energies
     raw = measure(experts)
     if _normalization(mode, normalization) == "per_expert":
@@ -243,6 +222,7 @@ def _degrees_and_weights(experts, pairs):
     l = len(experts)
     if l < 2:
         raise NeedTwoExperts(f"need at least 2 relations, got {l}")
+    experts = Panel.of(experts)
     degrees = tuple(_mean_degree(experts, b, pairs) for b in range(l))
     total = sum(degrees)
     if not np.isfinite(total):
@@ -336,10 +316,23 @@ def aggregate_hfpr(experts, c) -> HFPR:
     for gamma and beta with columns 1 and 2. The result is validated as an
     HFPR; it always passes when every weight column sums to at most 1.
     """
-    experts = _check_experts(experts)
+    experts = Panel.of(experts)
     weights = _score_matrix(c, len(experts), "c")
     vals = np.einsum("bc,bijc->ijc", weights, experts.values)
     return make_hfpr(vals, labels=experts[0].labels)
+
+
+def _aggregate_at(experts: Panel, c, gamma_blend: float) -> HFPR:
+    """aggregate_hfpr within run: a weighted triple outside the valid
+    range names the stage and the gamma_blend value before its own
+    message, as the same TripleOutOfRange with the same (i, j)."""
+    try:
+        return aggregate_hfpr(experts, c)
+    except TripleOutOfRange as e:
+        gamma = np.format_float_positional(gamma_blend, trim="-")
+        raise TripleOutOfRange(
+            f"stage vii (aggregation) at gamma_blend = {gamma}: {e}",
+            e.i, e.j) from None
 
 
 def rank(agg: HFPR, closeness_mode: str = "relative") -> tuple:
@@ -374,7 +367,7 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     recomputed from the injected values.
     """
     config = config or PipelineConfig()
-    experts = _check_experts(experts)
+    experts = Panel.of(experts)
     l = len(experts)
     ov = config.overrides
 
@@ -413,7 +406,7 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     if ov.aggregated is not None:
         aggs = [ov.aggregated] * len(grid)
     else:
-        aggs = [aggregate_hfpr(experts, c) for c in c_used]
+        aggs = [_aggregate_at(experts, c, g) for g, c in zip(grid, c_used)]
     ranked = _rank_stack(np.stack([a.values for a in aggs]),
                          config.closeness_mode)
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HFPR
+from .core import HFPR, Panel, _one_size
 from .errors import (
     DegenerateDenominator,
-    DimensionMismatch,
     IndexOutOfRange,
     NeedTwoExperts,
     OverrideShapeMismatch,
@@ -32,10 +31,7 @@ IDEAL_KINDS = ("positive", "negative")
 
 def pair_similarity(a: HFPR, b: HFPR) -> float:
     """Similarity of two same-size relations, in [1/n, 1], symmetric."""
-    if a.n != b.n:
-        raise DimensionMismatch(
-            f"relations of size {a.n} and {b.n} are not comparable")
-    n = a.n
+    n = _one_size((a, b))
     if n == 1:
         return 1.0
     d = np.abs(a.upper - b.upper)
@@ -105,7 +101,7 @@ def mean_similarity_degree(experts, b: int, pairwise=None) -> float:
         raise NeedTwoExperts(f"need at least 2 relations, got {l}")
     if not (0 <= b < l):
         raise IndexOutOfRange(f"expert index {b} outside 0..{l - 1}")
-    return _mean_degree(experts, b, _resolve_pairwise(pairwise, l))
+    return _mean_degree(Panel.of(experts), b, _resolve_pairwise(pairwise, l))
 
 
 def _ideal_rows(rows: np.ndarray, which: str) -> np.ndarray:

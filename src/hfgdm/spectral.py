@@ -9,20 +9,21 @@ one. The classical spectral bounds on both come only as SurveyRows, from
 bounds_survey or fixture_survey_rows, which also assert the trace and
 Frobenius identities every Laplacian spectrum must satisfy.
 
-Every function here takes relations, which make_hfpr found symmetric
-and finite, and every spectrum comes from _kernels.eigenvalues on their
-channel matrices, stacked (k, 3, n, n) for k same-size relations:
-energies and laplacian_energies take a panel of relations at once, and
-the single-relation functions are a stack of one through the same code.
-The survey groups a block of instances by n. Per group it does only what
-depends on n: one solve of the stacked adjacency and Laplacian matrices
-and the sums along n. Those (k, 3) sums are scattered into instance
-order, and the bounds, verdicts, identities and rows are computed once
-for the whole block, elementwise, so each float is the same IEEE
-operation it would be in a group of one. The three pow terms
-(|det|^(2/p), (2W/p)^2 and psi1^2) are taken with Python float pow on
-the (k, 3) values, because numpy's array power can differ from it in the
-last bit and the survey's printed bounds are byte-stable.
+Every function here takes relations, which make_hfpr found symmetric and
+finite, and every spectrum comes from _kernels.eigenvalues on their
+channel matrices: a Panel's (k, 3, n, n) channels stack. energies and
+laplacian_energies take a Panel, or relations that Panel.of turns into
+one, and the single-relation functions are a Panel of one through the
+same code. The survey groups a block of instances by n, each group a
+Panel. Per group it does only what depends on n: one solve of the
+stacked adjacency and Laplacian matrices and the sums along n. Those
+(k, 3) sums are scattered into instance order, and the bounds, verdicts,
+identities and rows are computed once for the whole block, elementwise,
+so each float is the same IEEE operation it would be in a group of one.
+The three pow terms (|det|^(2/p), (2W/p)^2 and psi1^2) are taken with
+Python float pow on the (k, 3) values, because numpy's array power can
+differ from it in the last bit and the survey's printed bounds are
+byte-stable.
 
 A reported bound violation is a finding, not an error, in the random
 survey; the bundled fixtures are expected to satisfy every bound.
@@ -36,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import CHANNELS, HFPR, _freeze, _upper_indices, random_hfpr
-from .errors import DimensionMismatch, IdentityViolated, ParameterOutOfRange
+from .core import CHANNELS, HFPR, Panel, _freeze, _upper_indices, random_hfpr
+from .errors import IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
 BOUND_TOL = 1e-9
@@ -45,17 +46,6 @@ SURVEY_BLOCK = 256  # most random instances held and evaluated at once
 SURVEY_BLOCK_BYTES = 64 * 2 ** 20  # cap on one block's adjacency stack
 IDENTITIES = ("laplacian_trace", "laplacian_square", "shifted_sum",
               "shifted_square")
-
-
-def _channels(relations) -> np.ndarray:
-    """The channel matrices of same-size relations, which make_hfpr
-    validated, as a contiguous (k, 3, n, n) stack."""
-    sizes = {h.n for h in relations}
-    if len(sizes) != 1:
-        raise DimensionMismatch(
-            f"need relations of one size, got sizes {sorted(sizes)}")
-    return np.ascontiguousarray(
-        np.stack([h.values for h in relations]).transpose(0, 3, 1, 2))
 
 
 def _laplacians(a: np.ndarray) -> np.ndarray:
@@ -91,9 +81,9 @@ def _det_term(w: np.ndarray) -> np.ndarray:
 
 
 def energies(relations) -> np.ndarray:
-    """energy() of each of same-size relations, solved as one stack: a
-    read-only (k, 3) array."""
-    return _freeze(np.abs(eigenvalues(_channels(relations))).sum(axis=-1))
+    """energy() of each relation of a Panel, or of relations Panel.of
+    accepts, solved as one stack: a read-only (k, 3) array."""
+    return _freeze(np.abs(eigenvalues(Panel.of(relations).channels)).sum(-1))
 
 
 def energy(h: HFPR) -> np.ndarray:
@@ -137,9 +127,9 @@ def _laplacian_terms(adj: np.ndarray) -> _LaplacianTerms:
 
 
 def laplacian_energies(relations) -> np.ndarray:
-    """laplacian_energy() of each of same-size relations, solved as one
-    stack: a read-only (k, 3) array."""
-    return _freeze(_laplacian_terms(_channels(relations)).energy)
+    """laplacian_energy() of each relation of a Panel, or of relations
+    Panel.of accepts, solved as one stack: a read-only (k, 3) array."""
+    return _freeze(_laplacian_terms(Panel.of(relations).channels).energy)
 
 
 def laplacian_energy(h: HFPR) -> np.ndarray:
@@ -317,8 +307,9 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
         groups.setdefault(n, []).append(i)
     sums = np.empty((15, k, len(CHANNELS)))  # the 15 _group_sums
     for members in groups.values():
-        sums[:, members] = _group_sums(
-            _channels([relations[i] for i in members]))
+        group = ([relations[i] for i in members] if len(groups) > 1
+                 else relations)  # one size: a Panel is used as is
+        sums[:, members] = _group_sums(Panel.of(group).channels)
     e, det_term, w2, prod, s, dev, le, psi1, *identity_sums = sums
     aux = w2 + 0.5 * dev
     residuals, scales = _identity_check(identity_sums, s, w2, aux)
@@ -363,4 +354,5 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
 
 def fixture_survey_rows(experts) -> list[SurveyRow]:
     """Bound rows for explicit relations; seed column carries the index."""
-    return _survey_rows(list(experts), 0)
+    return _survey_rows(
+        experts if isinstance(experts, Panel) else list(experts), 0)

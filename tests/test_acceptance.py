@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hfgdm import (
+    Panel,
     aggregate_hfpr,
     energy,
     laplacian_energy,
@@ -29,8 +30,7 @@ from hfgdm.cli import main
 from hfgdm.errors import TripleOutOfRange
 from hfgdm.pipeline import Overrides, PipelineConfig, run
 from hfgdm import bounds_survey
-from hfgdm.spectral import (_channels, _identity_residuals, _laplacian_terms,
-                            _laplacians)
+from hfgdm.spectral import _identity_residuals, _laplacian_terms, _laplacians
 
 from conftest import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
 from test_kernels import eigs_2x2, eigs_3x3
@@ -298,7 +298,8 @@ def test_criterion_6_property_suites():
     residual_max = 0.0
     for _ in range(60):
         h = random_hfpr(int(rng.integers(3, 9)), rng)
-        residuals = _identity_residuals(_laplacian_terms(_channels([h])))
+        residuals = _identity_residuals(
+            _laplacian_terms(Panel.of([h]).channels))
         residual_max = max(residual_max, float(residuals.max()))
     assert residual_max < 1e-8
 

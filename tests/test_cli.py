@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -492,6 +493,15 @@ class TestGenerate:
         assert main(["run", str(path)]) == 2
         assert "exceeds 1" in capsys.readouterr().err
 
+    def test_closure_failure_names_stage_and_gamma(self, tmp_path):
+        path = str(tmp_path / "gen.json")
+        assert main(["generate", "--seed", "1", "--n", "5", "--experts", "4",
+                     "--out", path]) == 0
+        assert main_output(["run", path]) == (
+            2, "", "error: stage vii (aggregation) at gamma_blend = 0: "
+            "mu + gamma + beta = 1.085199015764041 at entry (0, 1) "
+            "exceeds 1\n")
+
     def test_degenerate_sizes_exit_2(self, capsys):
         assert main(["generate", "--n", "1"]) == 2
         assert main(["generate", "--experts", "1"]) == 2
@@ -892,6 +902,53 @@ def test_duplicate_alternative_labels_exit_2_naming_one(tmp_path):
     with pytest.raises(SchemaViolation) as info:
         parse_input(doc)
     assert info.value.field == "alternatives"
+
+
+# -- paths that cannot be read or written ------------------------------------
+
+# Each command's arguments before the path under test: the input document
+# it reads, and, given an --out after them, the output it writes.
+READS = {"run": ["run"], "verify-bounds": ["verify-bounds", "--fixtures"]}
+WRITES = {"run": ["run", "smartphone.json"],
+          "verify-bounds": ["verify-bounds", "--count", "2"]}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_unreadable_input_exits_2_naming_it(tmp_path, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main_output(READS[command] + [str(folder)]) == (
+        2, "", f"error: cannot read input {folder}: "
+        f"{os.strerror(errno.EISDIR)}\n")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff{}")
+    rc, out, err = main_output(READS[command] + [str(binary)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot read input {binary}: 'utf-8' codec")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_missing_input_is_still_not_found(tmp_path, command):
+    missing = str(tmp_path / "nope.json")
+    assert main_output(READS[command] + [missing]) == (
+        2, "", f"error: input not found: {missing}\n")
+
+
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_unwritable_out_exits_2_naming_it(tmp_path, command):
+    # A missing directory and an existing directory, neither by mode bits:
+    # the tests may run as a user whom no mode stops.
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for out, errnum in ((missing, errno.ENOENT), (folder, errno.EISDIR)):
+        assert main_output(WRITES[command] + ["--out", str(out)]) == (
+            2, "", f"error: cannot write output {out}: "
+            f"{os.strerror(errnum)}\n")
+    # No temp file is left, and the directory stays as it was.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+    assert list(folder.iterdir()) == []
 
 
 def test_energy_and_fixture_survey_check_published_and_overrides(tmp_path):

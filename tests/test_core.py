@@ -21,6 +21,8 @@ from hfgdm import (
     DiagonalNotZero,
     DimensionMismatch,
     EdgeExceedsVertexBound,
+    NeedTwoExperts,
+    Panel,
     ParameterOutOfRange,
     TripleOutOfRange,
     ValidationError,
@@ -442,12 +444,61 @@ class TestRandomHfpr:
         assert np.array_equal(build(M1_ROWS).values, m1.values)
 
 
+class TestPanel:
+    def test_stacks_once_and_acts_as_its_relations(self, experts):
+        panel = Panel.of(experts)
+        assert panel.relations == tuple(experts)
+        assert len(panel) == 3
+        assert panel[1] is experts[1]
+        assert list(panel) == list(experts)
+        assert panel.values.shape == (3, 4, 4, 3)
+        assert np.array_equal(panel.values,
+                              np.stack([h.values for h in experts]))
+
+    def test_channels_are_the_solver_layout(self, experts):
+        # The bytes and the layout the eigensolver always took: the
+        # stacked values with the channel axis second, contiguous.
+        panel = Panel.of(experts)
+        want = np.ascontiguousarray(np.stack(
+            [h.values for h in experts]).transpose(0, 3, 1, 2))
+        assert panel.channels.shape == (3, len(CHANNELS), 4, 4)
+        assert panel.channels.flags.c_contiguous
+        assert panel.channels.tobytes() == want.tobytes()
+
+    def test_read_only(self, experts):
+        panel = Panel.of(experts)
+        for a in (panel.values, panel.channels):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0, 0] = 1.0
+
+    def test_a_panel_is_returned_as_is(self, experts):
+        panel = Panel.of(experts)
+        assert Panel.of(panel) is panel
+
+    def test_takes_any_iterable_of_relations(self, experts):
+        panel = Panel.of(h for h in experts)
+        assert panel.relations == tuple(experts)
+
+    def test_one_relation_of_size_one(self):
+        panel = Panel.of([make_hfpr(np.zeros((1, 1, 3)))])
+        assert panel.values.shape == (1, 1, 1, 3)
+        assert panel.channels.shape == (1, 3, 1, 1)
+
+    def test_rejects_none_and_mixed_sizes(self, m1):
+        with pytest.raises(NeedTwoExperts, match="^need at least 1 relation$"):
+            Panel.of([])
+        small = make_hfpr(np.zeros((5, 5, 3)))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^mixed relation sizes \[4, 5\]$"):
+            Panel.of([small, m1, small])
+
+
 PUBLIC_SURFACE = [
     "AsymmetricEntry", "CHANNELS", "ComputationError",
     "DegenerateDenominator", "DiagonalNotZero", "DimensionMismatch",
     "EdgeExceedsVertexBound", "GammaRecord", "HFPR", "IdentityViolated",
     "IndexOutOfRange", "NEGATIVE_IDEAL", "NeedTwoExperts", "NoConvergence",
-    "OverrideShapeMismatch", "Overrides", "POSITIVE_IDEAL",
+    "OverrideShapeMismatch", "Overrides", "POSITIVE_IDEAL", "Panel",
     "ParameterOutOfRange", "PipelineConfig", "RankingReport",
     "SchemaViolation", "ScoreSet", "SurveyRow", "TripleOutOfRange",
     "ValidationError", "VertexAttribute", "ZeroDenominator",

@@ -3,26 +3,34 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hfgdm.cli as cli
 from hfgdm import (
     AsymmetricEntry,
+    DimensionMismatch,
     GammaRecord,
     NeedTwoExperts,
     Overrides,
     OverrideShapeMismatch,
+    Panel,
     ParameterOutOfRange,
     PipelineConfig,
     TripleOutOfRange,
     ZeroDenominator,
     aggregate_hfpr,
     blend_scores,
+    energies,
+    laplacian_energies,
     make_hfpr,
+    mean_similarity_degree,
     random_hfpr,
     rank,
     similarity_weights,
     uncertainty_scores,
 )
-from hfgdm.pipeline import run
+from hfgdm.pipeline import MODES, run
 
 from conftest import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
 
@@ -454,18 +462,23 @@ class TestRun:
             PipelineConfig(closeness_mode="harmonic")
 
     def test_experts_checked_once_per_run(self, experts, monkeypatch):
-        # run checks the relations once and hands the checked tuple to
-        # uncertainty_scores and to every aggregate_hfpr call.
-        import hfgdm.pipeline as pipeline
+        # run builds one Panel of the relations, the only check and stack,
+        # and hands it to every stage; a Panel passed in is used as is.
         built = []
+        init = Panel.__init__
 
-        class Counted(pipeline._Checked):
-            def __new__(cls, relations):
-                built.append(relations)
-                return super().__new__(cls, relations)
-        monkeypatch.setattr(pipeline, "_Checked", Counted)
-        run(experts, PipelineConfig())
-        assert len(built) == 1
+        def counted(self, *fields):
+            built.append(fields[0])
+            init(self, *fields)
+        monkeypatch.setattr(Panel, "__init__", counted)
+        panel = Panel.of(experts)
+        for mode in ("energy", "laplacian"):
+            built.clear()
+            run(experts, PipelineConfig(mode=mode))
+            assert built == [tuple(experts)]
+            built.clear()
+            run(panel, PipelineConfig(mode=mode))
+            assert built == []
 
     def test_public_stages_check_their_own_input(self, experts):
         from hfgdm import DimensionMismatch
@@ -487,6 +500,65 @@ class TestRun:
         from hfgdm import DimensionMismatch
         with pytest.raises(DimensionMismatch):
             run((experts[0], small), PipelineConfig())
+
+
+# -- one check of the relations for every entry point -----------------------
+
+# Every function that takes a group of relations, with any other argument
+# it needs fixed. All reach Panel.of, the one check.
+ENTRY_POINTS = {
+    "energies": energies,
+    "laplacian_energies": laplacian_energies,
+    "uncertainty_scores": uncertainty_scores,
+    "similarity_weights": similarity_weights,
+    "mean_similarity_degree": lambda rels: mean_similarity_degree(rels, 0),
+    "aggregate_hfpr": lambda rels: aggregate_hfpr(
+        rels, np.full((len(rels), 3), 1.0 / max(len(rels), 1))),
+    "run": run,
+}
+# These need a pair before they need one size.
+NEED_TWO = {"similarity_weights", "mean_similarity_degree"}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_mixed_sizes_raise_one_error_everywhere(experts, name):
+    five = random_hfpr(5, np.random.default_rng(0))
+    for rels in ((experts[0], five), (five, experts[1], five)):
+        with pytest.raises(DimensionMismatch) as info:
+            ENTRY_POINTS[name](rels)
+        assert str(info.value) == "mixed relation sizes [4, 5]"
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_no_relations_raise_need_two_experts(name):
+    with pytest.raises(NeedTwoExperts) as info:
+        ENTRY_POINTS[name](())
+    assert str(info.value) == ("need at least 2 relations, got 0"
+                               if name in NEED_TWO
+                               else "need at least 1 relation")
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+       l=st.integers(2, 5), mode=st.sampled_from(MODES))
+@settings(max_examples=40, deadline=None)
+def test_panel_and_tuple_give_the_same_bytes(seed, n, l, mode):
+    # Shared weights 1/l keep every aggregate closed.
+    rng = np.random.default_rng(seed)
+    rels = tuple(random_hfpr(n, rng) for _ in range(l))
+    panel = Panel.of(rels)
+    for kind in (energies, laplacian_energies):
+        assert kind(panel).tobytes() == kind(rels).tobytes()
+    config = PipelineConfig(
+        mode=mode, overrides=Overrides(c=np.full((l, 3), 1.0 / l)))
+    texts = []
+    for experts in (rels, panel):
+        doc = cli.InputDocument(
+            alternatives=rels[0].labels,
+            expert_ids=tuple(f"e{k + 1}" for k in range(l)),
+            experts=experts, config=config, published=None)
+        texts.append(cli._emit_json(cli._report_json(doc, run(experts,
+                                                              config))))
+    assert texts[0] == texts[1]
 
 
 # -- the gamma grid as one stack ------------------------------------------
@@ -633,7 +705,13 @@ class TestStackedGrid:
                 continue
             with pytest.raises(TripleOutOfRange) as single:
                 aggregate_hfpr(experts, c)
-            assert str(stacked.value) == str(single.value)
+            # run names the stage and the value; the entry and the
+            # message of aggregate_hfpr follow unchanged.
+            assert str(stacked.value) == (
+                "stage vii (aggregation) at gamma_blend = 0.5: "
+                + str(single.value))
+            assert (stacked.value.i, stacked.value.j) == (
+                single.value.i, single.value.j)
 
     def test_blend_scores_is_the_grid_of_one(self, experts):
         report = run(experts, PipelineConfig(gamma_grid=(0.7,)))

@@ -85,7 +85,9 @@ class TestPairSimilarity:
         assert pair_similarity(a, b) == 1.0
 
     def test_dimension_mismatch(self, m1):
-        with pytest.raises(DimensionMismatch):
+        # The message every group of relations gives.
+        with pytest.raises(DimensionMismatch,
+                           match=r"^mixed relation sizes \[2, 4\]$"):
             pair_similarity(m1, make_hfpr(np.zeros((2, 2, 3))))
 
     def test_symmetry_bit_exact(self, experts):

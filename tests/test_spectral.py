@@ -18,6 +18,7 @@ from hfgdm import (
     CHANNELS,
     AsymmetricEntry,
     IdentityViolated,
+    Panel,
     ParameterOutOfRange,
     TripleOutOfRange,
     bounds_survey,
@@ -28,7 +29,7 @@ from hfgdm import (
 )
 from hfgdm import spectral
 from hfgdm._kernels import eigenvalues
-from hfgdm.spectral import (SurveyRow, _channels, _identity_residuals,
+from hfgdm.spectral import (SurveyRow, _identity_residuals,
                             _identity_scales, _laplacian_terms, _laplacians,
                             fixture_survey_rows)
 
@@ -148,7 +149,7 @@ def square_weight_sum(h, k):
 
 def laplacian_terms(h):
     """One relation's Laplacian terms, as a stack of one."""
-    return _laplacian_terms(_channels([h]))
+    return _laplacian_terms(Panel.of([h]).channels)
 
 
 def exact(rows):
@@ -436,12 +437,14 @@ class TestStackedEnergies:
                     a[0] = 1.0
 
     def test_mixed_sizes_and_no_relations_rejected(self, m1):
-        from hfgdm import DimensionMismatch
-        for rels in ([m1, random_hfpr(3, np.random.default_rng(1))], []):
-            with pytest.raises(DimensionMismatch):
-                spectral.energies(rels)
-            with pytest.raises(DimensionMismatch):
-                spectral.laplacian_energies(rels)
+        from hfgdm import DimensionMismatch, NeedTwoExperts
+        mixed = [m1, random_hfpr(3, np.random.default_rng(1))]
+        for kind in (spectral.energies, spectral.laplacian_energies):
+            with pytest.raises(DimensionMismatch,
+                               match=r"^mixed relation sizes \[3, 4\]$"):
+                kind(mixed)
+            with pytest.raises(NeedTwoExperts):
+                kind([])
 
 
 class TestSurvey:
