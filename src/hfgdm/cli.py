@@ -55,8 +55,8 @@ class InputDocument:
     experts is the Panel of the expert relations, which run and the
     spectra take without a second check. published holds converted
     values: pair_similarity maps expert index pairs to floats,
-    similarity_degrees and ca are float arrays, ranking is a tuple of
-    labels.
+    similarity_degrees and ca are float arrays of one value per expert,
+    ranking is a tuple naming every alternative once.
     """
 
     alternatives: tuple[str, ...]
@@ -389,13 +389,26 @@ def _document(raw) -> InputDocument:
     config = PipelineConfig(
         **{_CONFIG_FIELD.get(k, k): v for k, v in config.items()})
 
+    def per_expert(x):
+        v = _reals(x, 1)
+        if len(v) != len(ids):
+            raise ValueError("not one value per expert")
+        return v
+
+    def ranking(x):
+        x = _labels(x)
+        if sorted(x) != sorted(alternatives):
+            raise ValueError("not each alternative once")
+        return x
+
+    one_each = (per_expert, f"a list of {len(ids)} numbers, one per expert")
     published = raw.get("published")
     if published is not None:
         published = _read(published, "published", {
             "pair_similarity": pairs("published.pair_similarity"),
-            "similarity_degrees": _VECTOR,
-            "ca": _VECTOR,
-            "ranking": (_labels, "a nonempty list of strings"),
+            "similarity_degrees": one_each,
+            "ca": one_each,
+            "ranking": (ranking, "a list of every alternative exactly once"),
         })
 
     return InputDocument(

@@ -7,7 +7,9 @@ is the mean Laplacian eigenvalue. Both come as read-only arrays with one
 value per channel in CHANNELS order: (k, 3) for k relations, (3,) for
 one. The classical spectral bounds on both come only as SurveyRows, from
 bounds_survey or fixture_survey_rows, which also assert the trace and
-Frobenius identities every Laplacian spectrum must satisfy.
+Frobenius identities every Laplacian spectrum must satisfy, on that path
+alone. laplacian_energies and the survey form the shifted spectrum with
+one helper, _shifted, so both give the same value to the bit.
 
 Every function here takes relations, which make_hfpr found symmetric and
 finite, and every spectrum comes from _kernels.eigenvalues on their
@@ -31,7 +33,6 @@ survey; the bundled fixtures are expected to satisfy every bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -92,44 +93,19 @@ def energy(h: HFPR) -> np.ndarray:
     return energies([h])[0]
 
 
-@dataclass(frozen=True)
-class _LaplacianTerms:
-    """The Laplacian spectra of a (k, 3, n, n) stack and the terms built
-    on them.
-
-    Each field has one row or entry per relation and channel: w the
-    eigenvalues (ascending), d the degrees, s and w2 the sums of the
-    upper-triangle weights and of their squares, psi = w - 2s/n the
-    spectrum shifted by its mean (descending), aux = w2 + sum (d - 2s/n)^2
-    / 2 and energy = sum |psi|.
-    """
-
-    w: np.ndarray
-    d: np.ndarray
-    s: np.ndarray
-    w2: np.ndarray
-    psi: np.ndarray
-    aux: np.ndarray
-    energy: np.ndarray
-
-
-def _laplacian_terms(adj: np.ndarray) -> _LaplacianTerms:
-    lap = _laplacians(adj)
-    w = eigenvalues(lap)
-    d = lap.diagonal(axis1=-2, axis2=-1)
-    upper = _upper_weights(adj)
-    s = upper.sum(axis=-1)
-    w2 = np.square(upper).sum(axis=-1)
-    shift = (2.0 * s / adj.shape[-1])[..., None]
-    psi = (w - shift)[..., ::-1]
-    aux = w2 + 0.5 * np.square(d - shift).sum(axis=-1)
-    return _LaplacianTerms(w, d, s, w2, psi, aux, np.abs(psi).sum(axis=-1))
+def _shifted(w: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Laplacian spectra w (ascending, along the last axis) less their mean
+    2s/n, s the sums of the upper-triangle weights: descending."""
+    return (w - (2.0 * s / n)[..., None])[..., ::-1]
 
 
 def laplacian_energies(relations) -> np.ndarray:
     """laplacian_energy() of each relation of a Panel, or of relations
     Panel.of accepts, solved as one stack: a read-only (k, 3) array."""
-    return _freeze(_laplacian_terms(Panel.of(relations).channels).energy)
+    adj = Panel.of(relations).channels
+    psi = _shifted(eigenvalues(_laplacians(adj)),
+                   _upper_weights(adj).sum(axis=-1), adj.shape[-1])
+    return _freeze(np.abs(psi).sum(axis=-1))
 
 
 def laplacian_energy(h: HFPR) -> np.ndarray:
@@ -138,53 +114,15 @@ def laplacian_energy(h: HFPR) -> np.ndarray:
     return laplacian_energies([h])[0]
 
 
-def _identity_sums(w: np.ndarray, d: np.ndarray, psi: np.ndarray) -> list:
-    """The sums along n that the identities compare, each (k, 3), from a
-    stack's Laplacian spectra w, degrees d and shifted spectra psi: of w,
-    w², d², psi and psi², and of the positive and the negative part of
-    psi."""
-    return [w.sum(axis=-1), np.square(w).sum(axis=-1),
-            np.square(d).sum(axis=-1), psi.sum(axis=-1),
-            np.square(psi).sum(axis=-1), np.maximum(psi, 0.0).sum(axis=-1),
-            np.minimum(psi, 0.0).sum(axis=-1)]
-
-
-def _identity_check(sums, s, w2, aux) -> tuple[np.ndarray, np.ndarray]:
-    """(k, 3, 4) identity residuals and the scales they are judged on, the
-    last axis in IDENTITIES order, from _identity_sums and the (k, 3)
-    weight sums s, w2 and aux. Rounding grows with the size of the sides
-    an identity compares, so a scale is max(1, |left|, |right|); the
-    shifted sum's sides are the positive and the negative part of the
-    shifted spectrum, which must balance."""
-    w_sum, w_sq, d_sq, psi_sum, psi_sq, psi_pos, psi_neg = sums
-    residuals = np.abs(np.stack([
-        w_sum - 2.0 * s, w_sq - (2.0 * w2 + d_sq), psi_sum,
-        psi_sq - 2.0 * aux], axis=-1))
-    sides = np.abs(np.stack([(w_sum, 2.0 * s), (w_sq, 2.0 * w2 + d_sq),
-                             (psi_pos, psi_neg), (psi_sq, 2.0 * aux)],
-                            axis=-1))
-    return residuals, np.maximum(1.0, sides.max(axis=0))
-
-
-def _identity_residuals(t: _LaplacianTerms) -> np.ndarray:
-    """(k, 3, 4) identity residuals of a stack's Laplacian terms."""
-    return _identity_check(_identity_sums(t.w, t.d, t.psi),
-                           t.s, t.w2, t.aux)[0]
-
-
-def _identity_scales(t: _LaplacianTerms) -> np.ndarray:
-    """(k, 3, 4) scales of a stack's identity residuals."""
-    return _identity_check(_identity_sums(t.w, t.d, t.psi),
-                           t.s, t.w2, t.aux)[1]
-
-
 def _group_sums(adj: np.ndarray) -> np.ndarray:
     """Every reduction along n that the survey reads of a (k, 3, n, n)
     stack of one size, as one (15, k, 3) array: the energies, |det|^(2/p),
     the sums of the upper-triangle weights' squares, of their products
     with their mirrors and of the weights, dev = sum (d - 2s/n)^2, the
-    Laplacian energies, the largest shifted eigenvalue psi1, then the
-    seven _identity_sums.
+    Laplacian energies, the largest shifted eigenvalue psi1, then the seven
+    sums the identities compare (_identity_check): of the Laplacian
+    eigenvalues w, of w², of the degrees squared, of the shifted spectrum
+    psi and psi², and of the positive and the negative part of psi.
 
     The adjacency matrices and the Laplacians are solved in one call. The
     identities read their own copy of the Laplacians, so each relation
@@ -196,13 +134,36 @@ def _group_sums(adj: np.ndarray) -> np.ndarray:
     upper = _upper_weights(adj)
     s = upper.sum(axis=-1)
     d = lap.diagonal(axis1=-2, axis2=-1)
-    shift = (2.0 * s / n)[..., None]
-    psi = (w_lap - shift)[..., ::-1]
+    psi = _shifted(w_lap, s, n)
+    psi_id = _shifted(w_id, s, n)
     return np.array([
         np.abs(w).sum(axis=-1), _det_term(w), np.square(upper).sum(axis=-1),
         (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1), s,
-        np.square(d - shift).sum(axis=-1), np.abs(psi).sum(axis=-1),
-        psi[..., 0], *_identity_sums(w_id, d, (w_id - shift)[..., ::-1])])
+        np.square(d - (2.0 * s / n)[..., None]).sum(axis=-1),
+        np.abs(psi).sum(axis=-1), psi[..., 0],
+        w_id.sum(axis=-1), np.square(w_id).sum(axis=-1),
+        np.square(d).sum(axis=-1), psi_id.sum(axis=-1),
+        np.square(psi_id).sum(axis=-1), np.maximum(psi_id, 0.0).sum(axis=-1),
+        np.minimum(psi_id, 0.0).sum(axis=-1)])
+
+
+def _identity_check(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 3, 4) identity residuals and the scales they are judged on, the
+    last axis in IDENTITIES order, from a (15, k, 3) _group_sums array.
+    Rounding grows with the size of the sides an identity compares, so a
+    scale is max(1, |left|, |right|); the shifted sum's sides are the
+    positive and the negative part of the shifted spectrum, which must
+    balance."""
+    w2, s, dev = sums[2], sums[4], sums[5]
+    w_sum, w_sq, d_sq, psi_sum, psi_sq, psi_pos, psi_neg = sums[8:]
+    aux = w2 + 0.5 * dev
+    residuals = np.abs(np.stack([
+        w_sum - 2.0 * s, w_sq - (2.0 * w2 + d_sq), psi_sum,
+        psi_sq - 2.0 * aux], axis=-1))
+    sides = np.abs(np.stack([(w_sum, 2.0 * s), (w_sq, 2.0 * w2 + d_sq),
+                             (psi_pos, psi_neg), (psi_sq, 2.0 * aux)],
+                            axis=-1))
+    return residuals, np.maximum(1.0, sides.max(axis=0))
 
 
 class SurveyRow(NamedTuple):
@@ -290,9 +251,10 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
     """Bound rows for relations keyed first_key onwards, whose Laplacian
     spectra must also pass the identities.
 
-    Each size group gives its reductions along n (_group_sums), scattered
-    into one (15, k, 3) array in instance order; the bounds, verdicts,
-    identities and rows are then computed once for the whole block. The
+    Each size group, a Panel of its members, gives its reductions along n
+    (_group_sums), scattered into one (15, k, 3) array in instance order;
+    the bounds, verdicts, identities (_identity_check, the only place they
+    are checked) and rows are then computed once for the whole block. The
     first identity residual over IDENTITY_TOL times its scale, in
     (instance, channel, identity) order, raises IdentityViolated. Bound
     columns always carry the computed expressions so the report is
@@ -307,12 +269,11 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
         groups.setdefault(n, []).append(i)
     sums = np.empty((15, k, len(CHANNELS)))  # the 15 _group_sums
     for members in groups.values():
-        group = ([relations[i] for i in members] if len(groups) > 1
-                 else relations)  # one size: a Panel is used as is
-        sums[:, members] = _group_sums(Panel.of(group).channels)
-    e, det_term, w2, prod, s, dev, le, psi1, *identity_sums = sums
+        sums[:, members] = _group_sums(
+            Panel.of([relations[i] for i in members]).channels)
+    e, det_term, w2, prod, _, dev, le, psi1 = sums[:8]
     aux = w2 + 0.5 * dev
-    residuals, scales = _identity_check(identity_sums, s, w2, aux)
+    residuals, scales = _identity_check(sums)
     over = residuals > IDENTITY_TOL * scales
     if over.any():
         j, c, i = np.unravel_index(int(over.argmax()), over.shape)
@@ -354,5 +315,4 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
 
 def fixture_survey_rows(experts) -> list[SurveyRow]:
     """Bound rows for explicit relations; seed column carries the index."""
-    return _survey_rows(
-        experts if isinstance(experts, Panel) else list(experts), 0)
+    return _survey_rows(list(experts), 0)

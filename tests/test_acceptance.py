@@ -30,9 +30,9 @@ from hfgdm.cli import main
 from hfgdm.errors import TripleOutOfRange
 from hfgdm.pipeline import Overrides, PipelineConfig, run
 from hfgdm import bounds_survey
-from hfgdm.spectral import _identity_residuals, _laplacian_terms, _laplacians
+from hfgdm.spectral import _group_sums, _identity_check, _laplacians
 
-from conftest import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
+from shared import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
 from test_kernels import eigs_2x2, eigs_3x3
 
 ABS = {"energy": 1e-3, "scores": 1e-3, "stage": 1e-3, "table": 2e-3,
@@ -298,8 +298,7 @@ def test_criterion_6_property_suites():
     residual_max = 0.0
     for _ in range(60):
         h = random_hfpr(int(rng.integers(3, 9)), rng)
-        residuals = _identity_residuals(
-            _laplacian_terms(Panel.of([h]).channels))
+        residuals, _ = _identity_check(_group_sums(Panel.of([h]).channels))
         residual_max = max(residual_max, float(residuals.max()))
     assert residual_max < 1e-8
 

@@ -680,6 +680,9 @@ class TestSubprocess:
     def test_local_file_shadows_bundled_name(self, tmp_path):
         doc = json.loads(read_text("smartphone.json"))
         doc["alternatives"] = ["p1", "p2", "p3", "p4"]
+        # the published ranking names the alternatives, so it follows them
+        doc["published"]["ranking"] = [
+            "p" + t[1:] for t in doc["published"]["ranking"]]
         (tmp_path / "smartphone.json").write_text(json.dumps(doc))
         proc = self._run(["run", "smartphone.json", "--format", "json"],
                          cwd=tmp_path)
@@ -959,6 +962,42 @@ def test_energy_and_fixture_survey_check_published_and_overrides(tmp_path):
             rc, out, err = main_output(argv)
             assert (rc, out) == (2, "")
             assert ".".join(path) in err
+
+
+# Published vectors the discrepancy rows would have cut short or padded
+# out: one value per expert, and each alternative ranked once.
+PUBLISHED_MISFITS = [
+    ("ca", [0.3], "a list of 3 numbers, one per expert"),
+    ("ca", [0.3, 0.3, 0.2, 0.2], "a list of 3 numbers, one per expert"),
+    ("similarity_degrees", [1.0, 1.0, 1.0, 1.0],
+     "a list of 3 numbers, one per expert"),
+    ("similarity_degrees", [], "a list of 3 numbers, one per expert"),
+    ("ranking", ["zz"], "a list of every alternative exactly once"),
+    ("ranking", ["t1", "t2", "t4"], "a list of every alternative exactly once"),
+    ("ranking", ["t1", "t2", "t4", "t3", "zz"],
+     "a list of every alternative exactly once"),
+    ("ranking", ["t1", "t2", "t4", "t4"],
+     "a list of every alternative exactly once"),
+]
+
+
+@pytest.mark.parametrize("key, value, what", PUBLISHED_MISFITS,
+                         ids=[f"{k}={v}" for k, v, _ in PUBLISHED_MISFITS])
+def test_published_vectors_fit_the_document(tmp_path, key, value, what):
+    doc = write_doc(tmp_path, edited(("published", key), value))
+    message = f"error: published.{key} must be {what}\n"
+    for argv in (["run", doc], ["run", doc, "--format", "json"],
+                 ["energy", doc], ["verify-bounds", "--fixtures", doc]):
+        assert main_output(argv) == (2, "", message), argv
+
+
+def test_published_ranking_may_list_alternatives_in_any_order(tmp_path):
+    doc = write_doc(tmp_path, edited(("published", "ranking"),
+                                     ["t3", "t1", "t4", "t2"]))
+    rc, out, _ = main_output(["run", doc, "--format", "json"])
+    assert rc == 0
+    row = json.loads(out)["discrepancies"][-1]
+    assert (row["published"], row["delta"]) == ("t3 > t1 > t4 > t2", 1.0)
 
 
 @pytest.mark.parametrize("pairs, message", [

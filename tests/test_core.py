@@ -31,7 +31,7 @@ from hfgdm import (
     random_hfpr,
 )
 
-from conftest import M1_ROWS, build, with_membership
+from shared import M1_ROWS, build, with_membership
 
 TOL = 1e-9
 

@@ -32,7 +32,7 @@ from hfgdm import (
 )
 from hfgdm.pipeline import MODES, run
 
-from conftest import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
+from shared import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
 
 PUBLISHED_C1 = [[0.3730, 0.3963, 0.2307],
                 [0.2808, 0.5357, 0.1835],
@@ -721,6 +721,13 @@ class TestStackedGrid:
             assert hexes(getattr(s, name)) == hexes(getattr(got, name))
         assert (s.eta, s.gamma_blend, s.convention) == (
             got.eta, got.gamma_blend, got.convention)
+
+    def test_infinite_scores_rejected(self):
+        # inf passes a nonnegativity check; the finiteness check catches it
+        # before a score set carries it.
+        with pytest.raises(ParameterOutOfRange, match="c1 components must "
+                           "be nonnegative and finite"):
+            blend_scores([[np.inf, 0.5, 0.5]] * 3, PUBLISHED_CA)
 
     def test_score_invariants_checked_over_the_stack(self):
         with pytest.raises(ParameterOutOfRange, match="ca must sum to 1"):

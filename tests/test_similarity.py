@@ -23,7 +23,7 @@ from hfgdm import (
 from hfgdm.core import _upper_indices
 from hfgdm.similarity import _ideal_rows
 
-from conftest import PUBLISHED_C
+from shared import PUBLISHED_C
 
 
 class _RowStub:

@@ -29,11 +29,10 @@ from hfgdm import (
 )
 from hfgdm import spectral
 from hfgdm._kernels import eigenvalues
-from hfgdm.spectral import (SurveyRow, _identity_residuals,
-                            _identity_scales, _laplacian_terms, _laplacians,
-                            fixture_survey_rows)
+from hfgdm.spectral import (SurveyRow, _group_sums, _identity_check,
+                            _laplacians, _shifted, fixture_survey_rows)
 
-from conftest import with_membership
+from shared import with_membership
 
 IDENTITY_NAMES = ("laplacian_trace", "laplacian_square", "shifted_sum",
                   "shifted_square")
@@ -147,9 +146,9 @@ def square_weight_sum(h, k):
     return float(np.square(c[np.triu_indices(h.n, 1)]).sum())
 
 
-def laplacian_terms(h):
-    """One relation's Laplacian terms, as a stack of one."""
-    return _laplacian_terms(Panel.of([h]).channels)
+def group_sums(h):
+    """One relation's (15, 1, 3) survey sums, as a stack of one."""
+    return _group_sums(Panel.of([h]).channels)
 
 
 def exact(rows):
@@ -349,9 +348,11 @@ class TestEnergyBounds:
 class TestLaplacianBounds:
     def test_fixture_membership_closed_forms(self, m1):
         rows = bound_rows(m1)
-        # aux = sum(w^2) + dev/2 = 0.75 + 0.015 = 0.765
-        assert laplacian_terms(m1).aux[0, 0] == pytest.approx(0.765,
-                                                              abs=1e-12)
+        # aux = sum(w^2) + dev/2 = 0.75 + 0.015 = 0.765, from the sums
+        # the survey bounds read
+        sums = group_sums(m1)
+        assert sums[2, 0, 0] + 0.5 * sums[5, 0, 0] == pytest.approx(
+            0.765, abs=1e-12)
         spread = rows["membership", "laplacian_energy_spread_lower"]
         frob = rows["membership", "laplacian_energy_frobenius_upper"]
         shift = rows["membership", "laplacian_energy_max_shift_upper"]
@@ -375,23 +376,28 @@ class TestLaplacianBounds:
 
 class TestEigenIdentities:
     def test_fixture_membership(self, m1):
-        t = laplacian_terms(m1)
-        residuals = _identity_residuals(t)
+        sums = group_sums(m1)
+        residuals, _ = _identity_check(sums)
         trace = IDENTITY_NAMES.index("laplacian_trace")
         assert residuals[0, 0, trace] == pytest.approx(0.0, abs=1e-12)
         assert residuals[0, 0].max() < 1e-12
-        shifted = t.psi[0, 0].tolist()
-        assert np.allclose(sorted(shifted, reverse=True),
-                           (0.45, 0.45, 0.15, -1.05), atol=1e-9)
+        adj = Panel.of([m1]).channels
+        shifted = _shifted(eigenvalues(_laplacians(adj)), sums[4],
+                           m1.n)[0, 0].tolist()
+        assert np.allclose(shifted, (0.45, 0.45, 0.15, -1.05), atol=1e-9)
         assert sum(shifted) == pytest.approx(0.0, abs=1e-12)
         assert sum(x ** 2 for x in shifted) == pytest.approx(
             2 * 0.765, abs=1e-12)
+        # the survey's sums of the shifted spectrum: psi1, sum, sum of
+        # squares
+        assert sums[[7, 11, 12], 0, 0] == pytest.approx(
+            [0.45, 0.0, 2 * 0.765], abs=1e-12)
 
     def test_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(5):
             h = random_hfpr(6, rng)
-            residuals = _identity_residuals(laplacian_terms(h))
+            residuals, _ = _identity_check(group_sums(h))
             assert residuals.max() < 1e-8
             fixture_survey_rows([h])  # raises if an identity fails
 
@@ -425,6 +431,23 @@ class TestStackedEnergies:
         reference_lap = [tuple(_reference_terms(h)[-1].tolist()) for h in rels]
         assert _hex_triples(stacked_lap) == [
             tuple(v.hex() for v in t) for t in reference_lap]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           l=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_energies_equal_survey_values(self, seed, n, l):
+        # run and energy read energies and laplacian_energies; verify-bounds
+        # reads the survey rows. All three must report one number.
+        rng = np.random.default_rng(seed)
+        panel = Panel.of([random_hfpr(n, rng) for _ in range(l)])
+        kinds = {"energy": spectral.energies(panel),
+                 "laplacian": spectral.laplacian_energies(panel)}
+        rows = fixture_survey_rows(panel)
+        assert len(rows) == 15 * l
+        for r in rows:
+            want = kinds[r.quantity.split("_")[0]][
+                r.seed, CHANNELS.index(r.channel)]
+            assert r.value.hex() == float(want).hex(), r
 
     def test_read_only_arrays(self, experts):
         for kind, one in ((spectral.energies, energy),
@@ -624,8 +647,7 @@ class TestStackedAgainstScalarReference:
         relations = list(experts) + [
             random_hfpr(n, np.random.default_rng(n)) for n in (1, 2, 9)]
         for h in relations:
-            t = laplacian_terms(h)
-            residuals, scales = _identity_residuals(t), _identity_scales(t)
+            residuals, scales = _identity_check(group_sums(h))
             got = [(name, identity, float(r), float(sc))
                    for name, rs, ss in zip(CHANNELS, residuals[0], scales[0])
                    for identity, r, sc in zip(IDENTITY_NAMES, rs, ss)]
