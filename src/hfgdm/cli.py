@@ -1,14 +1,19 @@
 """Command-line interface: run, energy, verify-bounds, generate.
 
 Input is a single strict-schema JSON document per scenario (see
-parse_input). Machine output serializes every float with 17 significant
-digits so documents round-trip exactly. A report is laid out in one walk
-as a %-template with a slot per float (a float array gives the same bytes
-as its nested lists); each distinct float is formatted once and the
-template filled in one step. Tables render 4 decimal places and mirror
-the published case-study table column order (gamma, score vectors,
-similarities to the ideals, closeness, ranking) for eyeball diffing. All
-output is written once, atomically, at the end of a run.
+parse_input), local or bundled, read by one path and checked once on
+parse by every command. Its overrides and published pairs pass
+Overrides.checked, so energy and verify-bounds --fixtures refuse every
+override that run refuses; ca summing to 1 and finite similarity degrees
+are stage rules that only run reaches. Machine output serializes every
+float with 17 significant digits so documents round-trip exactly. A
+report is laid out in one walk as a %-template with a slot per float (a
+float array or tuple gives the same bytes as its nested lists); each
+distinct float is formatted once and the template filled in one step.
+Tables render 4 decimal places and mirror the published case-study table
+column order (gamma, score vectors, similarities to the ideals,
+closeness, ranking) for eyeball diffing. All output is written once,
+atomically, at the end of a run.
 
 Exit codes: 0 success, 1 internal error, 2 input validation failure or
 an input or --out path that cannot be read or written, 3 bound violation
@@ -29,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fixtures
 from .core import Panel, VertexAttribute, make_hfpr, random_hfpr
 from .errors import ComputationError, SchemaViolation, ValidationError
 from .pipeline import (
@@ -41,11 +45,14 @@ from .pipeline import (
     RankingReport,
     run as run_pipeline,
 )
-from .similarity import _resolve_pairwise, pair_similarity
+from .similarity import pair_similarity
 from .spectral import (bounds_survey, energies, fixture_survey_rows,
                        laplacian_energies)
 
 _TOP_KEYS = {"alternatives", "experts", "config", "published", "vertex_attrs"}
+# Documents in the package's data directory, which parse_input opens by name.
+BUNDLED = ("smartphone.json",)
+_DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @dataclass(frozen=True)
@@ -259,10 +266,10 @@ def _read(obj, where: str, readers: dict) -> dict:
 def parse_input(path: str) -> InputDocument:
     """Parse and validate a scenario document; strict schema.
 
-    A path that does not exist on disk but names a bundled fixture
-    (smartphone.json) resolves to the bundled copy, so documented example
-    invocations work from any directory. NaN, Infinity and numbers that
-    overflow a float are rejected, so no non-finite value enters a run.
+    A missing path that names a bundled document (BUNDLED) is opened in
+    the package's data directory, so documented example invocations work
+    from any directory. NaN, Infinity and numbers that overflow a float
+    are rejected, so no non-finite value enters a run.
     Every field is converted here, overrides and published values too; a
     value of the wrong type is a SchemaViolation naming its field.
 
@@ -276,13 +283,12 @@ def parse_input(path: str) -> InputDocument:
     that pass raises the error the document earns, with the message it
     always had.
     """
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif fixtures.is_bundled(path):
-        text = fixtures.read_text(path)
-    else:
-        raise FileNotFoundError(path)
+    if not os.path.exists(path):
+        if path not in BUNDLED:
+            raise FileNotFoundError(path)
+        path = os.path.join(_DATA_DIR, path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         return _document(json.loads(text, parse_constant=_finite,
                                     object_pairs_hook=_unique_keys))
@@ -372,11 +378,7 @@ def _document(raw) -> InputDocument:
 
     override_readers = {
         "c1": _ARRAY,
-        # Checked as run checks it, so every command refuses what run would.
-        "pair_similarity": (
-            lambda mapping: _resolve_pairwise(_pair_map(
-                mapping, ids, "config.overrides.pair_similarity"), len(ids)),
-            "an object of pair similarities"),
+        "pair_similarity": pairs("config.overrides.pair_similarity"),
         "ca": _ARRAY,
         "c": _ARRAY,
         "aggregated": (lambda v: make_hfpr(_reals(v), labels=alternatives),
@@ -388,6 +390,7 @@ def _document(raw) -> InputDocument:
     config = _read(raw.get("config", {}), "config", config_readers)
     config = PipelineConfig(
         **{_CONFIG_FIELD.get(k, k): v for k, v in config.items()})
+    config = replace(config, overrides=config.overrides.checked(len(ids), n))
 
     def per_expert(x):
         v = _reals(x, 1)
@@ -410,6 +413,10 @@ def _document(raw) -> InputDocument:
             "ca": one_each,
             "ranking": (ranking, "a list of every alternative exactly once"),
         })
+        # Checked as --override-similarity paper would inject them, but
+        # kept as written, so their discrepancy rows keep their labels.
+        Overrides(pair_similarity=published.get("pair_similarity")).checked(
+            len(ids), n)
 
     return InputDocument(
         alternatives=alternatives,
@@ -486,9 +493,9 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
             "c": r.scores.c,
             "c_used": r.c_used,
             "aggregated": r.aggregated.values,
-            "s_plus": np.array(r.s_plus),
-            "s_minus": np.array(r.s_minus),
-            "f": np.array(r.f),
+            "s_plus": r.s_plus,
+            "s_minus": r.s_minus,
+            "f": r.f,
             "ranking": [report.labels[i] for i in r.ranking],
         })
     payload = {
@@ -504,8 +511,7 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
         "laplacian_energy": dict(zip(doc.expert_ids,
                                      report.laplacian_energies)),
         "c1": report.c1,
-        "similarity_degrees": (None if report.similarity_degrees is None
-                               else np.array(report.similarity_degrees)),
+        "similarity_degrees": report.similarity_degrees,
         "ca": report.ca,
         "runs": runs,
     }

@@ -44,6 +44,11 @@ TOL = 1e-9
 CHANNELS = ("membership", "nonmembership", "hesitancy")
 
 
+def _plain(x):
+    """x as a Python number if it is a numpy scalar, for a message."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 @dataclass(frozen=True)
 class VertexAttribute:
     """Vertex grades (mu1, gamma1, beta1) with beta1 = 1 - mu1 - gamma1."""
@@ -53,18 +58,20 @@ class VertexAttribute:
     beta1: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        for name, v in (("mu1", self.mu1), ("gamma1", self.gamma1)):
+        mu1, gamma1 = _plain(self.mu1), _plain(self.gamma1)
+        for name, v in (("mu1", mu1), ("gamma1", gamma1)):
             if not (-TOL <= v <= 1.0 + TOL):
                 raise ParameterOutOfRange(f"{name} = {v!r} outside [0, 1]")
-        derived = 1.0 - self.mu1 - self.gamma1
+        derived = 1.0 - mu1 - gamma1
         if derived < -TOL:
             raise ParameterOutOfRange(
-                f"mu1 + gamma1 = {self.mu1 + self.gamma1!r} exceeds 1")
+                f"mu1 + gamma1 = {mu1 + gamma1!r} exceeds 1")
         if self.beta1 is None:
             object.__setattr__(self, "beta1", derived)
         elif not abs(self.beta1 - derived) <= TOL:  # NaN fails too
             raise ParameterOutOfRange(
-                f"beta1 = {self.beta1!r} but 1 - mu1 - gamma1 = {derived!r}")
+                f"beta1 = {_plain(self.beta1)!r} but 1 - mu1 - gamma1 = "
+                f"{derived!r}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

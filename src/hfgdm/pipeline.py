@@ -21,7 +21,8 @@ Checkpoint overrides can inject values at stages ii (c1), iii (pairwise
 similarities), iv (ca), vi (c), and vii (the aggregated relation); every
 stage downstream of an injection is recomputed from it. That makes
 published intermediate values usable as inputs when they cannot be
-regenerated from the raw relations.
+regenerated from the raw relations. run checks them first, through
+Overrides.checked, which holds every rule on an override's own values.
 
 Stage-v blending supports two conventions. "scalar" broadcasts each
 expert's own weight ca[b] across the three channels. "vector" reuses the
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import HFPR, Panel, _freeze, make_hfpr
+from .core import HFPR, Panel, _freeze, _plain, make_hfpr
 from .errors import (
     NeedTwoExperts,
     OverrideShapeMismatch,
@@ -104,6 +105,8 @@ class Overrides:
     pair_similarity maps expert index pairs (each pair once, in either
     orientation) to the injected stage-iii values; c1, ca, c are score
     arrays; aggregated is a full replacement relation for stage vii.
+    checked owns their shape, sign and key rules; ca summing to 1 and
+    finite similarity degrees stay with stages v and iv.
     """
 
     c1: object | None = None
@@ -115,6 +118,26 @@ class Overrides:
     def stage_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self)
                      if getattr(self, f.name) is not None)
+
+    def checked(self, l: int, n: int) -> Overrides:
+        """These overrides checked in stage order for l experts and an
+        aggregated relation of size n; c1, c (read-only) and ca come back
+        as float arrays and pairs as _resolve_pairwise gives them."""
+        c1, ca, c = self.c1, self.ca, self.c
+        if c1 is not None:
+            c1 = _score_matrix(c1, l, "c1 override")
+        pairs = _resolve_pairwise(self.pair_similarity, l)
+        if ca is not None:
+            ca = np.asarray(ca, dtype=float)
+            if ca.shape != (l,):
+                raise OverrideShapeMismatch(
+                    f"ca override must have shape ({l},), got {ca.shape}")
+        if self.aggregated is not None and self.aggregated.n != n:
+            raise OverrideShapeMismatch(
+                "aggregated override does not match the relation size")
+        if c is not None:
+            c = _freeze(_score_matrix(c, l, "c override").copy())
+        return Overrides(c1, pairs, ca, c, self.aggregated)
 
 
 @dataclass(frozen=True)
@@ -136,7 +159,8 @@ class PipelineConfig:
         _check_choice("closeness_mode", self.closeness_mode, CLOSENESS_MODES)
         _check_choice("blend_convention", self.blend_convention, CONVENTIONS)
         if not (0.0 <= self.eta <= 1.0):
-            raise ParameterOutOfRange(f"eta = {self.eta!r} outside [0, 1]")
+            raise ParameterOutOfRange(
+                f"eta = {_plain(self.eta)!r} outside [0, 1]")
         grid = tuple(float(g) for g in self.gamma_grid)
         if not grid:
             raise ParameterOutOfRange("gamma_grid must not be empty")
@@ -260,10 +284,11 @@ def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple[ScoreSet, ...]:
     c as one (g, l, 3) stack, each ScoreSet invariant checked once over
     the stack. Returns one ScoreSet per grid value, in grid order."""
     if not (0.0 <= eta <= 1.0):
-        raise ParameterOutOfRange(f"eta = {eta!r} outside [0, 1]")
+        raise ParameterOutOfRange(f"eta = {_plain(eta)!r} outside [0, 1]")
     for g in grid:
         if not (0.0 <= g <= 1.0):
-            raise ParameterOutOfRange(f"gamma_blend = {g!r} outside [0, 1]")
+            raise ParameterOutOfRange(
+                f"gamma_blend = {_plain(g)!r} outside [0, 1]")
     _check_choice("convention", convention, CONVENTIONS)
     c1 = np.array(c1, dtype=float)
     if c1.ndim != 2 or c1.shape[1] != 3:
@@ -294,7 +319,7 @@ def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple[ScoreSet, ...]:
             raise ParameterOutOfRange(
                 f"{name} components must be nonnegative and finite")
     if not abs(ca.sum() - 1.0) <= _SCORE_TOL:
-        raise ParameterOutOfRange(f"ca must sum to 1, got {ca.sum()!r}")
+        raise ParameterOutOfRange(f"ca must sum to 1, got {float(ca.sum())!r}")
 
     for a in (c1, ca, ca_eff, c2, c):
         _freeze(a)
@@ -363,45 +388,23 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     """
     config = config or PipelineConfig()
     experts = Panel.of(experts)
-    l = len(experts)
-    ov = config.overrides
+    ov = config.overrides.checked(len(experts), experts[0].n)
 
     energy_triples = energies(experts)
     lap_energies = laplacian_energies(experts)
     normalization = _normalization(config.mode, config.score_normalization)
 
-    if ov.c1 is not None:
-        c1 = _score_matrix(ov.c1, l, "c1 override")
-    else:
-        c1 = uncertainty_scores(experts, config.mode, normalization)
+    c1 = ov.c1 if ov.c1 is not None else uncertainty_scores(
+        experts, config.mode, normalization)
 
-    pairs = _resolve_pairwise(ov.pair_similarity, l)
-
-    degrees: tuple[float, ...] | None
-    if ov.ca is not None:
-        ca = np.asarray(ov.ca, dtype=float)
-        if ca.shape != (l,):
-            raise OverrideShapeMismatch(
-                f"ca override must have shape ({l},), got {ca.shape}")
-        degrees = None
-    else:
-        degrees, ca = _degrees_and_weights(experts, pairs)
-
-    if ov.aggregated is not None and ov.aggregated.n != experts[0].n:
-        raise OverrideShapeMismatch(
-            "aggregated override does not match the relation size")
+    degrees, ca = ((None, ov.ca) if ov.ca is not None
+                   else _degrees_and_weights(experts, ov.pair_similarity))
 
     grid = config.gamma_grid
     scores = _blend_grid(c1, ca, config.eta, grid, config.blend_convention)
-    if ov.c is not None:
-        shared = _freeze(_score_matrix(ov.c, l, "c override").copy())
-        c_used = [shared] * len(grid)
-    else:
-        c_used = [s.c for s in scores]
-    if ov.aggregated is not None:
-        aggs = [ov.aggregated] * len(grid)
-    else:
-        aggs = [_aggregate_at(experts, c, g) for g, c in zip(grid, c_used)]
+    c_used = [ov.c] * len(grid) if ov.c is not None else [s.c for s in scores]
+    aggs = ([ov.aggregated] * len(grid) if ov.aggregated is not None else
+            [_aggregate_at(experts, c, g) for g, c in zip(grid, c_used)])
     ranked = _rank_stack(np.stack([a.values for a in aggs]),
                          config.closeness_mode)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HFPR, Panel, _one_size
+from .core import HFPR, Panel, _one_size, _plain
 from .errors import (
     DegenerateDenominator,
     IndexOutOfRange,
@@ -54,14 +54,14 @@ def _resolve_pairwise(pairwise, l: int) -> dict | None:
         return None
     out = {}
     for key, val in pairwise.items():
-        i, j = key
+        i, j = map(_plain, key)
         if not (0 <= i < l and 0 <= j < l) or i == j:
             raise OverrideShapeMismatch(
-                f"pair_similarity key {key!r} is not a valid expert pair")
+                f"pair_similarity key {(i, j)!r} is not a valid expert pair")
         val = float(val)
         if not val > 0.0:
             raise ParameterOutOfRange(
-                f"pair_similarity override for experts {key!r} is {val!r}; "
+                f"pair_similarity override for experts {(i, j)!r} is {val!r}; "
                 "it must be positive")
         pair = (int(i), int(j))
         normalized = _pair_key(*pair)

@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import CHANNELS, HFPR, Panel, _freeze, _upper_indices, random_hfpr
+from .core import (CHANNELS, HFPR, Panel, _freeze, _plain, _upper_indices,
+                   random_hfpr)
 from .errors import IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
@@ -207,11 +208,11 @@ _ROW_NAMES = [(CHANNELS[i // 5], QUANTITIES[i % 5]) for i in _ROW_ORDER]
 
 def _integer(name: str, value, least: int) -> int:
     """value as a Python int, if it is an integer of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
+    value = _plain(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ParameterOutOfRange(
             f"{name} = {value!r} must be an integer of at least {least}")
-    return int(value)
+    return value
 
 
 def bounds_survey(seed: int = 42, count: int = 1000,

@@ -1,6 +1,8 @@
 """The bundled case study's expert relations and published values,
 written out for the tests, and small helpers. Test modules import them
 from here; conftest builds its fixtures from them."""
+from pathlib import Path
+
 import numpy as np
 
 from hfgdm import make_hfpr
@@ -27,6 +29,12 @@ M3_ROWS = [
 ]
 
 LABELS = ("t1", "t2", "t3", "t4")
+
+# The repository root; the package's data directory in the source tree,
+# where parse_input opens a bundled name; the case-study document there.
+REPO = Path(__file__).resolve().parent.parent
+BUNDLED_DIR = REPO / "src" / "hfgdm" / "data"
+SMARTPHONE_DOC = BUNDLED_DIR / "smartphone.json"
 
 # Stage-iii pairwise similarity override used by the published case study
 # (keys are 0-based expert index pairs).

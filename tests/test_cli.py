@@ -4,12 +4,14 @@ import copy
 import csv
 import dataclasses
 import errno
+import fnmatch
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -23,8 +25,9 @@ import hfgdm.cli as cli
 from hfgdm import energy, laplacian_energy
 from hfgdm.cli import _emit_json, main, parse_input
 from hfgdm.errors import SchemaViolation, TripleOutOfRange, ValidationError
-from hfgdm.fixtures import read_text
 from hfgdm.spectral import SurveyRow
+
+from shared import BUNDLED_DIR, REPO, SMARTPHONE_DOC
 
 RUN_JSON_ARGS = ["run", "smartphone.json", "--format", "json"]
 # Directory that holds the imported ``hfgdm`` package, for child processes.
@@ -34,7 +37,8 @@ DATA = Path(__file__).resolve().parent / "data"
 SHARED_DOC = str(DATA / "shared_weights.json")
 PANEL_DOC = str(DATA / "panel_shared.json")
 ESCAPES_DOC = str(DATA / "escapes.json")
-SMARTPHONE = json.loads(read_text("smartphone.json"))
+SMARTPHONE_TEXT = SMARTPHONE_DOC.read_text(encoding="utf-8")
+SMARTPHONE = json.loads(SMARTPHONE_TEXT)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +94,7 @@ class TestParseInput:
         assert "JSON nested too deeply" in captured.err
 
     def test_unknown_fields_rejected_everywhere(self, tmp_path):
-        base = json.loads(read_text("smartphone.json"))
+        base = json.loads(SMARTPHONE_TEXT)
         for mutate, message in [
             (lambda d: d.__setitem__("extra", 1), "extra"),
             (lambda d: d["config"].__setitem__("tuning", 1), "tuning"),
@@ -104,7 +108,7 @@ class TestParseInput:
                 parse_input(write_doc(tmp_path, doc))
 
     def test_missing_required_fields(self, tmp_path):
-        base = json.loads(read_text("smartphone.json"))
+        base = json.loads(SMARTPHONE_TEXT)
         for field in ("alternatives", "experts"):
             doc = json.loads(json.dumps(base))
             del doc[field]
@@ -112,19 +116,19 @@ class TestParseInput:
                 parse_input(write_doc(tmp_path, doc))
 
     def test_duplicate_expert_ids(self, tmp_path):
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         doc["experts"][1]["id"] = "e1"
         with pytest.raises(SchemaViolation, match="unique"):
             parse_input(write_doc(tmp_path, doc))
 
     def test_relation_validation_propagates(self, tmp_path):
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         doc["experts"][0]["hfpr"][0][1] = [0.9, 0.9, 0.9]
         with pytest.raises(TripleOutOfRange):
             parse_input(write_doc(tmp_path, doc))
 
     def test_pair_override_keys_validated(self, tmp_path):
-        base = json.loads(read_text("smartphone.json"))
+        base = json.loads(SMARTPHONE_TEXT)
         for key in ("e1:e1", "e9:e1", "e1", "e1:e2:e3"):
             doc = json.loads(json.dumps(base))
             doc["config"]["overrides"] = {"pair_similarity": {key: 1.0}}
@@ -132,7 +136,7 @@ class TestParseInput:
                 parse_input(write_doc(tmp_path, doc))
 
     def test_pair_override_parsed_to_indices(self, tmp_path):
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         doc["config"]["overrides"] = {
             "pair_similarity": {"e2:e3": 1.9, "e1:e3": 1.8}}
         parsed = parse_input(write_doc(tmp_path, doc))
@@ -143,7 +147,7 @@ class TestParseInput:
     def test_non_finite_constant_exits_2(self, tmp_path, capsys, token):
         # Let through, a NaN pair similarity with an aggregated override
         # runs to the end and prints bare nan tokens, which are not JSON.
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         doc["config"]["overrides"] = {
             "pair_similarity": {"e1:e2": float("nan")},
             "aggregated": doc["experts"][0]["hfpr"]}
@@ -157,7 +161,7 @@ class TestParseInput:
 
     @pytest.mark.parametrize("big", ["1e999", "1" + "0" * 400])
     def test_overflowing_number_rejected(self, tmp_path, big):
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc).replace('"eta": 0.5', f'"eta": {big}'))
         assert big in path.read_text()
@@ -166,7 +170,7 @@ class TestParseInput:
             parse_input(str(path))
 
     def test_vertex_attrs_length_checked(self, tmp_path):
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         doc["vertex_attrs"] = [[0.5, 0.3, 0.1]]
         with pytest.raises(SchemaViolation, match="vertex_attrs"):
             parse_input(write_doc(tmp_path, doc))
@@ -302,7 +306,7 @@ class TestRunCommand:
         assert "paper" in capsys.readouterr().err
 
     def test_override_without_published_block_exits_2(self, tmp_path, capsys):
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         del doc["published"]
         path = write_doc(tmp_path, doc)
         assert main(["run", path, "--override-similarity", "paper"]) == 2
@@ -317,7 +321,7 @@ class TestRunCommand:
                                                          capsys):
         # Accepted, e1:e2 and e2:e1 would give e1 and e2 different values
         # of one symmetric pair (degrees 0.6500 and 0.8500).
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         pairs = {"e1:e2": 0.5, "e2:e1": 0.9, "e1:e3": 0.8, "e2:e3": 0.8}
         doc["config"]["overrides"] = {"pair_similarity": pairs}
         assert main(["run", write_doc(tmp_path, doc)]) == 2
@@ -678,7 +682,7 @@ class TestSubprocess:
         assert proc.stdout == raw
 
     def test_local_file_shadows_bundled_name(self, tmp_path):
-        doc = json.loads(read_text("smartphone.json"))
+        doc = json.loads(SMARTPHONE_TEXT)
         doc["alternatives"] = ["p1", "p2", "p3", "p4"]
         # the published ranking names the alternatives, so it follows them
         doc["published"]["ranking"] = [
@@ -860,7 +864,7 @@ def _fast_decode(text):
     "path", ["smartphone.json"] + sorted(
         str(p.relative_to(DATA)) for p in DATA.rglob("*.json")))
 def test_both_decoders_give_equal_documents(path):
-    text = read_text(path) if path == "smartphone.json" else \
+    text = SMARTPHONE_TEXT if path == "smartphone.json" else \
         (DATA / path).read_text(encoding="utf-8")
     fast = _outcome(_fast_decode, text)
     assert fast == _outcome(cli._strict_loads, text)
@@ -1015,6 +1019,108 @@ def test_every_command_checks_pair_overrides_as_run_does(tmp_path, pairs,
     for argv in (["run", doc], ["energy", doc],
                  ["verify-bounds", "--fixtures", doc]):
         assert main_output(argv) == (2, "", message), argv
+
+
+# Override values of the wrong shape or sign, and run's message for each.
+# An aggregated relation of another size fails its labels while it is read.
+OVERRIDE_MISFITS = [
+    ("c1", [[0.3, 0.3, 0.4]] * 2,
+     "c1 override must have shape (3, 3), got (2, 3)"),
+    ("c1", [[-0.3, 0.3, 0.4]] * 3,
+     "c1 override components must be nonnegative"),
+    ("ca", [0.5, 0.5], "ca override must have shape (3,), got (2,)"),
+    ("c", [[0.3, 0.3, 0.4]] * 4,
+     "c override must have shape (3, 3), got (4, 3)"),
+    ("c", [[0.3, -0.3, 0.4]] * 3, "c override components must be nonnegative"),
+    ("aggregated", [row[:3] for row in E1_HFPR[:3]],
+     "4 labels for an n = 3 relation"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", OVERRIDE_MISFITS,
+    ids=["c1-shape", "c1-negative", "ca-shape", "c-shape", "c-negative",
+         "aggregated-size"])
+def test_every_command_refuses_the_overrides_run_refuses(tmp_path, key, value,
+                                                         message):
+    doc = write_doc(tmp_path, edited(("config", "overrides", key), value))
+    for argv in (["run", doc], ["run", doc, "--format", "json"],
+                 ["energy", doc], ["energy", doc, "--format", "json"],
+                 ["verify-bounds", "--fixtures", doc]):
+        assert main_output(argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_override_shape_is_reported_before_a_published_field(tmp_path):
+    doc = edited(("config", "overrides", "c1"), [[0.3, 0.3, 0.4]] * 2)
+    doc["published"]["ranking"] = 5
+    assert main_output(["energy", write_doc(tmp_path, doc)]) == (
+        2, "", "error: c1 override must have shape (3, 3), got (2, 3)\n")
+
+
+def test_ca_sum_is_a_stage_rule_that_only_run_reaches(tmp_path):
+    doc = write_doc(tmp_path, edited(("config", "overrides", "ca"),
+                                     [0.9, 0.9, 0.9]))
+    assert main_output(["run", doc]) == (
+        2, "", "error: ca must sum to 1, got 2.7\n")
+    assert main_output(["energy", doc])[0] == 0
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ({"e1:e2": -1.0, "e1:e3": 0.8, "e2:e3": 0.8},
+     "error: pair_similarity override for experts (0, 1) is -1.0; "
+     "it must be positive\n"),
+    ({"e1:e2": 0.5, "e2:e1": 0.9, "e1:e3": 0.8},
+     "error: pair_similarity gives experts (1, 0) in both orientations; "
+     "the measure is symmetric, so give it once\n"),
+], ids=["negative", "both-orientations"])
+def test_published_pairs_meet_the_override_rule(tmp_path, pairs, message):
+    # --override-similarity paper injects these pairs, so every command
+    # refuses them on parse as that flag would.
+    doc = write_doc(tmp_path, edited(("published", "pair_similarity"), pairs))
+    for argv in (["run", doc], ["run", doc, "--override-similarity", "paper"],
+                 ["energy", doc], ["verify-bounds", "--fixtures", doc]):
+        assert main_output(argv) == (2, "", message), argv
+
+
+def test_published_pairs_keep_their_keys_as_written(tmp_path):
+    doc = write_doc(tmp_path, edited(("published", "pair_similarity"),
+                                     {"e2:e1": 1.9856, "e1:e3": 1.9155}))
+    rc, out, _ = main_output(["run", doc, "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)["discrepancies"]
+    assert [r["quantity"] for r in rows[:2]] == [
+        "pair_similarity e2:e1", "pair_similarity e1:e3"]
+
+
+def test_expert_without_hfpr_exits_2_naming_it(tmp_path):
+    doc = copy.deepcopy(SMARTPHONE)
+    del doc["experts"][1]["hfpr"]
+    assert main_output(["run", write_doc(tmp_path, doc)]) == (
+        2, "", "error: missing hfpr matrix\n")
+
+
+def test_computation_error_exits_1(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    for argv in (["run", "smartphone.json"], ["energy", "smartphone.json"]):
+        assert main_output(argv) == (
+            1, "", "error: symmetric eigensolver failed: "
+            "Eigenvalues did not converge\n")
+
+
+def test_bundled_documents_ship_where_parse_input_opens_them():
+    # Each bundled name lies in the source tree's data directory, matches
+    # the package-data glob that puts it in a built package, and is the
+    # file parse_input opens for it.
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["hfgdm"]
+    assert cli.BUNDLED
+    for name in cli.BUNDLED:
+        assert (BUNDLED_DIR / name).is_file(), name
+        assert any(fnmatch.fnmatch(f"data/{name}", g) for g in globs), name
+        assert (Path(cli._DATA_DIR) / name).read_bytes() == \
+            (BUNDLED_DIR / name).read_bytes()
 
 
 def _reject_constant(token):

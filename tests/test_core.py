@@ -162,6 +162,21 @@ class TestVertexAttribute:
         with pytest.raises(ParameterOutOfRange):
             VertexAttribute(0.8, 0.4)
 
+    def test_grade_outside_unit_interval(self):
+        with pytest.raises(ParameterOutOfRange, match=r"^mu1 = 1\.5 outside"):
+            VertexAttribute(1.5, 0.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.float64(2), 0.1), "mu1 = 2.0 outside [0, 1]"),
+        ((np.float64(0.75), np.float64(0.5)), "mu1 + gamma1 = 1.25 exceeds 1"),
+        ((0.5, 0.25, np.float64(0.5)),
+         "beta1 = 0.5 but 1 - mu1 - gamma1 = 0.25"),
+    ])
+    def test_numpy_grades_shown_as_plain_floats(self, args, message):
+        with pytest.raises(ParameterOutOfRange) as err:
+            VertexAttribute(*args)
+        assert str(err.value) == message
+
 
 class TestMakeHfpr:
     def test_fixture_matrix_valid(self, m1):
@@ -257,6 +272,16 @@ class TestMakeHfpr:
             make_hfpr(np.zeros((2, 2, 4)))
         with pytest.raises(DimensionMismatch):
             make_hfpr(np.zeros((2, 2, 3)), labels=["only-one"])
+
+    def test_no_alternatives(self):
+        with pytest.raises(DimensionMismatch,
+                           match="need at least one alternative"):
+            make_hfpr(np.zeros((0, 0, 3)))
+
+    def test_vertex_attribute_count(self):
+        with pytest.raises(DimensionMismatch,
+                           match="2 vertex attributes for an n = 3 relation"):
+            make_hfpr(np.zeros((3, 3, 3)), vertex_attrs=[(0.5, 0.3)] * 2)
 
     def test_roundtrip_bit_exact(self, m1):
         rebuilt = make_hfpr(

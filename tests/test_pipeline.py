@@ -745,6 +745,108 @@ class TestStackedGrid:
             blend_scores(PUBLISHED_C1, PUBLISHED_CA, gamma_blend=1.5)
 
 
+class TestOverridesChecked:
+    """Overrides.checked holds every override rule that run applies, in
+    stage order, and run reads its fields."""
+
+    def test_converts_and_is_idempotent(self, m2):
+        ov = Overrides(c1=[[0.3, 0.3, 0.4]] * 3,
+                       pair_similarity={(1, 0): 0.9}, ca=[0.2, 0.3, 0.5],
+                       c=[[0.3, 0.3, 0.3]] * 3, aggregated=m2)
+        got = ov.checked(3, 4)
+        assert got.pair_similarity == {(0, 1): 0.9}
+        assert got.c1.shape == got.c.shape == (3, 3)
+        assert got.ca.shape == (3,)
+        assert not got.c.flags.writeable
+        assert got.aggregated is m2
+        again = got.checked(3, 4)
+        assert again.pair_similarity == got.pair_similarity
+        for name in ("c1", "ca", "c"):
+            assert np.array_equal(getattr(again, name), getattr(got, name))
+        assert Overrides().checked(3, 4) == Overrides()
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"c1": [[0.3, 0.3, 0.4]] * 2}, OverrideShapeMismatch,
+         "c1 override must have shape (3, 3), got (2, 3)"),
+        ({"c1": [[-0.3, 0.3, 0.4]] * 3}, ParameterOutOfRange,
+         "c1 override components must be nonnegative"),
+        ({"pair_similarity": {(0, 3): 1.0}}, OverrideShapeMismatch,
+         "pair_similarity key (0, 3) is not a valid expert pair"),
+        ({"ca": [0.5, 0.5]}, OverrideShapeMismatch,
+         "ca override must have shape (3,), got (2,)"),
+        ({"aggregated": "small"}, OverrideShapeMismatch,
+         "aggregated override does not match the relation size"),
+        ({"c": [[0.3, 0.3, 0.3]] * 4}, OverrideShapeMismatch,
+         "c override must have shape (3, 3), got (4, 3)"),
+        ({"c": [[0.3, -0.3, 0.3]] * 3}, ParameterOutOfRange,
+         "c override components must be nonnegative"),
+        # Stage order: the earliest stage's rule is the one reported.
+        ({"c1": [[0.3] * 3] * 2, "c": [[-1.0] * 3] * 3},
+         OverrideShapeMismatch, "c1 override must have shape"),
+        ({"pair_similarity": {(0, 1): -1.0}, "ca": [1.0]},
+         ParameterOutOfRange, "pair_similarity override for experts (0, 1)"),
+    ], ids=["c1-shape", "c1-negative", "pair-key", "ca-shape",
+            "aggregated-size", "c-shape", "c-negative", "c1-before-c",
+            "pair-before-ca"])
+    def test_run_raises_what_checked_raises(self, experts, fields, error,
+                                            message):
+        if fields.get("aggregated") == "small":
+            fields = {"aggregated": make_hfpr(np.zeros((2, 2, 3)))}
+        ov = Overrides(**fields)
+        with pytest.raises(error) as checked:
+            ov.checked(3, 4)
+        assert str(checked.value).startswith(message)
+        with pytest.raises(error) as ran:
+            run(experts, PipelineConfig(overrides=ov))
+        assert str(ran.value) == str(checked.value)
+
+    def test_run_reads_the_checked_fields(self, experts, monkeypatch):
+        calls = []
+        checked = Overrides.checked
+
+        def spy(self, l, n):
+            calls.append((l, n))
+            return dataclasses.replace(checked(self, l, n),
+                                       ca=np.array([0.2, 0.3, 0.5]))
+        monkeypatch.setattr(Overrides, "checked", spy)
+        report = run(experts, PipelineConfig(
+            overrides=Overrides(ca=[0.25, 0.25, 0.5])))
+        assert calls == [(3, 4)]
+        assert report.ca.tolist() == [0.2, 0.3, 0.5]
+
+
+class TestNumpyScalarsInMessages:
+    """A numpy scalar argument reads as a plain number in the message."""
+
+    def test_blend_scores(self):
+        with pytest.raises(ParameterOutOfRange) as err:
+            blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=np.float64(2))
+        assert str(err.value) == "eta = 2.0 outside [0, 1]"
+        with pytest.raises(ParameterOutOfRange) as err:
+            blend_scores(PUBLISHED_C1, PUBLISHED_CA,
+                         gamma_blend=np.float64(1.5))
+        assert str(err.value) == "gamma_blend = 1.5 outside [0, 1]"
+        with pytest.raises(ParameterOutOfRange) as err:
+            blend_scores(PUBLISHED_C1, np.array([0.5, 0.25, 0.75]))
+        assert str(err.value) == "ca must sum to 1, got 1.5"
+
+    def test_pipeline_config(self):
+        with pytest.raises(ParameterOutOfRange) as err:
+            PipelineConfig(eta=np.float64(2))
+        assert str(err.value) == "eta = 2.0 outside [0, 1]"
+
+    def test_pair_override_keys(self, experts):
+        i, j = np.int64(0), np.int64(5)
+        with pytest.raises(OverrideShapeMismatch) as err:
+            similarity_weights(experts, {(i, j): 1.0})
+        assert str(err.value) == \
+            "pair_similarity key (0, 5) is not a valid expert pair"
+        with pytest.raises(ParameterOutOfRange) as err:
+            similarity_weights(experts, {(i, np.int64(1)): -1.0})
+        assert str(err.value).startswith(
+            "pair_similarity override for experts (0, 1) is -1.0;")
+
+
 class TestPairOverridesInLibrary:
     """similarity_weights and mean_similarity_degree check a pair map as
     run does."""

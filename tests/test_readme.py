@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from hfgdm.cli import main, parse_input
-from hfgdm.fixtures import read_text
+
+from shared import SMARTPHONE_DOC
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,7 +37,7 @@ def library_block() -> str:
 
 def test_library_block_runs_on_the_case_study():
     doc = parse_input("smartphone.json")
-    raw = json.loads(read_text("smartphone.json"))
+    raw = json.loads(SMARTPHONE_DOC.read_text(encoding="utf-8"))
     h1, h2, h3 = doc.experts
     namespace = {"triples": raw["experts"][0]["hfpr"],
                  "h1": h1, "h2": h2, "h3": h3}

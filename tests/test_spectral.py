@@ -736,6 +736,11 @@ class TestSurveyArguments:
                             n_range=(np.int64(3), np.uint8(5)))
         assert got == bounds_survey(seed=5, count=3, n_range=(3, 5))
 
+    def test_numpy_integer_shown_as_a_plain_int(self):
+        with pytest.raises(ParameterOutOfRange) as err:
+            bounds_survey(count=np.int64(-1))
+        assert str(err.value) == "count = -1 must be an integer of at least 0"
+
 
 class TestBlockPass:
     """Each size group's sums are scattered into one block, which is
