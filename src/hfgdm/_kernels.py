@@ -2,9 +2,9 @@
 
 eigenvalues() diagonalises a symmetric matrix or a stack of them with
 LAPACK's symmetric eigenvalue routine (numpy.linalg.eigvalsh). The
-package calls it only on the channel matrices of relations, and
-make_hfpr validates symmetry and finiteness; only the lower triangle is
-read.
+package calls it only on the channel matrices of relations, which
+make_hfpr found finite and stores exactly symmetric, so the lower
+triangle the routine reads holds the same numbers as the upper one.
 """
 
 from __future__ import annotations

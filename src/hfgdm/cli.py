@@ -2,14 +2,16 @@
 
 Input is a single strict-schema JSON document per scenario (see
 parse_input), local or bundled, read by one path and checked once on
-parse by every command. Its overrides and published pairs pass
-Overrides.checked, so energy and verify-bounds --fixtures refuse every
-override that run refuses; ca summing to 1 and finite similarity degrees
-are stage rules that only run reaches. Machine output serializes every
-float with 17 significant digits so documents round-trip exactly. A
-report is laid out in one walk as a %-template with a slot per float (a
-float array or tuple gives the same bytes as its nested lists); each
-distinct float is formatted once and the template filled in one step.
+parse by every command. Its overrides pass Overrides.checked, and its
+published pairs the same pair rule (_resolve_pairwise), so energy and
+verify-bounds --fixtures refuse every override that run refuses; ca
+summing to 1 and finite similarity degrees are stage rules that only
+run reaches. Machine output
+serializes every float with 17 significant digits so documents
+round-trip exactly. A report is laid out in one walk as a %-template
+with a slot per float (a float array or tuple gives the same bytes as
+its nested lists); each distinct float is formatted once and the
+template filled in one step.
 Tables render 4 decimal places and mirror the published case-study table
 column order (gamma, score vectors, similarities to the ideals,
 closeness, ranking) for eyeball diffing. All output is written once,
@@ -45,7 +47,7 @@ from .pipeline import (
     RankingReport,
     run as run_pipeline,
 )
-from .similarity import pair_similarity
+from .similarity import _resolve_pairwise, pair_similarity
 from .spectral import (bounds_survey, energies, fixture_survey_rows,
                        laplacian_energies)
 
@@ -413,10 +415,10 @@ def _document(raw) -> InputDocument:
             "ca": one_each,
             "ranking": (ranking, "a list of every alternative exactly once"),
         })
-        # Checked as --override-similarity paper would inject them, but
-        # kept as written, so their discrepancy rows keep their labels.
-        Overrides(pair_similarity=published.get("pair_similarity")).checked(
-            len(ids), n)
+        # The pair_similarity override rule, since --override-similarity
+        # paper injects these pairs; a refusal names the key as written.
+        _resolve_pairwise(published.get("pair_similarity"), len(ids),
+                          "published.pair_similarity", ids)
 
     return InputDocument(
         alternatives=alternatives,

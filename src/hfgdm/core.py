@@ -12,13 +12,17 @@ workers. make_hfpr is the only way to build an HFPR, and it validates a
 relation once, symmetry included: a valid array is accepted after a few
 whole-array reductions, and only an invalid one is scanned rule by rule
 for the first offending entry in row-major order. Later stages trust the
-HFPR type and do not check it again.
+HFPR type and do not check it again. A twin within the symmetry
+tolerance is stored as the exact mirror of its upper-triangle entry, so
+every relation equals its own transpose bit for bit.
 
 A Panel is the group of relations that every later stage works on: the
-l experts' relations, nonempty and of one size, with their values
-stacked once. Panel.of is the one place that checks a group and stacks
-it; every function that takes a group accepts a Panel as is, or a
-sequence of relations that it turns into one.
+l experts' relations, nonempty, of one size and with one set of labels,
+with their values stacked once. Panel.of is the one place that checks a
+group; every function that takes a group accepts a Panel as is, or a
+sequence of relations that it turns into one. _channels is the one
+stacking, shared with the bounds survey, whose size groups may mix
+labels because no bound reads them.
 """
 
 from __future__ import annotations
@@ -87,6 +91,14 @@ def _upper_indices(n: int) -> np.ndarray:
     return _freeze(iu * n + ju)
 
 
+def _upper_weights(a: np.ndarray) -> np.ndarray:
+    """Strict upper triangle of each matrix of an (..., n, n) stack, in
+    row-major order, laid out as numpy's indexing leaves it: the survey's
+    printed sums over it depend on that summation order."""
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., _upper_indices(n)]
+
+
 @dataclass(frozen=True, eq=False)
 class HFPR:
     """A validated symmetric n x n matrix of triples with zero diagonal.
@@ -112,9 +124,8 @@ class HFPR:
         row-major order, built on first use. Channel-major, because numpy
         reduces across the three rows much faster than along a short last
         axis."""
-        n = self.n
         return _freeze(np.ascontiguousarray(
-            self.values.reshape(n * n, 3)[_upper_indices(n)].T))
+            _upper_weights(self.values.transpose(2, 0, 1))))
 
 
 def _one_size(relations) -> int:
@@ -125,28 +136,44 @@ def _one_size(relations) -> int:
     return sizes.pop()
 
 
+def _channels(relations) -> np.ndarray:
+    """Relations of one size stacked as read-only C-contiguous (l, 3, n, n)
+    channel matrices, whatever their labels."""
+    return _freeze(np.ascontiguousarray(
+        np.stack([h.values for h in relations]).transpose(0, 3, 1, 2)))
+
+
 @dataclass(frozen=True, eq=False)
 class Panel:
-    """Relations of one size as a sequence, stacked once: read-only
-    (l, n, n, 3) values, and the same bytes as contiguous (l, 3, n, n)
-    channel matrices. Construct through Panel.of."""
+    """Relations of one size and one set of labels as a sequence, with
+    their values stacked once: channels, the read-only C-contiguous
+    (l, 3, n, n) channel matrices. Construct through Panel.of."""
 
     relations: tuple[HFPR, ...]
-    values: np.ndarray
     channels: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        """The stack as (l, n, n, 3) triples: a read-only view of channels."""
+        return self.channels.transpose(0, 2, 3, 1)
 
     @classmethod
     def of(cls, relations) -> Panel:
-        """A Panel as is; else nonempty relations of one size, stacked."""
+        """A Panel as is; else nonempty relations of one size and one set
+        of labels, stacked."""
         if isinstance(relations, Panel):
             return relations
         relations = tuple(relations)
         if not relations:
             raise NeedTwoExperts("need at least 1 relation")
         _one_size(relations)
-        values = _freeze(np.stack([h.values for h in relations]))
-        return cls(relations, values, _freeze(
-            np.ascontiguousarray(values.transpose(0, 3, 1, 2))))
+        labels = relations[0].labels
+        for k, h in enumerate(relations):
+            if h.labels != labels:
+                raise DimensionMismatch(
+                    f"relation {k} is labelled {h.labels}, but relation 0 "
+                    f"is labelled {labels}")
+        return cls(relations, _channels(relations))
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -164,7 +191,8 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     order is reported, under the first rule it breaks in this order:
     component range (NaN fails it) and triple sum, exact-zero diagonal,
     componentwise symmetry against the upper-triangle twin (tolerance
-    1e-9, reported at the lower-triangle entry), then the optional vertex
+    1e-9, reported at the lower-triangle entry; an accepted twin is
+    stored as the upper entry's exact mirror), then the optional vertex
     bounds mu_ij <= min(mu1_i, mu1_j), gamma_ij <= max(gamma1_i, gamma1_j),
     beta_ij <= min(beta1_i, beta1_j). Labels default to t1..tn.
     """
@@ -211,8 +239,10 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
             and (vertex_bounds is None or (
                 (mu <= vertex_bounds[0]) & (gamma <= vertex_bounds[1])
                 & (beta <= vertex_bounds[2])).all()):
-        return HFPR(values=_freeze(a.copy()), labels=labels,
-                    vertex_attrs=attrs)
+        # A twin within the tolerance is stored as its upper entry's mirror.
+        values = np.where(np.tri(n, dtype=bool)[..., None],
+                          a.transpose(1, 0, 2), a)
+        return HFPR(values=_freeze(values), labels=labels, vertex_attrs=attrs)
 
     # Some entry breaks a rule: find the first one.
     row, col = np.indices((n, n))

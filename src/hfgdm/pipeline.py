@@ -338,7 +338,7 @@ def aggregate_hfpr(experts, c) -> HFPR:
     """
     experts = Panel.of(experts)
     weights = _score_matrix(c, len(experts), "c")
-    vals = np.einsum("bc,bijc->ijc", weights, experts.values)
+    vals = np.einsum("bc,bcij->ijc", weights, experts.channels)
     return make_hfpr(vals, labels=experts[0].labels)
 
 

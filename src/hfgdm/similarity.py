@@ -43,12 +43,15 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _resolve_pairwise(pairwise, l: int) -> dict | None:
+def _resolve_pairwise(pairwise, l: int, where: str | None = None,
+                      ids=None) -> dict | None:
     """Stage-iii overrides as {(i, j): float} with i < j, or None for none.
 
     Every key must be a pair of distinct expert indices below l, given in
     one orientation only, since the measure is symmetric; every value
-    must be positive.
+    must be positive. A message names an override by its expert indices;
+    pairs that a document field where writes as "id:id" keys over the
+    expert ids are named by the key as written.
     """
     if pairwise is None:
         return None
@@ -61,14 +64,17 @@ def _resolve_pairwise(pairwise, l: int) -> dict | None:
         val = float(val)
         if not val > 0.0:
             raise ParameterOutOfRange(
-                f"pair_similarity override for experts {(i, j)!r} is {val!r}; "
-                "it must be positive")
+                (f"{where}.{ids[i]}:{ids[j]}" if where else
+                 f"pair_similarity override for experts {(i, j)!r}")
+                + f" is {val!r}; it must be positive")
         pair = (int(i), int(j))
         normalized = _pair_key(*pair)
         if normalized in out:
             raise OverrideShapeMismatch(
-                f"pair_similarity gives experts {pair!r} in both "
-                "orientations; the measure is symmetric, so give it once")
+                (f"{where} gives {ids[j]}:{ids[i]} and {ids[i]}:{ids[j]}"
+                 if where else
+                 f"pair_similarity gives experts {pair!r} in both orientations")
+                + "; the measure is symmetric, so give it once")
         out[normalized] = val
     return out
 

@@ -16,8 +16,9 @@ finite, and every spectrum comes from _kernels.eigenvalues on their
 channel matrices: a Panel's (k, 3, n, n) channels stack. energies and
 laplacian_energies take a Panel, or relations that Panel.of turns into
 one, and the single-relation functions are a Panel of one through the
-same code. The survey groups a block of instances by n, each group a
-Panel. Per group it does only what depends on n: one solve of the
+same code. The survey groups a block of instances by n, each group
+stacked as a Panel is but with no label check, since no bound reads
+labels. Per group it does only what depends on n: one solve of the
 stacked adjacency and Laplacian matrices and the sums along n. Those
 (k, 3) sums are scattered into instance order, and the bounds, verdicts,
 identities and rows are computed once for the whole block, elementwise,
@@ -38,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import (CHANNELS, HFPR, Panel, _freeze, _plain, _upper_indices,
-                   random_hfpr)
+from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _plain,
+                   _upper_weights, random_hfpr)
 from .errors import IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
@@ -53,12 +54,6 @@ IDENTITIES = ("laplacian_trace", "laplacian_square", "shifted_sum",
 def _laplacians(a: np.ndarray) -> np.ndarray:
     """diag(degrees) - adjacency for each matrix of an (..., n, n) stack."""
     return a.sum(axis=-1)[..., None] * np.eye(a.shape[-1]) - a
-
-
-def _upper_weights(a: np.ndarray) -> np.ndarray:
-    """Strict upper triangle of each matrix of an (..., n, n) stack."""
-    n = a.shape[-1]
-    return a.reshape(a.shape[:-2] + (n * n,))[..., _upper_indices(n)]
 
 
 def _pow(a: np.ndarray, exponent) -> np.ndarray:
@@ -117,13 +112,14 @@ def laplacian_energy(h: HFPR) -> np.ndarray:
 
 def _group_sums(adj: np.ndarray) -> np.ndarray:
     """Every reduction along n that the survey reads of a (k, 3, n, n)
-    stack of one size, as one (15, k, 3) array: the energies, |det|^(2/p),
-    the sums of the upper-triangle weights' squares, of their products
-    with their mirrors and of the weights, dev = sum (d - 2s/n)^2, the
-    Laplacian energies, the largest shifted eigenvalue psi1, then the seven
-    sums the identities compare (_identity_check): of the Laplacian
-    eigenvalues w, of w², of the degrees squared, of the shifted spectrum
-    psi and psi², and of the positive and the negative part of psi.
+    stack of one size, as one (14, k, 3) array: the energies, |det|^(2/p),
+    the sums of the upper-triangle weights' squares and of the weights,
+    dev = sum (d - 2s/n)^2, the Laplacian energies, the largest shifted
+    eigenvalue psi1, then the seven sums the identities compare
+    (_identity_check): of the Laplacian eigenvalues w, of w², of the
+    degrees squared, of the shifted spectrum psi and psi², and of the
+    positive and the negative part of psi. A relation is exactly
+    symmetric, so no sum needs the lower triangle.
 
     The adjacency matrices and the Laplacians are solved in one call. The
     identities read their own copy of the Laplacians, so each relation
@@ -138,8 +134,7 @@ def _group_sums(adj: np.ndarray) -> np.ndarray:
     psi = _shifted(w_lap, s, n)
     psi_id = _shifted(w_id, s, n)
     return np.array([
-        np.abs(w).sum(axis=-1), _det_term(w), np.square(upper).sum(axis=-1),
-        (upper * _upper_weights(np.swapaxes(adj, -1, -2))).sum(axis=-1), s,
+        np.abs(w).sum(axis=-1), _det_term(w), np.square(upper).sum(axis=-1), s,
         np.square(d - (2.0 * s / n)[..., None]).sum(axis=-1),
         np.abs(psi).sum(axis=-1), psi[..., 0],
         w_id.sum(axis=-1), np.square(w_id).sum(axis=-1),
@@ -150,13 +145,13 @@ def _group_sums(adj: np.ndarray) -> np.ndarray:
 
 def _identity_check(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(k, 3, 4) identity residuals and the scales they are judged on, the
-    last axis in IDENTITIES order, from a (15, k, 3) _group_sums array.
+    last axis in IDENTITIES order, from a (14, k, 3) _group_sums array.
     Rounding grows with the size of the sides an identity compares, so a
     scale is max(1, |left|, |right|); the shifted sum's sides are the
     positive and the negative part of the shifted spectrum, which must
     balance."""
-    w2, s, dev = sums[2], sums[4], sums[5]
-    w_sum, w_sq, d_sq, psi_sum, psi_sq, psi_pos, psi_neg = sums[8:]
+    w2, s, dev = sums[2], sums[3], sums[4]
+    w_sum, w_sq, d_sq, psi_sum, psi_sq, psi_pos, psi_neg = sums[7:]
     aux = w2 + 0.5 * dev
     residuals = np.abs(np.stack([
         w_sum - 2.0 * s, w_sq - (2.0 * w2 + d_sq), psi_sum,
@@ -173,8 +168,9 @@ class SurveyRow(NamedTuple):
 
     With W the sum of squared upper-triangle weights of a p x p channel,
     the energy rows carry energy_determinant_bounds, the lower bound
-    sqrt(p(p-1)|det|^(2/p) + 2*sum w_ij*w_ji) (det from the eigenvalue
-    product, in the log domain where that leaves the float range) and
+    sqrt(p(p-1)|det|^(2/p) + 2W) (det from the eigenvalue product, in
+    the log domain where that leaves the float range; a relation is
+    exactly symmetric, so the directed term 2 sum w_ij*w_ji is 2W) and
     the Frobenius upper bound sqrt(2p * W); and energy_mean_square_upper,
     2W/p + sqrt((p-1)(2W - (2W/p)^2)), asserted only under its classical
     hypothesis 2W >= p and satisfied vacuously where that fails. With
@@ -252,8 +248,9 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
     """Bound rows for relations keyed first_key onwards, whose Laplacian
     spectra must also pass the identities.
 
-    Each size group, a Panel of its members, gives its reductions along n
-    (_group_sums), scattered into one (15, k, 3) array in instance order;
+    Each size group, its members' channels stacked (core._channels) whatever
+    their labels, gives its reductions along n
+    (_group_sums), scattered into one (14, k, 3) array in instance order;
     the bounds, verdicts, identities (_identity_check, the only place they
     are checked) and rows are then computed once for the whole block. The
     first identity residual over IDENTITY_TOL times its scale, in
@@ -268,11 +265,11 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(sizes):
         groups.setdefault(n, []).append(i)
-    sums = np.empty((15, k, len(CHANNELS)))  # the 15 _group_sums
+    sums = np.empty((14, k, len(CHANNELS)))  # the 14 _group_sums
     for members in groups.values():
         sums[:, members] = _group_sums(
-            Panel.of([relations[i] for i in members]).channels)
-    e, det_term, w2, prod, _, dev, le, psi1 = sums[:8]
+            _channels([relations[i] for i in members]))
+    e, det_term, w2, _, dev, le, psi1 = sums[:7]
     aux = w2 + 0.5 * dev
     residuals, scales = _identity_check(sums)
     over = residuals > IDENTITY_TOL * scales
@@ -283,7 +280,7 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
 
     # p is n, as a column against the (k, 3) values.
     p = np.array(sizes, dtype=float)[:, None]
-    lo_det = np.sqrt(p * (p - 1) * det_term + 2.0 * prod)
+    lo_det = np.sqrt(p * (p - 1) * det_term + 2.0 * w2)
     hi_det = np.sqrt(2.0 * p * w2)
     mean_sq = 2.0 * w2 / p
     hi_ms = mean_sq + np.sqrt(

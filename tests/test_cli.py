@@ -1067,15 +1067,17 @@ def test_ca_sum_is_a_stage_rule_that_only_run_reaches(tmp_path):
 
 @pytest.mark.parametrize("pairs, message", [
     ({"e1:e2": -1.0, "e1:e3": 0.8, "e2:e3": 0.8},
-     "error: pair_similarity override for experts (0, 1) is -1.0; "
-     "it must be positive\n"),
+     "error: published.pair_similarity.e1:e2 is -1.0; it must be positive\n"),
+    ({"e1:e2": 0.8, "e3:e1": 0.0},
+     "error: published.pair_similarity.e3:e1 is 0.0; it must be positive\n"),
     ({"e1:e2": 0.5, "e2:e1": 0.9, "e1:e3": 0.8},
-     "error: pair_similarity gives experts (1, 0) in both orientations; "
+     "error: published.pair_similarity gives e1:e2 and e2:e1; "
      "the measure is symmetric, so give it once\n"),
-], ids=["negative", "both-orientations"])
+], ids=["negative", "zero", "both-orientations"])
 def test_published_pairs_meet_the_override_rule(tmp_path, pairs, message):
     # --override-similarity paper injects these pairs, so every command
-    # refuses them on parse as that flag would.
+    # refuses them on parse as that flag would, naming the published key
+    # as written rather than an override the document does not have.
     doc = write_doc(tmp_path, edited(("published", "pair_similarity"), pairs))
     for argv in (["run", doc], ["run", doc, "--override-similarity", "paper"],
                  ["energy", doc], ["verify-bounds", "--fixtures", doc]):

@@ -7,6 +7,7 @@ its triples in bulk; the per-entry draw loop it replaced is kept as
 random_hfpr_reference, and a property test requires the same values and
 the same generator state afterwards.
 """
+import dataclasses
 import warnings
 
 import numpy as np
@@ -52,7 +53,8 @@ def make_hfpr_reference(entries, vertex_attrs=None):
 
     Each entry is checked in turn: component range and triple sum, the
     exact-zero diagonal, symmetry against the upper-triangle twin, then
-    the vertex bounds. Shapes and labels are taken as valid.
+    the vertex bounds. Shapes and labels are taken as valid. An accepted
+    relation stores each lower entry as its upper twin's mirror.
     """
     a = np.asarray(entries, dtype=float)
     n = a.shape[0]
@@ -81,7 +83,12 @@ def make_hfpr_reference(entries, vertex_attrs=None):
                         or beta > min(vi.beta1, vj.beta1) + TOL):
                     raise EdgeExceedsVertexBound(
                         f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
-    return HFPR(values=a.copy(), labels=tuple(f"t{i + 1}" for i in range(n)),
+    # An accepted twin is stored as the mirror of its upper entry.
+    values = a.copy()
+    for i in range(n):
+        for j in range(i):
+            values[i, j] = a[j, i]
+    return HFPR(values=values, labels=tuple(f"t{i + 1}" for i in range(n)),
                 vertex_attrs=attrs)
 
 
@@ -211,6 +218,17 @@ class TestMakeHfpr:
                                match=rf"^{name} = .* at entry \(0, 1\)") as e:
                 make_hfpr(self._pair(triple))
             assert (e.value.i, e.value.j) == (0, 1)
+
+    def test_twin_within_tolerance_is_stored_mirrored(self):
+        rows = np.zeros((3, 3, 3))
+        rows[0, 1] = rows[1, 0] = (0.2, 0.3, 0.4)
+        rows[0, 2] = rows[2, 0] = (0.1, 0.1, 0.1)
+        rows[1, 0] += (5e-10, -5e-10, 0.0)
+        rows[2, 0, 2] += 1e-9
+        h = make_hfpr(rows)
+        assert h.values[np.triu_indices(3, 1)].tolist() == \
+            rows[np.triu_indices(3, 1)].tolist()
+        assert np.array_equal(h.values, h.values.transpose(1, 0, 2))
 
     def test_sum_above_one(self):
         with pytest.raises(TripleOutOfRange, match="exceeds 1"):
@@ -495,6 +513,14 @@ class TestPanel:
         for a in (panel.values, panel.channels):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0, 0, 0] = 1.0
+
+    def test_one_stack_with_values_a_view_of_it(self, experts):
+        panel = Panel.of(experts)
+        assert [f.name for f in dataclasses.fields(Panel)] == [
+            "relations", "channels"]
+        assert np.shares_memory(panel.values, panel.channels)
+        assert panel.values.base is panel.channels
+        assert not panel.values.flags.writeable
 
     def test_a_panel_is_returned_as_is(self, experts):
         panel = Panel.of(experts)

@@ -231,6 +231,20 @@ class TestAggregateHfpr:
         with pytest.raises(AsymmetricEntry):
             make_hfpr(a)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+           l=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_channel_contraction_matches_the_triple_one(self, seed, n, l):
+        # aggregate_hfpr contracts the Panel's channels stack; the old
+        # contraction over the (l, n, n, 3) triples gives the same bits.
+        rng = np.random.default_rng(seed)
+        rels = [random_hfpr(n, rng) for _ in range(l)]
+        w = rng.uniform(0.0, 1.0, l)
+        w = np.repeat((w / w.sum())[:, None], 3, axis=1)
+        want = np.einsum("bc,bijc->ijc", w,
+                         np.stack([h.values for h in rels]))
+        assert aggregate_hfpr(rels, w).values.tobytes() == want.tobytes()
+
     def test_negative_weights_rejected(self, experts):
         w = np.full((3, 3), 1 / 3)
         w[0, 0] = -0.1
@@ -527,6 +541,18 @@ def test_mixed_sizes_raise_one_error_everywhere(experts, name):
         with pytest.raises(DimensionMismatch) as info:
             ENTRY_POINTS[name](rels)
         assert str(info.value) == "mixed relation sizes [4, 5]"
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_mixed_labels_raise_one_error_everywhere(experts, name):
+    # Every aggregate and report is labelled by the first relation, so a
+    # group with another set of labels is refused, not relabelled.
+    relabelled = make_hfpr(experts[1].values, labels=("a", "b", "c", "d"))
+    with pytest.raises(DimensionMismatch) as info:
+        ENTRY_POINTS[name]((experts[0], relabelled, experts[2]))
+    assert str(info.value) == (
+        "relation 1 is labelled ('a', 'b', 'c', 'd'), but relation 0 is "
+        "labelled ('t1', 't2', 't3', 't4')")
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))

@@ -123,6 +123,8 @@ class TestPairSimilarity:
     def test_upper_triangle_built_once_and_read_only(self, m1):
         upper = m1.upper
         assert m1.upper is upper
+        # Contiguous, so the pair reductions run along their rows.
+        assert upper.flags.c_contiguous
         assert upper.tolist() == m1.values[np.triu_indices(m1.n, 1)].T.tolist()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

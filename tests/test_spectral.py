@@ -25,6 +25,7 @@ from hfgdm import (
     energy,
     laplacian_energy,
     make_hfpr,
+    pair_similarity,
     random_hfpr,
 )
 from hfgdm import spectral
@@ -147,7 +148,7 @@ def square_weight_sum(h, k):
 
 
 def group_sums(h):
-    """One relation's (15, 1, 3) survey sums, as a stack of one."""
+    """One relation's (14, 1, 3) survey sums, as a stack of one."""
     return _group_sums(Panel.of([h]).channels)
 
 
@@ -170,6 +171,40 @@ def uniform_k3(w):
 def descending(a):
     """The spectrum of a symmetric matrix, largest eigenvalue first."""
     return eigenvalues(np.asarray(a, dtype=float))[::-1]
+
+
+def _skewed(seed, n, size):
+    """A random relation, and the same array with every strict-lower entry
+    moved by at most size, within make_hfpr's symmetry tolerance."""
+    rng = np.random.default_rng(seed)
+    a = random_hfpr(n, rng).values
+    lower = np.tri(n, k=-1, dtype=bool)[..., None]
+    return a, np.where(lower, a + rng.uniform(-size, size, a.shape), a)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9))
+@settings(max_examples=40, deadline=None)
+def test_a_skewed_relation_reads_as_its_mirror(seed, n):
+    # Within the tolerance, the lower triangle is stored as the upper
+    # one's mirror, so the solver, which reads the lower triangle, and
+    # the upper-triangle readers see the same weights.
+    mirror, skewed = _skewed(seed, n, 3e-10)
+    h, m = make_hfpr(skewed), make_hfpr(mirror)
+    other = random_hfpr(n, np.random.default_rng(seed + 1))
+    assert h.values.tobytes() == m.values.tobytes()
+    for kind in (spectral.energies, spectral.laplacian_energies):
+        assert kind([h]).tobytes() == kind([m]).tobytes()
+    assert pair_similarity(h, other) == pair_similarity(m, other)
+    assert exact(fixture_survey_rows([h])) == exact(fixture_survey_rows([m]))
+
+
+def test_group_sums_read_no_mirror_term(m1):
+    # 14 sums; the directed term sum w_ij w_ji of a symmetric relation is
+    # the sum of squares, row 2.
+    sums = group_sums(m1)
+    assert sums.shape == (14, 1, 3)
+    upper = m1.values[np.triu_indices(m1.n, 1)]
+    assert sums[2, 0].tolist() == np.square(upper).sum(axis=0).tolist()
 
 
 class TestSymmetricEigenvalues:
@@ -351,7 +386,7 @@ class TestLaplacianBounds:
         # aux = sum(w^2) + dev/2 = 0.75 + 0.015 = 0.765, from the sums
         # the survey bounds read
         sums = group_sums(m1)
-        assert sums[2, 0, 0] + 0.5 * sums[5, 0, 0] == pytest.approx(
+        assert sums[2, 0, 0] + 0.5 * sums[4, 0, 0] == pytest.approx(
             0.765, abs=1e-12)
         spread = rows["membership", "laplacian_energy_spread_lower"]
         frob = rows["membership", "laplacian_energy_frobenius_upper"]
@@ -382,7 +417,7 @@ class TestEigenIdentities:
         assert residuals[0, 0, trace] == pytest.approx(0.0, abs=1e-12)
         assert residuals[0, 0].max() < 1e-12
         adj = Panel.of([m1]).channels
-        shifted = _shifted(eigenvalues(_laplacians(adj)), sums[4],
+        shifted = _shifted(eigenvalues(_laplacians(adj)), sums[3],
                            m1.n)[0, 0].tolist()
         assert np.allclose(shifted, (0.45, 0.45, 0.15, -1.05), atol=1e-9)
         assert sum(shifted) == pytest.approx(0.0, abs=1e-12)
@@ -390,7 +425,7 @@ class TestEigenIdentities:
             2 * 0.765, abs=1e-12)
         # the survey's sums of the shifted spectrum: psi1, sum, sum of
         # squares
-        assert sums[[7, 11, 12], 0, 0] == pytest.approx(
+        assert sums[[6, 10, 11], 0, 0] == pytest.approx(
             [0.45, 0.0, 2 * 0.765], abs=1e-12)
 
     def test_random_instances(self):
@@ -642,6 +677,15 @@ class TestStackedAgainstScalarReference:
         want = [row for k, h in enumerate(relations)
                 for row in survey_rows_reference(k, h)]
         assert exact(got) == exact(want)
+
+    def test_size_groups_may_mix_labels(self, experts):
+        # No bound reads labels, so the survey bounds same-size relations
+        # labelled differently, as it bounds relations of mixed sizes.
+        five = random_hfpr(5, np.random.default_rng(5))
+        relabelled = make_hfpr(experts[1].values, labels=("w", "x", "y", "z"))
+        got = fixture_survey_rows([experts[0], five, relabelled])
+        assert exact(got) == exact(
+            fixture_survey_rows([experts[0], five, experts[1]]))
 
     def test_identity_residuals_and_scales_equal_reference(self, experts):
         relations = list(experts) + [
