@@ -35,7 +35,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .pipeline import (
-    GammaRecord,
     Overrides,
     PipelineConfig,
     RankingReport,

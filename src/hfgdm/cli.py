@@ -10,8 +10,9 @@ run reaches. Machine output
 serializes every float with 17 significant digits so documents
 round-trip exactly. A report is laid out in one walk as a %-template
 with a slot per float (a float array or tuple gives the same bytes as
-its nested lists); each distinct float is formatted once and the
-template filled in one step.
+its nested lists; every number of a run is an array, laid out through
+one cached template per shape); each distinct float is formatted once
+and the template filled in one step.
 Tables render 4 decimal places and mirror the published case-study table
 column order (gamma, score vectors, similarities to the ideals,
 closeness, ranking) for eyeball diffing. All output is written once,
@@ -476,7 +477,7 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
             add(f"ca {ident}", computed, pub)
     if "ranking" in published:
         want = published["ranking"]
-        got = {_ranking_str(report.labels, r.ranking) for r in report.records}
+        got = {_ranking_str(report.labels, r) for r in report.ranking}
         out.append({
             "quantity": "ranking (all gamma values)",
             "computed": " | ".join(sorted(got)),
@@ -487,19 +488,17 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
 
 
 def _report_json(doc: InputDocument, report: RankingReport) -> dict:
-    runs = []
-    for r in report.records:
-        runs.append({
-            "gamma_blend": r.gamma_blend,
-            "c2": r.scores.c2,
-            "c": r.scores.c,
-            "c_used": r.c_used,
-            "aggregated": r.aggregated.values,
-            "s_plus": r.s_plus,
-            "s_minus": r.s_minus,
-            "f": r.f,
-            "ranking": [report.labels[i] for i in r.ranking],
-        })
+    runs = [{
+        "gamma_blend": gamma,
+        "c2": report.c2,
+        "c": report.c[k],
+        "c_used": report.c_used[k],
+        "aggregated": report.aggregated[k],
+        "s_plus": report.s_plus[k],
+        "s_minus": report.s_minus[k],
+        "f": report.f[k],
+        "ranking": [report.labels[i] for i in report.ranking[k]],
+    } for k, gamma in enumerate(report.gamma_grid)]
     payload = {
         "mode": report.mode,
         "normalization": report.normalization,
@@ -551,12 +550,13 @@ def _report_table(doc: InputDocument, report: RankingReport) -> str:
     header = ["gamma"] + [f"c({ident})" for ident in doc.expert_ids] \
         + ["s_plus", "s_minus", "f", "ranking"]
     rows = [header]
-    for r in report.records:
+    for k, gamma in enumerate(report.gamma_grid):
         rows.append(
-            [f"{r.gamma_blend:.4f}"]
-            + [_vector_cell(c_row) for c_row in r.c_used]
-            + [_vector_cell(r.s_plus), _vector_cell(r.s_minus),
-               _vector_cell(r.f), _ranking_str(report.labels, r.ranking)])
+            [f"{gamma:.4f}"]
+            + [_vector_cell(c_row) for c_row in report.c_used[k]]
+            + [_vector_cell(report.s_plus[k]), _vector_cell(report.s_minus[k]),
+               _vector_cell(report.f[k]),
+               _ranking_str(report.labels, report.ranking[k])])
     lines.append(_table(rows))
 
     if doc.published is not None:

@@ -18,11 +18,11 @@ every relation equals its own transpose bit for bit.
 
 A Panel is the group of relations that every later stage works on: the
 l experts' relations, nonempty, of one size and with one set of labels,
-with their values stacked once. Panel.of is the one place that checks a
-group; every function that takes a group accepts a Panel as is, or a
-sequence of relations that it turns into one. _channels is the one
-stacking, shared with the bounds survey, whose size groups may mix
-labels because no bound reads them.
+with their values stacked once. _one_size is the one group rule, which
+Panel.of and pair_similarity share; every function that takes a group
+accepts a Panel as is, or a sequence of relations that it turns into
+one. _channels is the one stacking, shared with the bounds survey,
+whose size groups may mix labels because no bound reads them.
 """
 
 from __future__ import annotations
@@ -129,10 +129,17 @@ class HFPR:
 
 
 def _one_size(relations) -> int:
-    """The one size n of relations, or DimensionMismatch naming theirs."""
+    """The one size n of relations that share one set of labels, or
+    DimensionMismatch naming their sizes or the first that differs."""
     sizes = {h.n for h in relations}
     if len(sizes) != 1:
         raise DimensionMismatch(f"mixed relation sizes {sorted(sizes)}")
+    labels = relations[0].labels
+    for k, h in enumerate(relations):
+        if h.labels != labels:
+            raise DimensionMismatch(
+                f"relation {k} is labelled {h.labels}, but relation 0 "
+                f"is labelled {labels}")
     return sizes.pop()
 
 
@@ -167,12 +174,6 @@ class Panel:
         if not relations:
             raise NeedTwoExperts("need at least 1 relation")
         _one_size(relations)
-        labels = relations[0].labels
-        for k, h in enumerate(relations):
-            if h.labels != labels:
-                raise DimensionMismatch(
-                    f"relation {k} is labelled {h.labels}, but relation 0 "
-                    f"is labelled {labels}")
         return cls(relations, _channels(relations))
 
     def __len__(self) -> int:

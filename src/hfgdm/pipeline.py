@@ -5,13 +5,14 @@ triples c1; (iii) pairwise similarities; (iv) similarity weights ca;
 (v) objective scores c2 = eta*c1 + (1-eta)*ca; (vi) final scores
 c = gamma_blend*c1 + (1-gamma_blend)*c2; (vii) weighted aggregation into
 one relation; (viii) similarities to the ideals; (ix) closeness and
-ranking. A run evaluates the whole gamma_blend grid as one stack: c2 is
-blended once, c for every grid value in one (g, l, 3) expression, and
-the aggregates' ideal similarities, closeness and rankings as (g, n)
-arrays. Only stage vii runs once per grid value, in grid order, so a
-closure failure names the first failing value, and run's message says
-so: "stage vii (aggregation) at gamma_blend = g: " before
-aggregate_hfpr's own.
+ranking. A run evaluates the whole gamma_blend grid as one stack and its
+report holds it that way, once, as read-only arrays with the grid on
+their first axis: c2 is blended once, c for every grid value in one
+(g, l, 3) expression, the aggregates stacked as (g, n, n, 3), and their
+ideal similarities, closeness and rankings as (g, n) arrays. Only stage
+vii runs once per grid value, in grid order, so a closure failure names
+the first failing value, and run's message says so: "stage vii
+(aggregation) at gamma_blend = g: " before aggregate_hfpr's own.
 
 Every function that takes the experts' relations takes a Panel, or a
 sequence of relations that Panel.of checks and stacks. run builds that
@@ -76,16 +77,17 @@ def _score_matrix(x, l: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """Score vectors of stages ii-vi for one gamma_blend value.
+    """Score vectors of stages ii-vi for one gamma_blend value, as
+    blend_scores returns them; a run's report holds the same arrays for
+    its whole grid instead.
 
-    c1, c2, c are (l, 3) triples per expert; ca is the length-l weight
-    vector of stage iv and ca_effective the (l, 3) triples it turned into
-    under the blend convention. Invariants: ca sums to 1 within 1e-9, all
-    components are nonnegative and finite, and c2 = eta c1 + (1 - eta)
-    ca_effective and c = gamma_blend c1 + (1 - gamma_blend) c2 hold by
-    construction. Construct through blend_scores, which checks the
-    rest; the score sets of one run are read-only views into one
-    stack, sharing c1, ca, ca_effective and c2.
+    c1, c2, c are read-only (l, 3) triples per expert; ca is the length-l
+    weight vector of stage iv and ca_effective the (l, 3) triples it
+    turned into under the blend convention. Invariants: ca sums to 1
+    within 1e-9, all components are nonnegative and finite, and c2 = eta
+    c1 + (1 - eta) ca_effective and c = gamma_blend c1 + (1 - gamma_blend)
+    c2 hold by construction. Construct through blend_scores, which checks
+    the rest.
     """
 
     c1: np.ndarray
@@ -179,39 +181,41 @@ def _normalization(mode: str, normalization: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class GammaRecord:
-    """Everything computed for one gamma_blend value."""
-
-    gamma_blend: float
-    scores: ScoreSet
-    c_used: np.ndarray
-    aggregated: HFPR
-    s_plus: tuple[float, ...]
-    s_minus: tuple[float, ...]
-    f: tuple[float, ...]
-    ranking: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class RankingReport:
-    """Full deterministic output of one pipeline run.
+    """Full deterministic output of one pipeline run, for l experts, n
+    alternatives and the g values of gamma_grid.
 
-    energies and laplacian_energies are read-only (l, 3) arrays, one row
-    per expert in CHANNELS order, whichever mode drove the scores.
+    Every array is read-only. energies, laplacian_energies, c1,
+    ca_effective and c2 are (l, 3), one row per expert in CHANNELS order,
+    whichever mode drove the scores; similarity_degrees (None when ca was
+    overridden) and ca are (l,). The grid's stacks have one row per
+    gamma_grid value, in grid order: c, the stage-vi blend, and c_used,
+    the weights stage vii aggregated with (c unless overridden), are
+    (g, l, 3); aggregated is (g, n, n, 3); s_plus, s_minus and f are
+    (g, n); ranking is (g, n) alternative indices, best first.
     """
 
     labels: tuple[str, ...]
     mode: str
     normalization: str
     eta: float
+    gamma_grid: tuple[float, ...]
     closeness_mode: str
     convention: str
     energies: np.ndarray
     laplacian_energies: np.ndarray
     c1: np.ndarray
-    similarity_degrees: tuple[float, ...] | None
+    similarity_degrees: np.ndarray | None
     ca: np.ndarray
-    records: tuple[GammaRecord, ...]
+    ca_effective: np.ndarray
+    c2: np.ndarray
+    c: np.ndarray
+    c_used: np.ndarray
+    aggregated: np.ndarray
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+    f: np.ndarray
+    ranking: np.ndarray
     overridden: tuple[str, ...]
 
 
@@ -254,7 +258,8 @@ def _degrees_and_weights(experts, pairs):
             f"similarity degrees sum to {total!r}, not a finite number")
     if total <= 0.0:
         raise ZeroDenominator("similarity degrees sum to zero")
-    return degrees, np.array(degrees) / total
+    degrees = np.array(degrees)
+    return _freeze(degrees), degrees / total
 
 
 def similarity_weights(experts, pairwise=None) -> np.ndarray:
@@ -276,13 +281,17 @@ def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
     requires exactly three experts. The score set of one gamma_blend
     value: a grid of one for _blend_grid.
     """
-    return _blend_grid(c1, ca, eta, (gamma_blend,), convention)[0]
+    c1, ca, ca_eff, c2, c, convention = _blend_grid(
+        c1, ca, eta, (gamma_blend,), convention)
+    return ScoreSet(c1, ca, ca_eff, c2, c[0], float(eta), float(gamma_blend),
+                    convention)
 
 
-def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple[ScoreSet, ...]:
+def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple:
     """Stages v-vi for every gamma_blend value of grid at once: c2 once,
     c as one (g, l, 3) stack, each ScoreSet invariant checked once over
-    the stack. Returns one ScoreSet per grid value, in grid order."""
+    the stack. Returns the read-only arrays c1, ca, ca_effective, c2 and
+    c, then the convention that auto resolved to."""
     if not (0.0 <= eta <= 1.0):
         raise ParameterOutOfRange(f"eta = {_plain(eta)!r} outside [0, 1]")
     for g in grid:
@@ -321,12 +330,7 @@ def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple[ScoreSet, ...]:
     if not abs(ca.sum() - 1.0) <= _SCORE_TOL:
         raise ParameterOutOfRange(f"ca must sum to 1, got {float(ca.sum())!r}")
 
-    for a in (c1, ca, ca_eff, c2, c):
-        _freeze(a)
-    return tuple(ScoreSet(c1=c1, ca=ca, ca_effective=ca_eff, c2=c2, c=c[k],
-                          eta=float(eta), gamma_blend=float(gammas[k, 0, 0]),
-                          convention=convention)
-                 for k in range(len(grid)))
+    return (*map(_freeze, (c1, ca, ca_eff, c2, c)), convention)
 
 
 def aggregate_hfpr(experts, c) -> HFPR:
@@ -358,26 +362,23 @@ def _aggregate_at(experts: Panel, c, gamma_blend: float) -> HFPR:
 def rank(agg: HFPR, closeness_mode: str = "relative") -> tuple:
     """Stages viii-ix: ideal similarities, closeness, and the ranking.
 
-    Returns (s_plus, s_minus, f, ranking), the last four GammaRecord
-    fields in their order: one tuple entry per alternative, and the
-    alternative indices sorted by closeness descending, ties broken
-    toward the lower index. The ranking of one relation: a stack of one
-    for _rank_stack.
+    Returns (s_plus, s_minus, f, ranking), the report's last four stacks
+    in their order, for one relation: read-only (n,) arrays, the last
+    holding the alternative indices sorted by closeness descending, ties
+    broken toward the lower index. Row 0 of _rank_stack on a stack of one.
     """
-    return _rank_stack(agg.values[None], closeness_mode)[0]
+    return tuple(a[0] for a in _rank_stack(agg.values[None], closeness_mode))
 
 
-def _rank_stack(values: np.ndarray, closeness_mode: str) -> list[tuple]:
-    """rank for each relation of a (g, n, n, 3) stack of aggregates, as
-    arrays over the whole stack; one (s_plus, s_minus, f, ranking) per
-    relation. Sorting by -f, stably, breaks ties toward the lower index."""
+def _rank_stack(values: np.ndarray, closeness_mode: str) -> tuple:
+    """rank for each relation of a (g, n, n, 3) stack of aggregates: the
+    read-only (g, n) arrays s_plus, s_minus, f and ranking. Sorting by
+    -f, stably, breaks ties toward the lower index."""
     s_plus = _ideal_rows(values, "positive")
     s_minus = _ideal_rows(values, "negative")
     f = closeness(s_plus, s_minus, closeness_mode)
-    rows = zip(s_plus.tolist(), s_minus.tolist(), f.tolist(), (-f).tolist())
-    return [(tuple(p), tuple(m), tuple(fk),
-             tuple(sorted(range(len(fk)), key=neg.__getitem__)))
-            for p, m, fk, neg in rows]
+    ranking = np.argsort(-f, axis=-1, kind="stable")
+    return tuple(map(_freeze, (s_plus, s_minus, f, ranking)))
 
 
 def run(experts, config: PipelineConfig | None = None) -> RankingReport:
@@ -401,26 +402,39 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
                    else _degrees_and_weights(experts, ov.pair_similarity))
 
     grid = config.gamma_grid
-    scores = _blend_grid(c1, ca, config.eta, grid, config.blend_convention)
-    c_used = [ov.c] * len(grid) if ov.c is not None else [s.c for s in scores]
-    aggs = ([ov.aggregated] * len(grid) if ov.aggregated is not None else
-            [_aggregate_at(experts, c, g) for g, c in zip(grid, c_used)])
-    ranked = _rank_stack(np.stack([a.values for a in aggs]),
-                         config.closeness_mode)
+    c1, ca, ca_eff, c2, c, convention = _blend_grid(
+        c1, ca, config.eta, grid, config.blend_convention)
+    c_used = c if ov.c is None else np.broadcast_to(ov.c, c.shape)
+    if ov.aggregated is None:
+        aggregated = _freeze(np.stack([_aggregate_at(experts, ck, g).values
+                                       for g, ck in zip(grid, c_used)]))
+    else:
+        values = ov.aggregated.values
+        aggregated = np.broadcast_to(values, (len(grid),) + values.shape)
+    s_plus, s_minus, f, ranking = _rank_stack(aggregated,
+                                              config.closeness_mode)
 
     return RankingReport(
         labels=experts[0].labels,
         mode=config.mode,
         normalization=normalization,
         eta=config.eta,
+        gamma_grid=grid,
         closeness_mode=config.closeness_mode,
-        convention=scores[0].convention,
+        convention=convention,
         energies=energy_triples,
         laplacian_energies=lap_energies,
-        c1=scores[0].c1,
+        c1=c1,
         similarity_degrees=degrees,
-        ca=scores[0].ca,
-        records=tuple(GammaRecord(g, s, c, agg, *r) for g, s, c, agg, r
-                      in zip(grid, scores, c_used, aggs, ranked)),
+        ca=ca,
+        ca_effective=ca_eff,
+        c2=c2,
+        c=c,
+        c_used=c_used,
+        aggregated=aggregated,
+        s_plus=s_plus,
+        s_minus=s_minus,
+        f=f,
+        ranking=ranking,
         overridden=ov.stage_names(),
     )

@@ -177,13 +177,13 @@ def test_criterion_4_published_downstream_chain(experts):
         gamma_grid=(0.5,), closeness_mode="ratio",
         overrides=Overrides(pair_similarity=PUBLISHED_PAIRS,
                             c=PUBLISHED_C))
-    rec = run(experts, cfg).records[0]
-    assert np.allclose(rec.aggregated.values[0, 1],
+    rep = run(experts, cfg)
+    assert np.allclose(rep.aggregated[0, 0, 1],
                        (0.2936, 0.4285, 0.2532), atol=ABS["stage"])
-    assert rec.s_plus[0] == pytest.approx(0.3567, abs=ABS["stage"])
-    assert rec.s_minus[0] == pytest.approx(0.5071, abs=ABS["stage"])
-    assert rec.f[0] == pytest.approx(0.7034, abs=ABS["table"])
-    assert rec.f[2] == pytest.approx(0.6040, abs=ABS["table"])
+    assert rep.s_plus[0, 0] == pytest.approx(0.3567, abs=ABS["stage"])
+    assert rep.s_minus[0, 0] == pytest.approx(0.5071, abs=ABS["stage"])
+    assert rep.f[0, 0] == pytest.approx(0.7034, abs=ABS["table"])
+    assert rep.f[0, 2] == pytest.approx(0.6040, abs=ABS["table"])
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"criterion 4 (downstream chain, {elapsed:.3f}s): PASS")
@@ -204,9 +204,9 @@ def test_criterion_4_ratio_closeness_second_and_fourth(experts):
         gamma_grid=(0.5,), closeness_mode="ratio",
         overrides=Overrides(pair_similarity=PUBLISHED_PAIRS,
                             c=PUBLISHED_C))
-    rec = run(experts, cfg).records[0]
-    assert rec.f[1] == pytest.approx(0.6541, abs=ABS["table"])
-    assert rec.f[3] == pytest.approx(0.6166, abs=ABS["table"])
+    f = run(experts, cfg).f[0]
+    assert f[1] == pytest.approx(0.6541, abs=ABS["table"])
+    assert f[3] == pytest.approx(0.6166, abs=ABS["table"])
 
 
 def test_criterion_4_relative_gamma_zero_row(experts):
@@ -219,8 +219,8 @@ def test_criterion_4_relative_gamma_zero_row(experts):
         gamma_grid=(0.0,),
         overrides=Overrides(pair_similarity=PUBLISHED_PAIRS,
                             c=PUBLISHED_C2))
-    rec = run(experts, cfg).records[0]
-    assert np.allclose(rec.f, (0.4276, 0.4098, 0.3900, 0.3934),
+    f = run(experts, cfg).f[0]
+    assert np.allclose(f, (0.4276, 0.4098, 0.3900, 0.3934),
                        atol=ABS["table"])
     print("criterion 4 (relative gamma-0 table row, 2e-3): PASS")
 
@@ -242,8 +242,7 @@ def test_criterion_4_ranking_every_configuration(experts):
         for mode in ("relative", "ratio")
     ]
     for cfg in configs:
-        for rec in run(experts, cfg).records:
-            assert rec.ranking == (0, 1, 3, 2)
+        assert run(experts, cfg).ranking.tolist() == [[0, 1, 3, 2]] * 5
     print("criterion 4 (ranking in every configuration): PASS")
 
 
@@ -323,7 +322,7 @@ def test_criterion_6_property_suites():
     rng = np.random.default_rng(505)
     for _ in range(200):
         h = random_hfpr(int(rng.integers(3, 9)), rng)
-        assert rank(h, "relative")[3] == rank(h, "ratio")[3]
+        assert np.array_equal(rank(h, "relative")[3], rank(h, "ratio")[3])
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -214,8 +214,19 @@ class TestRunCommand:
         from hfgdm.pipeline import PipelineConfig, run as run_pipeline
         payload, _ = run_json
         report = run_pipeline(experts, PipelineConfig())
-        assert tuple(payload["runs"][-1]["f"]) == report.records[-1].f
-        assert tuple(payload["ca"]) == tuple(report.ca)
+
+        def same_bits(text_value, array):
+            got = np.array(text_value, dtype=float)
+            assert got.shape == array.shape
+            assert got.tobytes() == array.tobytes()
+
+        for name in ("c1", "similarity_degrees", "ca"):
+            same_bits(payload[name], getattr(report, name))
+        for k, r in enumerate(payload["runs"]):
+            same_bits(r["c2"], report.c2)
+            for name in ("c", "c_used", "aggregated", "s_plus", "s_minus",
+                         "f"):
+                same_bits(r[name], getattr(report, name)[k])
 
     def test_discrepancy_report(self, run_json):
         payload, _ = run_json

@@ -547,7 +547,7 @@ class TestPanel:
 PUBLIC_SURFACE = [
     "AsymmetricEntry", "CHANNELS", "ComputationError",
     "DegenerateDenominator", "DiagonalNotZero", "DimensionMismatch",
-    "EdgeExceedsVertexBound", "GammaRecord", "HFPR", "IdentityViolated",
+    "EdgeExceedsVertexBound", "HFPR", "IdentityViolated",
     "IndexOutOfRange", "NEGATIVE_IDEAL", "NeedTwoExperts", "NoConvergence",
     "OverrideShapeMismatch", "Overrides", "POSITIVE_IDEAL", "Panel",
     "ParameterOutOfRange", "PipelineConfig", "RankingReport",

@@ -10,13 +10,13 @@ import hfgdm.cli as cli
 from hfgdm import (
     AsymmetricEntry,
     DimensionMismatch,
-    GammaRecord,
     NeedTwoExperts,
     Overrides,
     OverrideShapeMismatch,
     Panel,
     ParameterOutOfRange,
     PipelineConfig,
+    RankingReport,
     TripleOutOfRange,
     ZeroDenominator,
     aggregate_hfpr,
@@ -25,12 +25,13 @@ from hfgdm import (
     laplacian_energies,
     make_hfpr,
     mean_similarity_degree,
+    pair_similarity,
     random_hfpr,
     rank,
     similarity_weights,
     uncertainty_scores,
 )
-from hfgdm.pipeline import MODES, run
+from hfgdm.pipeline import MODES, _rank_stack, run
 
 from shared import PUBLISHED_C, PUBLISHED_C2, PUBLISHED_PAIRS
 
@@ -258,34 +259,61 @@ class TestRank:
         s_plus, s_minus, f, ranking = rank(agg, "ratio")
         assert f[0] == pytest.approx(0.7034, abs=1e-3)
         assert f[2] == pytest.approx(0.6040, abs=1e-3)
-        assert ranking == (0, 1, 3, 2)  # t1 > t2 > t4 > t3
+        assert ranking.tolist() == [0, 1, 3, 2]  # t1 > t2 > t4 > t3
         assert s_plus[0] == pytest.approx(0.3567, abs=1e-3)
         assert s_minus[0] == pytest.approx(0.5071, abs=1e-3)
 
     def test_relative_mode_same_ranking(self, experts):
         agg = aggregate_hfpr(experts, PUBLISHED_C)
-        assert rank(agg, "relative")[3] == rank(agg, "ratio")[3]
+        assert np.array_equal(rank(agg, "relative")[3], rank(agg, "ratio")[3])
 
     def test_exact_tie_breaks_by_index(self):
         _, _, f, ranking = rank(uniform_relation(2, (0.3, 0.3, 0.2)))
         assert f[0] == f[1]
-        assert ranking == (0, 1)
+        assert ranking.tolist() == [0, 1]
 
     def test_ranking_consistent_with_sort_key(self):
         _, _, f, ranking = rank(uniform_relation(4, (0.3, 0.3, 0.2)))
         assert np.allclose(f, f[0], atol=1e-12)
-        expected = tuple(sorted(range(4), key=lambda i: (-f[i], i)))
-        assert ranking == expected
+        expected = sorted(range(4), key=lambda i: (-f[i], i))
+        assert ranking.tolist() == expected
 
-    def test_returns_the_record_fields_in_order(self, experts):
-        # run() spreads rank's tuple into the last four GammaRecord
-        # fields, so the two orders must agree.
-        report = run(experts)
-        record = report.records[0]
-        names = [f.name for f in dataclasses.fields(GammaRecord)][-4:]
+    @pytest.mark.parametrize("mode", ["relative", "ratio"])
+    def test_rank_of_each_aggregate_is_its_row_of_the_stacks(self, experts,
+                                                             mode):
+        # rank's tuple is the report's last four stacks, in their order,
+        # for one relation.
+        report = run(experts, PipelineConfig(closeness_mode=mode))
+        names = [f.name for f in dataclasses.fields(RankingReport)][-5:-1]
         assert names == ["s_plus", "s_minus", "f", "ranking"]
-        assert rank(record.aggregated, report.closeness_mode) == tuple(
-            getattr(record, name) for name in names)
+        for k in range(len(report.gamma_grid)):
+            agg = aggregate_hfpr(experts, report.c_used[k])
+            assert agg.values.tobytes() == report.aggregated[k].tobytes()
+            got = rank(agg, mode)
+            for name, a in zip(names, got):
+                row = getattr(report, name)[k]
+                assert a.dtype == row.dtype and a.tobytes() == row.tobytes()
+
+
+def tied_stack(seed, g, n, patterns):
+    """A (g, n, n, 3) stack whose rows each copy one of a few row
+    patterns, so rows that share a pattern tie exactly in f."""
+    rng = np.random.default_rng(seed)
+    pool = rng.choice([0.0, 0.25, 0.5], size=(g, patterns, n, 3))
+    pick = rng.integers(0, patterns, size=(g, n))
+    return pool[np.arange(g)[:, None], pick]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 5),
+       n=st.integers(1, 8), patterns=st.integers(1, 3),
+       mode=st.sampled_from(["relative", "ratio"]))
+@settings(max_examples=80, deadline=None)
+def test_rank_stack_sorts_by_closeness_then_index(seed, g, n, patterns, mode):
+    s_plus, s_minus, f, ranking = _rank_stack(
+        tied_stack(seed, g, n, patterns), mode)
+    assert ranking.shape == f.shape == (g, n)
+    for fk, rk in zip(f.tolist(), ranking.tolist()):
+        assert rk == sorted(range(n), key=lambda i: (-fk[i], i))
 
 
 class TestRun:
@@ -297,8 +325,7 @@ class TestRun:
         assert rep.convention == "vector"
         assert rep.overridden == ("pair_similarity",)
         assert np.allclose(rep.ca, PUBLISHED_CA, atol=1e-3)
-        for rec in rep.records:
-            assert rec.ranking == (0, 1, 3, 2)
+        assert rep.ranking.tolist() == [[0, 1, 3, 2]] * 5
 
     def test_gamma_zero_equals_published_table_row(self, experts):
         # At gamma_blend = 0 the final scores equal the objective scores;
@@ -308,20 +335,20 @@ class TestRun:
             gamma_grid=(0.0,),
             overrides=Overrides(pair_similarity=PUBLISHED_PAIRS,
                                 c=PUBLISHED_C2))
-        rec = run(experts, cfg).records[0]
-        assert np.allclose(rec.f, (0.4276, 0.4098, 0.3900, 0.3934),
+        rep = run(experts, cfg)
+        assert np.allclose(rep.f[0], (0.4276, 0.4098, 0.3900, 0.3934),
                            atol=1e-3)
-        assert rec.ranking == (0, 1, 3, 2)
+        assert rep.ranking[0].tolist() == [0, 1, 3, 2]
 
     def test_laplacian_mode_published_row(self, experts):
         cfg = PipelineConfig(
             mode="laplacian", gamma_grid=(1.0,),
             overrides=Overrides(pair_similarity=PUBLISHED_PAIRS))
-        rec = run(experts, cfg).records[0]
-        assert run(experts, cfg).normalization == "per_channel"
-        assert np.allclose(rec.f, (0.4532, 0.4376, 0.4142, 0.4203),
+        rep = run(experts, cfg)
+        assert rep.normalization == "per_channel"
+        assert np.allclose(rep.f[0], (0.4532, 0.4376, 0.4142, 0.4203),
                            atol=2e-3)
-        assert rec.ranking == (0, 1, 3, 2)
+        assert rep.ranking[0].tolist() == [0, 1, 3, 2]
 
     def test_honest_run_frozen_values(self, experts):
         rep = run(experts, PipelineConfig())
@@ -329,38 +356,35 @@ class TestRun:
         assert np.allclose(rep.similarity_degrees,
                            (0.8503, 0.8400, 0.8225), atol=1e-4)
         assert np.allclose(rep.ca, (0.3384, 0.3343, 0.3273), atol=1e-4)
-        last = rep.records[-1]
-        assert last.gamma_blend == 1.0
+        assert rep.gamma_grid[-1] == 1.0
         assert np.allclose(
-            last.f,
+            rep.f[-1],
             (0.3937466646043222, 0.3753998147348667,
              0.35855233549483884, 0.3620202680335579), atol=1e-12)
-        for rec in rep.records:
-            assert rec.ranking == (0, 1, 3, 2)
+        assert rep.ranking.tolist() == [[0, 1, 3, 2]] * 5
 
     def test_stage_vi_injection_reproduces_published_chain(self, experts):
         cfg = PipelineConfig(
             gamma_grid=(0.5,), closeness_mode="ratio",
             overrides=Overrides(pair_similarity=PUBLISHED_PAIRS,
                                 c=PUBLISHED_C))
-        rec = run(experts, cfg).records[0]
-        assert np.allclose(rec.c_used, PUBLISHED_C, atol=1e-15)
-        assert np.allclose(rec.aggregated.values[0, 1],
+        rep = run(experts, cfg)
+        assert np.allclose(rep.c_used[0], PUBLISHED_C, atol=1e-15)
+        assert np.allclose(rep.aggregated[0, 0, 1],
                            (0.2936, 0.4285, 0.2532), atol=1e-3)
-        assert rec.s_plus[0] == pytest.approx(0.3567, abs=1e-3)
-        assert rec.s_minus[0] == pytest.approx(0.5071, abs=1e-3)
-        assert rec.f[0] == pytest.approx(0.7034, abs=1e-3)
-        assert rec.f[2] == pytest.approx(0.6040, abs=1e-3)
-        # the ScoreSet itself stays honest: it reports the blend, not the
-        # injected values
-        assert not np.allclose(rec.scores.c, rec.c_used, atol=1e-6)
+        assert rep.s_plus[0, 0] == pytest.approx(0.3567, abs=1e-3)
+        assert rep.s_minus[0, 0] == pytest.approx(0.5071, abs=1e-3)
+        assert rep.f[0, 0] == pytest.approx(0.7034, abs=1e-3)
+        assert rep.f[0, 2] == pytest.approx(0.6040, abs=1e-3)
+        # c itself stays honest: it reports the blend, not the injected
+        # values
+        assert not np.allclose(rep.c[0], rep.c_used[0], atol=1e-6)
 
     def test_closeness_modes_rank_identically_across_grid(self, experts):
         base = dict(overrides=Overrides(pair_similarity=PUBLISHED_PAIRS))
         rel = run(experts, PipelineConfig(closeness_mode="relative", **base))
         rat = run(experts, PipelineConfig(closeness_mode="ratio", **base))
-        for a, b in zip(rel.records, rat.records):
-            assert a.ranking == b.ranking
+        assert np.array_equal(rel.ranking, rat.ranking)
 
     def test_permutation_equivariance(self, experts):
         perm = [3, 0, 2, 1]
@@ -370,12 +394,10 @@ class TestRun:
             for h in experts)
         rep = run(experts, PipelineConfig(gamma_grid=(0.5,)))
         prep = run(permuted, PipelineConfig(gamma_grid=(0.5,)))
-        f0 = np.asarray(rep.records[0].f)
-        f1 = np.asarray(prep.records[0].f)
-        assert np.allclose(f1, f0[perm], atol=1e-12)
+        assert np.allclose(prep.f[0], rep.f[0][perm], atol=1e-12)
         # ranking permutes consistently: labels in ranked order agree
-        ranked0 = [rep.labels[i] for i in rep.records[0].ranking]
-        ranked1 = [prep.labels[i] for i in prep.records[0].ranking]
+        ranked0 = [rep.labels[i] for i in rep.ranking[0]]
+        ranked1 = [prep.labels[i] for i in prep.ranking[0]]
         assert ranked0 == ranked1
 
     def test_per_channel_scalar_weight_columns_stay_stochastic(self):
@@ -397,9 +419,10 @@ class TestRun:
         cfg = PipelineConfig(gamma_grid=(0.0, 1.0),
                              overrides=Overrides(aggregated=m2))
         rep = run(experts, cfg)
-        for rec in rep.records:
-            assert rec.aggregated is m2
-        assert rep.records[0].f == rep.records[1].f
+        assert np.shares_memory(rep.aggregated, m2.values)
+        for agg in rep.aggregated:
+            assert agg.tobytes() == m2.values.tobytes()
+        assert np.array_equal(rep.f[0], rep.f[1])
 
     def test_overflowing_pair_override_is_rejected(self, experts, m2):
         # The degrees overflow to inf and ca = inf / inf is NaN. With the
@@ -460,7 +483,8 @@ class TestRun:
         reversed_pairs = {(j, i): v for (i, j), v in PUBLISHED_PAIRS.items()}
         backward = run(experts, PipelineConfig(
             overrides=Overrides(pair_similarity=reversed_pairs)))
-        assert backward.similarity_degrees == forward.similarity_degrees
+        assert np.array_equal(backward.similarity_degrees,
+                              forward.similarity_degrees)
         assert np.array_equal(backward.ca, forward.ca)
 
     def test_config_validation(self):
@@ -530,6 +554,9 @@ ENTRY_POINTS = {
         rels, np.full((len(rels), 3), 1.0 / max(len(rels), 1))),
     "run": run,
 }
+# pair_similarity takes a pair, so it sees only the first two relations.
+PAIR_ENTRY_POINTS = dict(
+    ENTRY_POINTS, pair_similarity=lambda rels: pair_similarity(*rels[:2]))
 # These need a pair before they need one size.
 NEED_TWO = {"similarity_weights", "mean_similarity_degree"}
 
@@ -543,13 +570,13 @@ def test_mixed_sizes_raise_one_error_everywhere(experts, name):
         assert str(info.value) == "mixed relation sizes [4, 5]"
 
 
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("name", sorted(PAIR_ENTRY_POINTS))
 def test_mixed_labels_raise_one_error_everywhere(experts, name):
     # Every aggregate and report is labelled by the first relation, so a
     # group with another set of labels is refused, not relabelled.
     relabelled = make_hfpr(experts[1].values, labels=("a", "b", "c", "d"))
     with pytest.raises(DimensionMismatch) as info:
-        ENTRY_POINTS[name]((experts[0], relabelled, experts[2]))
+        PAIR_ENTRY_POINTS[name]((experts[0], relabelled, experts[2]))
     assert str(info.value) == (
         "relation 1 is labelled ('a', 'b', 'c', 'd'), but relation 0 is "
         "labelled ('t1', 't2', 't3', 't4')")
@@ -622,9 +649,13 @@ def reference_records(experts, config, report):
 
 
 def stacked_records(report):
-    return [(r.gamma_blend, r.scores.c1, r.scores.ca, r.scores.ca_effective,
-             r.scores.c2, r.scores.c, r.c_used, r.aggregated.values,
-             r.s_plus, r.s_minus, r.f, r.ranking) for r in report.records]
+    """The report's stacks read back one grid value at a time, in the
+    order of reference_records' tuples."""
+    return [(g, report.c1, report.ca, report.ca_effective, report.c2,
+             report.c[k], report.c_used[k], report.aggregated[k],
+             report.s_plus[k], report.s_minus[k], report.f[k],
+             tuple(report.ranking[k].tolist()))
+            for k, g in enumerate(report.gamma_grid)]
 
 
 def hexes(value):
@@ -664,7 +695,7 @@ class TestStackedGrid:
     def test_one_value_and_repeated_values(self, experts, grid):
         report = assert_stack_matches_reference(
             experts, PipelineConfig(gamma_grid=grid))
-        assert tuple(r.gamma_blend for r in report.records) == grid
+        assert report.gamma_grid == grid
 
     def test_every_override(self, experts, m2):
         for ov in (Overrides(c1=PUBLISHED_C1),
@@ -682,9 +713,9 @@ class TestStackedGrid:
             (0.3, 0.3, 0.2), (0.1, 0.5, 0.2), (0.4, 0.2, 0.1)))
         report = assert_stack_matches_reference(
             experts, PipelineConfig(gamma_grid=(0.0, 0.5, 1.0)))
-        for r in report.records:
-            assert len(set(r.f)) == 1
-            assert r.ranking == (0, 1, 2, 3, 4)
+        for f, ranking in zip(report.f, report.ranking):
+            assert len(set(f.tolist())) == 1
+            assert ranking.tolist() == [0, 1, 2, 3, 4]
 
     def test_random_relations_up_to_n40_l12(self):
         rng = np.random.default_rng(2024)
@@ -700,16 +731,22 @@ class TestStackedGrid:
             assert_stack_matches_reference(experts, PipelineConfig(
                 gamma_grid=grid, overrides=Overrides(c=shared)))
 
-    def test_score_sets_are_read_only_views_of_one_stack(self, experts):
-        report = run(experts, PipelineConfig())
-        first = report.records[0].scores
-        for r in report.records:
-            assert r.scores.c2 is first.c2 and r.scores.c1 is report.c1
-            assert r.c_used is r.scores.c
-            assert r.scores.c.base is first.c.base is not None
-            for a in (r.scores.c1, r.scores.ca, r.scores.ca_effective,
-                      r.scores.c2, r.scores.c):
-                assert not a.flags.writeable
+    def test_every_numeric_report_field_is_read_only(self, experts, m2):
+        arrays = {"energies", "laplacian_energies", "c1",
+                  "similarity_degrees", "ca", "ca_effective", "c2", "c",
+                  "c_used", "aggregated", "s_plus", "s_minus", "f",
+                  "ranking"}
+        for ov in (Overrides(), Overrides(c=PUBLISHED_C),
+                   Overrides(ca=PUBLISHED_CA, aggregated=m2)):
+            report = run(experts, PipelineConfig(overrides=ov))
+            got = {f.name for f in dataclasses.fields(report)
+                   if isinstance(getattr(report, f.name), np.ndarray)}
+            assert got == arrays - ({"similarity_degrees"}
+                                    if ov.ca is not None else set())
+            for name in got:
+                assert not getattr(report, name).flags.writeable, name
+            if ov.c is None:  # the blend is what stage vii read
+                assert report.c_used is report.c
 
     def test_closure_failure_names_the_first_failing_gamma(self):
         # eta = 0 makes c2 the shared weights 1/3, which close; c1 one-hot
@@ -742,11 +779,11 @@ class TestStackedGrid:
     def test_blend_scores_is_the_grid_of_one(self, experts):
         report = run(experts, PipelineConfig(gamma_grid=(0.7,)))
         s = blend_scores(report.c1, report.ca, eta=0.5, gamma_blend=0.7)
-        got = report.records[0].scores
-        for name in ("c1", "ca", "ca_effective", "c2", "c"):
-            assert hexes(getattr(s, name)) == hexes(getattr(got, name))
+        for name in ("c1", "ca", "ca_effective", "c2"):
+            assert hexes(getattr(s, name)) == hexes(getattr(report, name))
+        assert hexes(s.c) == hexes(report.c[0])
         assert (s.eta, s.gamma_blend, s.convention) == (
-            got.eta, got.gamma_blend, got.convention)
+            report.eta, report.gamma_grid[0], report.convention)
 
     def test_infinite_scores_rejected(self):
         # inf passes a nonnegativity check; the finiteness check catches it
