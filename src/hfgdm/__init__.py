@@ -38,7 +38,6 @@ from .pipeline import (
     Overrides,
     PipelineConfig,
     RankingReport,
-    ScoreSet,
     aggregate_hfpr,
     blend_scores,
     rank,

@@ -2,11 +2,11 @@
 
 Input is a single strict-schema JSON document per scenario (see
 parse_input), local or bundled, read by one path and checked once on
-parse by every command. Its overrides pass Overrides.checked, and its
-published pairs the same pair rule (_resolve_pairwise), so energy and
-verify-bounds --fixtures refuse every override that run refuses; ca
-summing to 1 and finite similarity degrees are stage rules that only
-run reaches. Machine output
+parse by every command. Its overrides pass Overrides.checked, and both
+its pair maps, override and published, the pair rule (_resolve_pairwise)
+naming a key as written, so energy and verify-bounds --fixtures refuse
+every override that run refuses; ca summing to 1 and finite similarity
+degrees are stage rules that only run reaches. Machine output
 serializes every float with 17 significant digits so documents
 round-trip exactly. A report is laid out in one walk as a %-template
 with a slot per float (a float array or tuple gives the same bytes as
@@ -233,17 +233,27 @@ _ARRAY = (_reals, "a numeric array")
 
 
 def _pair_map(mapping, ids: tuple[str, ...], where: str) -> dict:
-    """An {"id:id": number} object as {(i, j): float} over expert indices."""
+    """An {"id:id": number} object as {(i, j): float} over expert indices,
+    in the orientation each key is written; the values must meet the pair
+    override rule (_resolve_pairwise), which names a key as written.
+
+    A key is read at the one ':' that leaves two distinct expert ids, so
+    an id may itself hold ':'; a key with no such reading, or with more
+    than one, is refused."""
     out = {}
     for key, value in _require_mapping(mapping, where).items():
-        parts = key.split(":")
-        if len(parts) != 2 or parts[0] not in ids or parts[1] not in ids \
-                or parts[0] == parts[1]:
-            raise SchemaViolation(
-                f"{where}.{key}",
-                f"pair key {key!r} must be two distinct expert ids joined by ':'")
-        out[ids.index(parts[0]), ids.index(parts[1])] = _convert(
+        readings = [(key[:k], key[k + 1:]) for k, ch in enumerate(key)
+                    if ch == ":"]
+        readings = [(a, b) for a, b in readings
+                    if a != b and a in ids and b in ids]
+        if len(readings) != 1:
+            raise SchemaViolation(f"{where}.{key}", f"pair key {key!r} " + (
+                "splits into two expert ids in more than one way" if readings
+                else "must be two distinct expert ids joined by ':'"))
+        (a, b), = readings
+        out[ids.index(a), ids.index(b)] = _convert(
             value, _NUMBER[0], f"{where}.{key}", f"{where}.{key} must be a number")
+    _resolve_pairwise(out, len(ids), where, ids)
     return out
 
 
@@ -416,10 +426,6 @@ def _document(raw) -> InputDocument:
             "ca": one_each,
             "ranking": (ranking, "a list of every alternative exactly once"),
         })
-        # The pair_similarity override rule, since --override-similarity
-        # paper injects these pairs; a refusal names the key as written.
-        _resolve_pairwise(published.get("pair_similarity"), len(ids),
-                          "published.pair_similarity", ids)
 
     return InputDocument(
         alternatives=alternatives,
@@ -624,7 +630,7 @@ _FLAG_FIELD = {"mode": "mode", "normalization": "score_normalization",
 def _merged_config(doc: InputDocument, args) -> PipelineConfig:
     changes = {field: getattr(args, flag)
                for flag, field in _FLAG_FIELD.items()
-               if getattr(args, flag) not in (None, "")}
+               if getattr(args, flag) is not None}
     if "gamma_grid" in changes:
         changes["gamma_grid"] = _convert(
             args.gamma, lambda text: tuple(float(x) for x in text.split(",")),

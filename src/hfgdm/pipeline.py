@@ -12,7 +12,13 @@ their first axis: c2 is blended once, c for every grid value in one
 ideal similarities, closeness and rankings as (g, n) arrays. Only stage
 vii runs once per grid value, in grid order, so a closure failure names
 the first failing value, and run's message says so: "stage vii
-(aggregation) at gamma_blend = g: " before aggregate_hfpr's own.
+(aggregation) at gamma_blend = g: " before aggregate_hfpr's own. The
+stage functions blend_scores and rank return one grid value's row of
+the same stacks, as a tuple of the report's fields in their order.
+
+Run parameters are checked once, by PipelineConfig; blend_scores checks
+its own by building one, so the stack code behind both checks only the
+score invariants.
 
 Every function that takes the experts' relations takes a Panel, or a
 sequence of relations that Panel.of checks and stacks. run builds that
@@ -73,31 +79,6 @@ def _score_matrix(x, l: int, name: str) -> np.ndarray:
     if a.min() < -_SCORE_TOL:
         raise ParameterOutOfRange(f"{name} components must be nonnegative")
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreSet:
-    """Score vectors of stages ii-vi for one gamma_blend value, as
-    blend_scores returns them; a run's report holds the same arrays for
-    its whole grid instead.
-
-    c1, c2, c are read-only (l, 3) triples per expert; ca is the length-l
-    weight vector of stage iv and ca_effective the (l, 3) triples it
-    turned into under the blend convention. Invariants: ca sums to 1
-    within 1e-9, all components are nonnegative and finite, and c2 = eta
-    c1 + (1 - eta) ca_effective and c = gamma_blend c1 + (1 - gamma_blend)
-    c2 hold by construction. Construct through blend_scores, which checks
-    the rest.
-    """
-
-    c1: np.ndarray
-    ca: np.ndarray
-    ca_effective: np.ndarray
-    c2: np.ndarray
-    c: np.ndarray
-    eta: float
-    gamma_blend: float
-    convention: str
 
 
 @dataclass(frozen=True)
@@ -274,39 +255,40 @@ def similarity_weights(experts, pairwise=None) -> np.ndarray:
 
 
 def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
-                 convention: str = "auto") -> ScoreSet:
-    """Stages v-vi: objective scores c2 and final scores c.
+                 convention: str = "auto") -> tuple:
+    """Stages v-vi for one gamma_blend value.
 
-    See the module docstring for the vector/scalar conventions; vector
-    requires exactly three experts. The score set of one gamma_blend
-    value: a grid of one for _blend_grid.
+    Returns (ca_effective, c2, c), the report's fields in their order, as
+    read-only (l, 3) arrays: row 0 of _blend_grid on a grid of one. eta,
+    gamma_blend and convention meet PipelineConfig's rules; c1 must be
+    (l, 3) and ca (l,). See the module docstring for the vector/scalar
+    conventions; vector requires exactly three experts.
     """
-    c1, ca, ca_eff, c2, c, convention = _blend_grid(
-        c1, ca, eta, (gamma_blend,), convention)
-    return ScoreSet(c1, ca, ca_eff, c2, c[0], float(eta), float(gamma_blend),
-                    convention)
-
-
-def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple:
-    """Stages v-vi for every gamma_blend value of grid at once: c2 once,
-    c as one (g, l, 3) stack, each ScoreSet invariant checked once over
-    the stack. Returns the read-only arrays c1, ca, ca_effective, c2 and
-    c, then the convention that auto resolved to."""
-    if not (0.0 <= eta <= 1.0):
-        raise ParameterOutOfRange(f"eta = {_plain(eta)!r} outside [0, 1]")
-    for g in grid:
-        if not (0.0 <= g <= 1.0):
-            raise ParameterOutOfRange(
-                f"gamma_blend = {_plain(g)!r} outside [0, 1]")
-    _check_choice("convention", convention, CONVENTIONS)
-    c1 = np.array(c1, dtype=float)
+    config = PipelineConfig(eta=eta, gamma_grid=(gamma_blend,),
+                            blend_convention=convention)
+    c1 = np.asarray(c1, dtype=float)
     if c1.ndim != 2 or c1.shape[1] != 3:
         raise OverrideShapeMismatch(
             f"c1 must have shape (l, 3), got {c1.shape}")
-    l = c1.shape[0]
-    ca = np.array(ca, dtype=float)
-    if ca.shape != (l,):
-        raise OverrideShapeMismatch(f"ca must have shape ({l},), got {ca.shape}")
+    ca = np.asarray(ca, dtype=float)
+    if ca.shape != (len(c1),):
+        raise OverrideShapeMismatch(
+            f"ca must have shape ({len(c1)},), got {ca.shape}")
+    _, _, ca_eff, c2, c, _ = _blend_grid(c1, ca, config)
+    return ca_eff, c2, c[0]
+
+
+def _blend_grid(c1: np.ndarray, ca: np.ndarray,
+                config: PipelineConfig) -> tuple:
+    """Stages v-vi for every gamma_blend value of a checked config at
+    once, for (l, 3) scores c1 and (l,) weights ca: c2 once, c as one
+    (g, l, 3) stack, each score invariant (nonnegative, finite, ca summing
+    to 1) checked once over the stack. Returns the read-only arrays c1,
+    ca, ca_effective, c2 and c, then the convention that auto resolved
+    to."""
+    c1, ca = np.array(c1), np.array(ca)  # copies: the caller's stay writable
+    l = len(c1)
+    convention = config.blend_convention
     if convention == "auto":
         convention = "vector" if l == 3 else "scalar"
     if convention == "vector":
@@ -317,8 +299,8 @@ def _blend_grid(c1, ca, eta, grid, convention: str) -> tuple:
         ca_eff = np.tile(ca, (l, 1))
     else:
         ca_eff = np.repeat(ca[:, None], 3, axis=1)
-    gammas = np.array(grid, dtype=float)[:, None, None]
-    c2 = eta * c1 + (1.0 - eta) * ca_eff
+    gammas = np.array(config.gamma_grid)[:, None, None]
+    c2 = config.eta * c1 + (1.0 - config.eta) * ca_eff
     c = gammas * c1 + (1.0 - gammas) * c2
 
     # Each check is written so that NaN and infinities fail it.
@@ -402,8 +384,7 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
                    else _degrees_and_weights(experts, ov.pair_similarity))
 
     grid = config.gamma_grid
-    c1, ca, ca_eff, c2, c, convention = _blend_grid(
-        c1, ca, config.eta, grid, config.blend_convention)
+    c1, ca, ca_eff, c2, c, convention = _blend_grid(c1, ca, config)
     c_used = c if ov.c is None else np.broadcast_to(ov.c, c.shape)
     if ov.aggregated is None:
         aggregated = _freeze(np.stack([_aggregate_at(experts, ck, g).values

@@ -311,6 +311,9 @@ class TestRunCommand:
     def test_bad_gamma_exits_2(self, capsys):
         assert main(RUN_JSON_ARGS + ["--gamma", "0.5,zebra"]) == 2
         assert "gamma" in capsys.readouterr().err
+        # An empty grid is refused too, not read as "no flag".
+        assert main_output(RUN_JSON_ARGS + ["--gamma="]) == (
+            2, "", "error: cannot parse gamma grid ''\n")
 
     def test_unknown_override_name_exits_2(self, capsys):
         assert main(RUN_JSON_ARGS + ["--override-similarity", "other"]) == 2
@@ -338,7 +341,9 @@ class TestRunCommand:
         assert main(["run", write_doc(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "(1, 0) in both orientations" in captured.err
+        assert captured.err == (
+            "error: config.overrides.pair_similarity gives e1:e2 and e2:e1; "
+            "the measure is symmetric, so give it once\n")
         # The reversed key alone is the pair, given once.
         del pairs["e1:e2"]
         assert main(["run", write_doc(tmp_path, doc), "--format",
@@ -898,8 +903,8 @@ def test_overflowing_similarity_degrees_exit_2_with_one_error_line(tmp_path):
 
 
 @pytest.mark.parametrize("pairs, named", [
-    ({"e1:e2": -0.5, "e1:e3": -0.5, "e2:e3": -0.5}, "(0, 1) is -0.5"),
-    ({"e1:e2": 0.9, "e1:e3": 0.0, "e2:e3": 0.9}, "(0, 2) is 0.0"),
+    ({"e1:e2": -0.5, "e1:e3": -0.5, "e2:e3": -0.5}, "e1:e2 is -0.5"),
+    ({"e1:e2": 0.9, "e1:e3": 0.0, "e2:e3": 0.9}, "e1:e3 is 0.0"),
 ], ids=["all-negative", "one-zero"])
 def test_non_positive_pair_override_exits_2_naming_it(tmp_path, pairs, named):
     doc = write_doc(tmp_path, edited(
@@ -909,7 +914,7 @@ def test_non_positive_pair_override_exits_2_naming_it(tmp_path, pairs, named):
         rc, out, err = main_output(["run", doc])
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: pair_similarity override for experts {named}")
+    assert err.startswith(f"error: config.overrides.pair_similarity.{named}")
 
 
 def test_duplicate_alternative_labels_exit_2_naming_one(tmp_path):
@@ -1017,10 +1022,10 @@ def test_published_ranking_may_list_alternatives_in_any_order(tmp_path):
 
 @pytest.mark.parametrize("pairs, message", [
     ({"e1:e2": -1, "e1:e3": 0.8, "e2:e3": 0.8},
-     "error: pair_similarity override for experts (0, 1) is -1.0; "
+     "error: config.overrides.pair_similarity.e1:e2 is -1.0; "
      "it must be positive\n"),
     ({"e1:e2": 0.5, "e2:e1": 0.9, "e1:e3": 0.8, "e2:e3": 0.8},
-     "error: pair_similarity gives experts (1, 0) in both orientations; "
+     "error: config.overrides.pair_similarity gives e1:e2 and e2:e1; "
      "the measure is symmetric, so give it once\n"),
 ], ids=["negative", "both-orientations"])
 def test_every_command_checks_pair_overrides_as_run_does(tmp_path, pairs,
@@ -1103,6 +1108,36 @@ def test_published_pairs_keep_their_keys_as_written(tmp_path):
     rows = json.loads(out)["discrepancies"]
     assert [r["quantity"] for r in rows[:2]] == [
         "pair_similarity e2:e1", "pair_similarity e1:e3"]
+
+
+def test_expert_id_with_a_colon_can_be_named_in_a_pair_key(tmp_path):
+    doc = copy.deepcopy(SMARTPHONE)
+    doc["experts"][0]["id"] = "e:1"
+    doc["published"]["pair_similarity"] = {
+        "e:1:e2": 1.9856, "e2:e3": 2.0579, "e:1:e3": 1.9155}
+    path = write_doc(tmp_path, doc)
+    assert parse_input(path).published["pair_similarity"] == {
+        (0, 1): 1.9856, (1, 2): 2.0579, (0, 2): 1.9155}
+    paper = ["--override-similarity", "paper", "--format", "json"]
+    renamed = main_output(["run", path] + paper)
+    plain = main_output(["run", "smartphone.json"] + paper)
+    assert renamed == (0, plain[1].replace('"e1', '"e:1'), "")
+
+
+def test_pair_key_read_two_ways_exits_2_naming_it(tmp_path):
+    # a:b:c is a with b:c and a:b with c; neither reading is preferred.
+    doc = copy.deepcopy(SMARTPHONE)
+    doc["experts"].append(copy.deepcopy(doc["experts"][0]))
+    for expert, ident in zip(doc["experts"], ("a", "a:b", "b:c", "c")):
+        expert["id"] = ident
+    doc["config"]["overrides"] = {"pair_similarity": {"a:b:c": 1.0}}
+    del doc["published"]
+    with pytest.raises(SchemaViolation) as info:
+        parse_input(write_doc(tmp_path, doc))
+    assert info.value.field == "config.overrides.pair_similarity.a:b:c"
+    assert main_output(["run", write_doc(tmp_path, doc)]) == (
+        2, "", "error: pair key 'a:b:c' splits into two expert ids in "
+        "more than one way\n")
 
 
 def test_expert_without_hfpr_exits_2_naming_it(tmp_path):

@@ -551,7 +551,7 @@ PUBLIC_SURFACE = [
     "IndexOutOfRange", "NEGATIVE_IDEAL", "NeedTwoExperts", "NoConvergence",
     "OverrideShapeMismatch", "Overrides", "POSITIVE_IDEAL", "Panel",
     "ParameterOutOfRange", "PipelineConfig", "RankingReport",
-    "SchemaViolation", "ScoreSet", "SurveyRow", "TripleOutOfRange",
+    "SchemaViolation", "SurveyRow", "TripleOutOfRange",
     "ValidationError", "VertexAttribute", "ZeroDenominator",
     "aggregate_hfpr", "blend_scores", "bounds_survey", "closeness", "core",
     "energies", "energy", "errors", "ideal_similarities",

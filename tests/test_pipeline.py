@@ -116,48 +116,55 @@ class TestSimilarityWeights:
 
 class TestBlendScores:
     def test_published_c2_first_row(self):
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5, gamma_blend=0.5)
-        assert s.convention == "vector"
-        assert np.allclose(s.c2[0], (0.3502, 0.3678, 0.2821), atol=1e-3)
+        ca_eff, c2, _ = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5,
+                                     gamma_blend=0.5)
+        assert np.array_equal(ca_eff, np.tile(PUBLISHED_CA, (3, 1)))
+        assert np.allclose(c2[0], (0.3502, 0.3678, 0.2821), atol=1e-3)
 
     def test_published_c_first_row(self):
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5, gamma_blend=0.5)
-        assert np.allclose(s.c[0], (0.3616, 0.3821, 0.2564), atol=1e-3)
+        _, _, c = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5,
+                               gamma_blend=0.5)
+        assert np.allclose(c[0], (0.3616, 0.3821, 0.2564), atol=1e-3)
 
     def test_eta_one_gamma_one_returns_c1(self):
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=1.0, gamma_blend=1.0)
-        assert np.array_equal(s.c, np.asarray(PUBLISHED_C1))
-        assert np.array_equal(s.c2, np.asarray(PUBLISHED_C1))
+        _, c2, c = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=1.0,
+                                gamma_blend=1.0)
+        assert np.array_equal(c, np.asarray(PUBLISHED_C1))
+        assert np.array_equal(c2, np.asarray(PUBLISHED_C1))
 
     def test_degenerate_blend_identities(self):
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=1.0, gamma_blend=0.3)
-        assert np.max(np.abs(s.c2 - s.c1)) < 1e-15
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.4, gamma_blend=0.0)
-        assert np.max(np.abs(s.c - s.c2)) < 1e-15
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.4, gamma_blend=1.0)
-        assert np.max(np.abs(s.c - s.c1)) < 1e-15
+        c1 = np.asarray(PUBLISHED_C1)
+        _, c2, _ = blend_scores(c1, PUBLISHED_CA, eta=1.0, gamma_blend=0.3)
+        assert np.max(np.abs(c2 - c1)) < 1e-15
+        _, c2, c = blend_scores(c1, PUBLISHED_CA, eta=0.4, gamma_blend=0.0)
+        assert np.max(np.abs(c - c2)) < 1e-15
+        _, _, c = blend_scores(c1, PUBLISHED_CA, eta=0.4, gamma_blend=1.0)
+        assert np.max(np.abs(c - c1)) < 1e-15
 
     def test_vector_convention_shares_the_weight_vector(self):
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5,
-                         gamma_blend=0.0, convention="vector")
+        ca_eff, _, c = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5,
+                                    gamma_blend=0.0, convention="vector")
         for b in range(3):
-            assert np.allclose(s.ca_effective[b], PUBLISHED_CA, atol=1e-15)
+            assert np.allclose(ca_eff[b], PUBLISHED_CA, atol=1e-15)
             assert np.allclose(
-                s.c[b], 0.5 * np.asarray(PUBLISHED_C1[b])
+                c[b], 0.5 * np.asarray(PUBLISHED_C1[b])
                 + 0.5 * np.asarray(PUBLISHED_CA), atol=1e-15)
 
     def test_scalar_convention_broadcasts_own_weight(self):
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5,
-                         gamma_blend=0.0, convention="scalar")
+        ca_eff, _, _ = blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=0.5,
+                                    gamma_blend=0.0, convention="scalar")
         for b in range(3):
-            assert np.allclose(s.ca_effective[b], [PUBLISHED_CA[b]] * 3,
-                               atol=1e-15)
+            assert np.allclose(ca_eff[b], [PUBLISHED_CA[b]] * 3, atol=1e-15)
 
     def test_auto_convention_by_expert_count(self):
         two_c1 = [[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]]
-        s = blend_scores(two_c1, [0.6, 0.4])
-        assert s.convention == "scalar"
-        assert blend_scores(PUBLISHED_C1, PUBLISHED_CA).convention == "vector"
+        ca_eff, _, _ = blend_scores(two_c1, [0.6, 0.4])
+        assert ca_eff.tolist() == [[0.6] * 3, [0.4] * 3]
+        for convention in ("scalar", "vector"):
+            want = blend_scores(PUBLISHED_C1, PUBLISHED_CA,
+                                convention=convention)[0]
+            got = blend_scores(PUBLISHED_C1, PUBLISHED_CA)[0]
+            assert np.array_equal(got, want) == (convention == "vector")
 
     def test_vector_requires_three_experts(self):
         with pytest.raises(ParameterOutOfRange):
@@ -174,10 +181,24 @@ class TestBlendScores:
         with pytest.raises(OverrideShapeMismatch):
             blend_scores(PUBLISHED_C1, [0.5, 0.5])
 
+    def test_parameters_meet_pipeline_config_rules(self):
+        # blend_scores checks eta, gamma_blend and convention by building
+        # a PipelineConfig, so each refusal is that config's own.
+        for kwargs, config in (
+                ({"eta": -0.5}, {"eta": -0.5}),
+                ({"gamma_blend": 2.0}, {"gamma_grid": (2.0,)}),
+                ({"convention": "mixed"}, {"blend_convention": "mixed"})):
+            with pytest.raises(ParameterOutOfRange) as blended:
+                blend_scores(PUBLISHED_C1, PUBLISHED_CA, **kwargs)
+            with pytest.raises(ParameterOutOfRange) as configured:
+                PipelineConfig(**config)
+            assert str(blended.value) == str(configured.value)
+
     def test_scoreset_arrays_frozen(self):
-        s = blend_scores(PUBLISHED_C1, PUBLISHED_CA)
-        with pytest.raises(ValueError):
-            s.c[0, 0] = 9.9
+        for a in blend_scores(PUBLISHED_C1, PUBLISHED_CA):
+            assert a.shape == (3, 3)
+            with pytest.raises(ValueError):
+                a[0, 0] = 9.9
 
 
 class TestAggregateHfpr:
@@ -410,10 +431,10 @@ class TestRun:
             c1 = uncertainty_scores(experts, "energy", "per_channel")
             ca = similarity_weights(experts)
             for g in (0.0, 0.4, 1.0):
-                s = blend_scores(c1, ca, eta=0.7, gamma_blend=g,
-                                 convention="scalar")
-                assert np.allclose(s.c.sum(axis=0), 1.0, atol=1e-12)
-                assert np.allclose(s.c2.sum(axis=0), 1.0, atol=1e-12)
+                _, c2, c = blend_scores(c1, ca, eta=0.7, gamma_blend=g,
+                                        convention="scalar")
+                assert np.allclose(c.sum(axis=0), 1.0, atol=1e-12)
+                assert np.allclose(c2.sum(axis=0), 1.0, atol=1e-12)
 
     def test_aggregated_override_short_circuits(self, experts, m2):
         cfg = PipelineConfig(gamma_grid=(0.0, 1.0),
@@ -762,7 +783,7 @@ class TestStackedGrid:
         with pytest.raises(TripleOutOfRange) as stacked:
             run(experts, config)
         for g, fails in ((0.0, False), (0.5, True)):
-            c = blend_scores(np.eye(3), [1 / 3] * 3, 0.0, g, "scalar").c
+            c = blend_scores(np.eye(3), [1 / 3] * 3, 0.0, g, "scalar")[2]
             if not fails:
                 aggregate_hfpr(experts, c)
                 continue
@@ -778,12 +799,11 @@ class TestStackedGrid:
 
     def test_blend_scores_is_the_grid_of_one(self, experts):
         report = run(experts, PipelineConfig(gamma_grid=(0.7,)))
-        s = blend_scores(report.c1, report.ca, eta=0.5, gamma_blend=0.7)
-        for name in ("c1", "ca", "ca_effective", "c2"):
-            assert hexes(getattr(s, name)) == hexes(getattr(report, name))
-        assert hexes(s.c) == hexes(report.c[0])
-        assert (s.eta, s.gamma_blend, s.convention) == (
-            report.eta, report.gamma_grid[0], report.convention)
+        ca_eff, c2, c = blend_scores(report.c1, report.ca, eta=0.5,
+                                     gamma_blend=0.7)
+        assert hexes(ca_eff) == hexes(report.ca_effective)
+        assert hexes(c2) == hexes(report.c2)
+        assert hexes(c) == hexes(report.c[0])
 
     def test_infinite_scores_rejected(self):
         # inf passes a nonnegativity check; the finiteness check catches it
@@ -947,3 +967,89 @@ class TestPairOverridesInLibrary:
                               report.ca)
         assert np.array_equal(similarity_weights(experts, PUBLISHED_PAIRS),
                               report.ca)
+
+
+# -- metamorphic properties on random panels --------------------------------
+
+def random_panel(seed, n, l):
+    """l random relations of size n over labels a0..a{n-1}."""
+    rng = np.random.default_rng(seed)
+    labels = [f"a{i}" for i in range(n)]
+    return tuple(random_hfpr(n, rng, labels=labels) for _ in range(l))
+
+
+def shared_weights_config(mode, l):
+    """Weights 1/l shared through the c override keep every aggregate
+    closed; the blend is still computed and reported."""
+    return PipelineConfig(mode=mode, gamma_grid=(0.0, 0.5, 1.0),
+                          overrides=Overrides(c=np.full((l, 3), 1.0 / l)))
+
+
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(2, 8), l=st.integers(2, 6), mode=st.sampled_from(MODES))
+@settings(max_examples=40, deadline=None)
+def test_relabelling_alternatives(data, seed, n, l, mode):
+    perm = data.draw(st.permutations(range(n)))
+    rels = random_panel(seed, n, l)
+    moved = tuple(make_hfpr(h.values[np.ix_(perm, perm)],
+                            labels=[h.labels[p] for p in perm])
+                  for h in rels)
+    config = shared_weights_config(mode, l)
+    rep, mrep = run(rels, config), run(moved, config)
+    for name in ("energies", "laplacian_energies", "c1", "ca", "c2", "c"):
+        assert np.allclose(getattr(mrep, name), getattr(rep, name),
+                           rtol=0, atol=1e-12), name
+    for name in ("s_plus", "s_minus", "f"):
+        assert np.allclose(getattr(mrep, name), getattr(rep, name)[:, perm],
+                           rtol=0, atol=1e-12), name
+    assert np.allclose(mrep.aggregated,
+                       rep.aggregated[:, perm][:, :, perm], rtol=0, atol=1e-12)
+    for k in range(len(config.gamma_grid)):
+        ranked = [mrep.labels[i] for i in mrep.ranking[k]]
+        # Read in the moved run's order, the original closeness values
+        # never rise: the ranking maps by label up to ties within 1e-9.
+        f = rep.f[k][[rep.labels.index(a) for a in ranked]]
+        assert np.all(np.diff(f) <= 1e-9)
+        if np.all(np.diff(np.sort(rep.f[k])) > 1e-9):
+            assert ranked == [rep.labels[i] for i in rep.ranking[k]]
+
+
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(2, 8), l=st.sampled_from([2, 4, 5, 6]),
+       mode=st.sampled_from(MODES))
+@settings(max_examples=40, deadline=None)
+def test_permuting_experts_under_scalar(data, seed, n, l, mode):
+    # auto picks the scalar convention for l != 3: each expert's weight
+    # stays on its own row, so the expert axis permutes and f stays.
+    perm = data.draw(st.permutations(range(l)))
+    rels = random_panel(seed, n, l)
+    config = shared_weights_config(mode, l)
+    rep = run(rels, config)
+    prep = run(tuple(rels[b] for b in perm), config)
+    assert prep.convention == rep.convention == "scalar"
+    for name in ("energies", "laplacian_energies", "c1",
+                 "similarity_degrees", "ca", "ca_effective", "c2"):
+        assert np.allclose(getattr(prep, name), getattr(rep, name)[perm],
+                           rtol=0, atol=1e-12), name
+    assert np.allclose(prep.c, rep.c[:, perm], rtol=0, atol=1e-12)
+    assert np.allclose(prep.f, rep.f, rtol=0, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+       l=st.integers(2, 6), mode=st.sampled_from(MODES))
+@settings(max_examples=30, deadline=None)
+def test_identical_experts_have_unit_degrees_and_equal_weights(seed, n, l,
+                                                               mode):
+    rels = random_panel(seed, n, 1) * l
+    report = run(rels, shared_weights_config(mode, l))
+    assert np.allclose(report.similarity_degrees, 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(report.ca, 1.0 / l, rtol=0, atol=1e-12)
+
+
+def test_vector_convention_is_not_expert_permutation_invariant(experts):
+    # Under vector the weight vector is one shared triple, read by
+    # channel, so reordering the case study's experts moves f.
+    rep = run(experts)
+    cyclic = run(experts[1:] + experts[:1])
+    assert rep.convention == cyclic.convention == "vector"
+    assert np.abs(cyclic.f - rep.f).max() == pytest.approx(2.36e-3, abs=5e-5)
