@@ -62,14 +62,13 @@ _DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 class InputDocument:
     """One parsed and validated scenario document.
 
-    experts is the Panel of the expert relations, which run and the
-    spectra take without a second check. published holds converted
-    values: pair_similarity maps expert index pairs to floats,
-    similarity_degrees and ca are float arrays of one value per expert,
-    ranking is a tuple naming every alternative once.
+    experts is the Panel of the expert relations, labelled by the
+    alternatives, which run and the spectra take without a second check.
+    published holds converted values: pair_similarity maps expert index
+    pairs to floats, similarity_degrees and ca are float arrays of one
+    value per expert, ranking is a tuple naming every alternative once.
     """
 
-    alternatives: tuple[str, ...]
     expert_ids: tuple[str, ...]
     experts: Panel
     config: PipelineConfig
@@ -428,7 +427,6 @@ def _document(raw) -> InputDocument:
         })
 
     return InputDocument(
-        alternatives=alternatives,
         expert_ids=ids,
         experts=Panel.of(relations),
         config=config,
@@ -455,7 +453,7 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
     """Computed-vs-published comparison rows for every comparable stage."""
     published = doc.published or {}
     out: list[dict] = []
-    overridden = set(report.overridden)
+    overridden = set(report.config.overrides.stage_names())
 
     def add(quantity: str, computed, published_value):
         out.append({
@@ -494,6 +492,7 @@ def _discrepancies(doc: InputDocument, report: RankingReport) -> list[dict]:
 
 
 def _report_json(doc: InputDocument, report: RankingReport) -> dict:
+    config = report.config
     runs = [{
         "gamma_blend": gamma,
         "c2": report.c2,
@@ -504,14 +503,14 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
         "s_minus": report.s_minus[k],
         "f": report.f[k],
         "ranking": [report.labels[i] for i in report.ranking[k]],
-    } for k, gamma in enumerate(report.gamma_grid)]
+    } for k, gamma in enumerate(config.gamma_grid)]
     payload = {
-        "mode": report.mode,
-        "normalization": report.normalization,
-        "eta": report.eta,
-        "closeness": report.closeness_mode,
-        "convention": report.convention,
-        "overridden": list(report.overridden),
+        "mode": config.mode,
+        "normalization": config.score_normalization,
+        "eta": config.eta,
+        "closeness": config.closeness_mode,
+        "convention": config.blend_convention,
+        "overridden": list(config.overrides.stage_names()),
         "alternatives": list(report.labels),
         "experts": list(doc.expert_ids),
         "energy": dict(zip(doc.expert_ids, report.energies)),
@@ -528,13 +527,13 @@ def _report_json(doc: InputDocument, report: RankingReport) -> dict:
 
 
 def _report_table(doc: InputDocument, report: RankingReport) -> str:
-    lines = []
-    lines.append(
-        f"pipeline run: mode={report.mode}  "
-        f"normalization={report.normalization}  eta={report.eta:.4f}  "
-        f"closeness={report.closeness_mode}  convention={report.convention}")
-    if report.overridden:
-        lines.append("overridden stages: " + ", ".join(report.overridden))
+    config = report.config
+    overridden = config.overrides.stage_names()
+    lines = [f"pipeline run: mode={config.mode}  normalization="
+             f"{config.score_normalization}  eta={config.eta:.4f}  closeness="
+             f"{config.closeness_mode}  convention={config.blend_convention}"]
+    if overridden:
+        lines.append("overridden stages: " + ", ".join(overridden))
     lines.append("")
 
     rows = [["expert", "energy", "laplacian energy", "c1"]]
@@ -556,7 +555,7 @@ def _report_table(doc: InputDocument, report: RankingReport) -> str:
     header = ["gamma"] + [f"c({ident})" for ident in doc.expert_ids] \
         + ["s_plus", "s_minus", "f", "ranking"]
     rows = [header]
-    for k, gamma in enumerate(report.gamma_grid):
+    for k, gamma in enumerate(config.gamma_grid):
         rows.append(
             [f"{gamma:.4f}"]
             + [_vector_cell(c_row) for c_row in report.c_used[k]]
@@ -669,7 +668,7 @@ def cmd_energy(args) -> int:
     lap = laplacian_energies(doc.experts)
     if args.format == "json":
         payload = {
-            "alternatives": list(doc.alternatives),
+            "alternatives": list(doc.experts[0].labels),
             "energy": dict(zip(doc.expert_ids, adjacency)),
             "laplacian_energy": dict(zip(doc.expert_ids, lap)),
         }

@@ -14,7 +14,9 @@ whole-array reductions, and only an invalid one is scanned rule by rule
 for the first offending entry in row-major order. Later stages trust the
 HFPR type and do not check it again. A twin within the symmetry
 tolerance is stored as the exact mirror of its upper-triangle entry, so
-every relation equals its own transpose bit for bit.
+every relation equals its own transpose bit for bit; likewise a value
+within the range or sum tolerance is stored clipped or scaled into the
+exact valid set, so convex mixes of relations stay valid.
 
 A Panel is the group of relations that every later stage works on: the
 l experts' relations, nonempty, of one size and with one set of labels,
@@ -195,7 +197,10 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     1e-9, reported at the lower-triangle entry; an accepted twin is
     stored as the upper entry's exact mirror), then the optional vertex
     bounds mu_ij <= min(mu1_i, mu1_j), gamma_ij <= max(gamma1_i, gamma1_j),
-    beta_ij <= min(beta1_i, beta1_j). Labels default to t1..tn.
+    beta_ij <= min(beta1_i, beta1_j). Labels default to t1..tn. An
+    accepted relation is stored inside the exact valid set: a component
+    within the range tolerance outside [0, 1] is clipped to it, and a
+    triple summing above 1 is scaled by 1/sum.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim != 3 or a.shape[2] != 3 or a.shape[0] != a.shape[1]:
@@ -233,8 +238,9 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
 
     # Accept at once when whole-array reductions of the rules' own
     # expressions show no entry breaks any rule; NaN fails the range test.
-    if a.min() >= -TOL and a.max() <= 1.0 + TOL \
-            and (mu + gamma + beta).max() <= 1.0 + TOL \
+    low, high = a.min(), a.max()
+    if low >= -TOL and high <= 1.0 + TOL \
+            and (top := (mu + gamma + beta).max()) <= 1.0 + TOL \
             and not a.reshape(n * n, 3)[::n + 1].any() \
             and np.abs(a - a.transpose(1, 0, 2)).max() <= TOL \
             and (vertex_bounds is None or (
@@ -243,6 +249,12 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
         # A twin within the tolerance is stored as its upper entry's mirror.
         values = np.where(np.tri(n, dtype=bool)[..., None],
                           a.transpose(1, 0, 2), a)
+        if low < 0.0 or high > 1.0 or top > 1.0:
+            # Within the tolerance but outside the exact set: store each
+            # component clipped to [0, 1], and each triple summing above 1
+            # scaled by 1/sum, so convex mixes of stored relations pass.
+            values = np.clip(values, 0.0, 1.0)
+            values /= np.maximum(values.sum(axis=2, keepdims=True), 1.0)
         return HFPR(values=_freeze(values), labels=labels, vertex_attrs=attrs)
 
     # Some entry breaks a rule: find the first one.

@@ -18,7 +18,10 @@ the same stacks, as a tuple of the report's fields in their order.
 
 Run parameters are checked once, by PipelineConfig; blend_scores checks
 its own by building one, so the stack code behind both checks only the
-score invariants.
+score invariants. A report records its run once, as config: the
+PipelineConfig the run used, with auto resolved and the overrides as
+Overrides.checked gave them, so run(experts, report.config) gives the
+same report again, bit for bit.
 
 Every function that takes the experts' relations takes a Panel, or a
 sequence of relations that Panel.of checks and stacks. run builds that
@@ -41,7 +44,8 @@ picks vector for three experts and scalar otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +73,14 @@ _SCORE_TOL = 1e-9
 def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
     if value not in choices:
         raise ParameterOutOfRange(f"{name} {value!r} not one of {choices}")
+
+
+def _real(name: str, value) -> float:
+    """value as a float; it must be a real number, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterOutOfRange(
+            f"{name} = {_plain(value)!r} is not a number")
+    return float(value)
 
 
 def _score_matrix(x, l: int, name: str) -> np.ndarray:
@@ -104,14 +116,14 @@ class Overrides:
 
     def checked(self, l: int, n: int) -> Overrides:
         """These overrides checked in stage order for l experts and an
-        aggregated relation of size n; c1, c (read-only) and ca come back
-        as float arrays and pairs as _resolve_pairwise gives them."""
+        aggregated relation of size n; c1, ca and c come back as read-only
+        float copies and pairs as _resolve_pairwise gives them."""
         c1, ca, c = self.c1, self.ca, self.c
         if c1 is not None:
-            c1 = _score_matrix(c1, l, "c1 override")
+            c1 = _freeze(_score_matrix(c1, l, "c1 override").copy())
         pairs = _resolve_pairwise(self.pair_similarity, l)
         if ca is not None:
-            ca = np.asarray(ca, dtype=float)
+            ca = _freeze(np.array(ca, dtype=float))
             if ca.shape != (l,):
                 raise OverrideShapeMismatch(
                     f"ca override must have shape ({l},), got {ca.shape}")
@@ -125,7 +137,12 @@ class Overrides:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Run parameters; gamma_grid drives one ranking per value."""
+    """Run parameters; gamma_grid drives one ranking per value.
+
+    eta and every gamma_grid value must be real numbers in [0, 1], not
+    bools or strings, and are stored as floats; gamma_grid is stored as a
+    tuple. A report's config is the one its run used, with auto resolved.
+    """
 
     mode: str = "energy"
     score_normalization: str = "auto"
@@ -141,15 +158,22 @@ class PipelineConfig:
                       NORMALIZATIONS)
         _check_choice("closeness_mode", self.closeness_mode, CLOSENESS_MODES)
         _check_choice("blend_convention", self.blend_convention, CONVENTIONS)
-        if not (0.0 <= self.eta <= 1.0):
+        eta = _real("eta", self.eta)
+        if not (0.0 <= eta <= 1.0):
+            raise ParameterOutOfRange(f"eta = {eta!r} outside [0, 1]")
+        try:
+            grid = tuple(self.gamma_grid)
+        except TypeError:
             raise ParameterOutOfRange(
-                f"eta = {_plain(self.eta)!r} outside [0, 1]")
-        grid = tuple(float(g) for g in self.gamma_grid)
+                f"gamma_grid = {_plain(self.gamma_grid)!r} is not a sequence "
+                "of numbers") from None
+        grid = tuple(_real("gamma_blend", g) for g in grid)
         if not grid:
             raise ParameterOutOfRange("gamma_grid must not be empty")
         for g in grid:
             if not (0.0 <= g <= 1.0):
                 raise ParameterOutOfRange(f"gamma_blend = {g!r} outside [0, 1]")
+        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "gamma_grid", grid)
 
 
@@ -164,9 +188,10 @@ def _normalization(mode: str, normalization: str) -> str:
 @dataclass(frozen=True, eq=False)
 class RankingReport:
     """Full deterministic output of one pipeline run, for l experts, n
-    alternatives and the g values of gamma_grid.
+    alternatives and the g values of config.gamma_grid.
 
-    Every array is read-only. energies, laplacian_energies, c1,
+    config is the PipelineConfig the run used, auto resolved and overrides
+    checked. Every array is read-only. energies, laplacian_energies, c1,
     ca_effective and c2 are (l, 3), one row per expert in CHANNELS order,
     whichever mode drove the scores; similarity_degrees (None when ca was
     overridden) and ca are (l,). The grid's stacks have one row per
@@ -177,12 +202,6 @@ class RankingReport:
     """
 
     labels: tuple[str, ...]
-    mode: str
-    normalization: str
-    eta: float
-    gamma_grid: tuple[float, ...]
-    closeness_mode: str
-    convention: str
     energies: np.ndarray
     laplacian_energies: np.ndarray
     c1: np.ndarray
@@ -197,12 +216,13 @@ class RankingReport:
     s_minus: np.ndarray
     f: np.ndarray
     ranking: np.ndarray
-    overridden: tuple[str, ...]
+    config: PipelineConfig
 
 
 def uncertainty_scores(experts, mode: str = "energy",
                        normalization: str = "auto") -> np.ndarray:
-    """Stage-ii score triples from per-expert energies.
+    """Stage-ii score triples from per-expert energies, a read-only
+    (l, 3) array.
 
     per_expert normalization divides each expert's triple by the sum of
     its own three components; per_channel divides each channel value by
@@ -222,12 +242,13 @@ def uncertainty_scores(experts, mode: str = "energy",
         denom = raw.sum(axis=0, keepdims=True)
         if np.any(denom == 0.0):
             raise ZeroDenominator("a channel sums to zero across experts")
-    return raw / denom
+    return _freeze(raw / denom)
 
 
 def _degrees_and_weights(experts, pairs):
     """Mean similarity degrees and their normalization, the stage-iv
-    weights; pairs as similarity._resolve_pairwise returns them."""
+    weights, as read-only (l,) arrays; pairs as
+    similarity._resolve_pairwise returns them."""
     l = len(experts)
     if l < 2:
         raise NeedTwoExperts(f"need at least 2 relations, got {l}")
@@ -240,11 +261,12 @@ def _degrees_and_weights(experts, pairs):
     if total <= 0.0:
         raise ZeroDenominator("similarity degrees sum to zero")
     degrees = np.array(degrees)
-    return _freeze(degrees), degrees / total
+    return _freeze(degrees), _freeze(degrees / total)
 
 
 def similarity_weights(experts, pairwise=None) -> np.ndarray:
-    """Stage-iv weights: normalized mean similarity degrees.
+    """Stage-iv weights: normalized mean similarity degrees, a read-only
+    (l,) array.
 
     pairwise optionally injects stage-iii values as a mapping from expert
     index pairs to positive floats, each pair once in either orientation;
@@ -397,12 +419,6 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
 
     return RankingReport(
         labels=experts[0].labels,
-        mode=config.mode,
-        normalization=normalization,
-        eta=config.eta,
-        gamma_grid=grid,
-        closeness_mode=config.closeness_mode,
-        convention=convention,
         energies=energy_triples,
         laplacian_energies=lap_energies,
         c1=c1,
@@ -417,5 +433,6 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
         s_minus=s_minus,
         f=f,
         ranking=ranking,
-        overridden=ov.stage_names(),
+        config=replace(config, score_normalization=normalization,
+                       blend_convention=convention, overrides=ov),
     )

@@ -3,7 +3,11 @@
 The pairwise measure compares two relations entrywise over the strict
 upper triangle: each pair contributes (1 - min|delta|) / (1 + max|delta|)
 across the three channels, and the total is scaled so identical relations
-score exactly 1 and the score never drops below 1/n.
+score 1 and the score never drops below 1/n. In floating point identical
+relations can score 1 ulp off 1: at n = 6 (the first such size, then
+14, 24, ...) 1/n + (2/n**2) * 15 rounds to 1 - 2**-53. The formula is
+kept as it is, because rewriting it moves the last digit of other pair
+values.
 
 Ideal similarities compare one row of an aggregated relation against the
 positive reference (1, 0, 1) or the negative reference (0, 1, 0); these
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HFPR, Panel, _one_size, _plain
+from .core import HFPR, Panel, _freeze, _one_size, _plain
 from .errors import (
     DegenerateDenominator,
     IndexOutOfRange,
@@ -131,8 +135,9 @@ def _ideal_rows(rows: np.ndarray, which: str) -> np.ndarray:
 
 
 def ideal_similarities(agg: HFPR, which: str) -> np.ndarray:
-    """Similarity of every row to the positive or negative ideal, (n,)."""
-    return _ideal_rows(agg.values, which)
+    """Similarity of every row to the positive or negative ideal, a
+    read-only (n,) array."""
+    return _freeze(_ideal_rows(agg.values, which))
 
 
 def closeness(s_plus, s_minus, mode: str = "relative"):

@@ -58,7 +58,7 @@ def write_doc(tmp_path, obj, name="doc.json"):
 class TestParseInput:
     def test_bundled_name_resolves(self):
         doc = parse_input("smartphone.json")
-        assert doc.alternatives == ("t1", "t2", "t3", "t4")
+        assert doc.experts[0].labels == ("t1", "t2", "t3", "t4")
         assert doc.expert_ids == ("e1", "e2", "e3")
         assert len(doc.experts) == 3
         assert doc.experts[0].n == 4
@@ -486,7 +486,7 @@ class TestGenerate:
         assert main(["generate", "--seed", "3", "--n", "5",
                      "--experts", "4", "--out", str(path)]) == 0
         doc = parse_input(str(path))
-        assert doc.alternatives == ("t1", "t2", "t3", "t4", "t5")
+        assert doc.experts[0].labels == ("t1", "t2", "t3", "t4", "t5")
         assert doc.expert_ids == ("e1", "e2", "e3", "e4")
         for h in doc.experts:
             assert h.values.sum(axis=2).max() <= 1.0 + 1e-9

@@ -54,7 +54,9 @@ def make_hfpr_reference(entries, vertex_attrs=None):
     Each entry is checked in turn: component range and triple sum, the
     exact-zero diagonal, symmetry against the upper-triangle twin, then
     the vertex bounds. Shapes and labels are taken as valid. An accepted
-    relation stores each lower entry as its upper twin's mirror.
+    relation stores each lower entry as its upper twin's mirror, each
+    component clipped to [0, 1], and each triple summing above 1 divided
+    by its sum.
     """
     a = np.asarray(entries, dtype=float)
     n = a.shape[0]
@@ -83,11 +85,15 @@ def make_hfpr_reference(entries, vertex_attrs=None):
                         or beta > min(vi.beta1, vj.beta1) + TOL):
                     raise EdgeExceedsVertexBound(
                         f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
-    # An accepted twin is stored as the mirror of its upper entry.
+    # An accepted twin is stored as the mirror of its upper entry, inside
+    # the exact valid set.
     values = a.copy()
     for i in range(n):
-        for j in range(i):
-            values[i, j] = a[j, i]
+        for j in range(n):
+            triple = [min(max(float(v), 0.0), 1.0)
+                      for v in a[min(i, j), max(i, j)]]
+            s = triple[0] + triple[1] + triple[2]
+            values[i, j] = [v / s for v in triple] if s > 1.0 else triple
     return HFPR(values=values, labels=tuple(f"t{i + 1}" for i in range(n)),
                 vertex_attrs=attrs)
 

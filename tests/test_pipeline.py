@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import hfgdm.cli as cli
 from hfgdm import (
+    HFPR,
     AsymmetricEntry,
     DimensionMismatch,
     NeedTwoExperts,
@@ -22,6 +23,7 @@ from hfgdm import (
     aggregate_hfpr,
     blend_scores,
     energies,
+    ideal_similarities,
     laplacian_energies,
     make_hfpr,
     mean_similarity_degree,
@@ -258,14 +260,44 @@ class TestAggregateHfpr:
     @settings(max_examples=60, deadline=None)
     def test_channel_contraction_matches_the_triple_one(self, seed, n, l):
         # aggregate_hfpr contracts the Panel's channels stack; the old
-        # contraction over the (l, n, n, 3) triples gives the same bits.
+        # contraction over the (l, n, n, 3) triples, stored by make_hfpr,
+        # gives the same bits. A convex sum can round 1 ulp over 1, which
+        # make_hfpr stores scaled back into the valid set.
         rng = np.random.default_rng(seed)
         rels = [random_hfpr(n, rng) for _ in range(l)]
         w = rng.uniform(0.0, 1.0, l)
         w = np.repeat((w / w.sum())[:, None], 3, axis=1)
-        want = np.einsum("bc,bijc->ijc", w,
-                         np.stack([h.values for h in rels]))
-        assert aggregate_hfpr(rels, w).values.tobytes() == want.tobytes()
+        want = make_hfpr(np.einsum("bc,bijc->ijc", w,
+                                   np.stack([h.values for h in rels])))
+        assert aggregate_hfpr(rels, w).values.tobytes() == \
+            want.values.tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+           l=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_edge_panels_close_under_shared_weights(self, seed, n, l):
+        # Triples summing to just under 1 + 1e-9, some with a component
+        # just under 0, all of which make_hfpr accepts: it stores them in
+        # the exact valid set, so one shared weight per expert, summing
+        # to 1, gives an aggregate that make_hfpr accepts too.
+        rng = np.random.default_rng(seed)
+        iu = np.triu_indices(n, 1)
+        rels = []
+        for _ in range(l):
+            t = rng.uniform(0.0, 1.0, (len(iu[0]), 3))
+            t *= (1.0 + rng.uniform(0.5e-9, 0.9e-9)) / t.sum(axis=1)[:, None]
+            t[rng.uniform(size=len(t)) < 0.3, 0] = -0.5e-9
+            a = np.zeros((n, n, 3))
+            a[iu] = t
+            a[iu[1], iu[0]] = t
+            h = make_hfpr(a)
+            assert h.values.min() >= 0.0 and h.values.max() <= 1.0
+            assert h.values.sum(axis=2).max() <= 1.0 + 4 * np.finfo(float).eps
+            rels.append(h)
+        w = rng.uniform(0.1, 1.0, l)
+        w = np.repeat((w / w.sum())[:, None], 3, axis=1)
+        agg = aggregate_hfpr(rels, w)
+        assert agg.values.sum(axis=2).max() <= 1.0 + 4 * np.finfo(float).eps
 
     def test_negative_weights_rejected(self, experts):
         w = np.full((3, 3), 1 / 3)
@@ -307,7 +339,7 @@ class TestRank:
         report = run(experts, PipelineConfig(closeness_mode=mode))
         names = [f.name for f in dataclasses.fields(RankingReport)][-5:-1]
         assert names == ["s_plus", "s_minus", "f", "ranking"]
-        for k in range(len(report.gamma_grid)):
+        for k in range(len(report.config.gamma_grid)):
             agg = aggregate_hfpr(experts, report.c_used[k])
             assert agg.values.tobytes() == report.aggregated[k].tobytes()
             got = rank(agg, mode)
@@ -337,14 +369,24 @@ def test_rank_stack_sorts_by_closeness_then_index(seed, g, n, patterns, mode):
         assert rk == sorted(range(n), key=lambda i: (-fk[i], i))
 
 
+def test_stage_results_are_read_only(experts):
+    # Each result has one form: the stage functions return read-only
+    # arrays, as energies, blend_scores, rank and the report do.
+    agg = aggregate_hfpr(experts, PUBLISHED_C)
+    for a in (uncertainty_scores(experts), similarity_weights(experts),
+              ideal_similarities(agg, "positive"),
+              ideal_similarities(agg, "negative")):
+        assert not a.flags.writeable
+
+
 class TestRun:
     def test_override_run_all_rankings(self, experts):
         cfg = PipelineConfig(
             overrides=Overrides(pair_similarity=PUBLISHED_PAIRS))
         rep = run(experts, cfg)
-        assert rep.normalization == "per_expert"
-        assert rep.convention == "vector"
-        assert rep.overridden == ("pair_similarity",)
+        assert rep.config.score_normalization == "per_expert"
+        assert rep.config.blend_convention == "vector"
+        assert rep.config.overrides.stage_names() == ("pair_similarity",)
         assert np.allclose(rep.ca, PUBLISHED_CA, atol=1e-3)
         assert rep.ranking.tolist() == [[0, 1, 3, 2]] * 5
 
@@ -366,18 +408,18 @@ class TestRun:
             mode="laplacian", gamma_grid=(1.0,),
             overrides=Overrides(pair_similarity=PUBLISHED_PAIRS))
         rep = run(experts, cfg)
-        assert rep.normalization == "per_channel"
+        assert rep.config.score_normalization == "per_channel"
         assert np.allclose(rep.f[0], (0.4532, 0.4376, 0.4142, 0.4203),
                            atol=2e-3)
         assert rep.ranking[0].tolist() == [0, 1, 3, 2]
 
     def test_honest_run_frozen_values(self, experts):
         rep = run(experts, PipelineConfig())
-        assert rep.overridden == ()
+        assert rep.config.overrides.stage_names() == ()
         assert np.allclose(rep.similarity_degrees,
                            (0.8503, 0.8400, 0.8225), atol=1e-4)
         assert np.allclose(rep.ca, (0.3384, 0.3343, 0.3273), atol=1e-4)
-        assert rep.gamma_grid[-1] == 1.0
+        assert rep.config.gamma_grid[-1] == 1.0
         assert np.allclose(
             rep.f[-1],
             (0.3937466646043222, 0.3753998147348667,
@@ -627,7 +669,6 @@ def test_panel_and_tuple_give_the_same_bytes(seed, n, l, mode):
     texts = []
     for experts in (rels, panel):
         doc = cli.InputDocument(
-            alternatives=rels[0].labels,
             expert_ids=tuple(f"e{k + 1}" for k in range(l)),
             experts=experts, config=config, published=None)
         texts.append(cli._emit_json(cli._report_json(doc, run(experts,
@@ -646,7 +687,7 @@ def reference_records(experts, config, report):
     ov = config.overrides
     c1, ca = np.array(report.c1), np.array(report.ca)
     l = len(experts)
-    if report.convention == "vector":
+    if report.config.blend_convention == "vector":
         ca_eff = np.tile(ca, (l, 1))
     else:
         ca_eff = np.repeat(ca[:, None], 3, axis=1)
@@ -676,7 +717,7 @@ def stacked_records(report):
              report.c[k], report.c_used[k], report.aggregated[k],
              report.s_plus[k], report.s_minus[k], report.f[k],
              tuple(report.ranking[k].tolist()))
-            for k, g in enumerate(report.gamma_grid)]
+            for k, g in enumerate(report.config.gamma_grid)]
 
 
 def hexes(value):
@@ -716,7 +757,7 @@ class TestStackedGrid:
     def test_one_value_and_repeated_values(self, experts, grid):
         report = assert_stack_matches_reference(
             experts, PipelineConfig(gamma_grid=grid))
-        assert report.gamma_grid == grid
+        assert report.config.gamma_grid == grid
 
     def test_every_override(self, experts, m2):
         for ov in (Overrides(c1=PUBLISHED_C1),
@@ -848,6 +889,15 @@ class TestOverridesChecked:
             assert np.array_equal(getattr(again, name), getattr(got, name))
         assert Overrides().checked(3, 4) == Overrides()
 
+    def test_score_overrides_come_back_as_read_only_copies(self):
+        c1, ca, c = np.full((3, 3), 0.3), np.full(3, 1 / 3), np.eye(3)
+        got = Overrides(c1=c1, ca=ca, c=c).checked(3, 4)
+        for name, mine in (("c1", c1), ("ca", ca), ("c", c)):
+            value = getattr(got, name)
+            assert not value.flags.writeable, name
+            assert not np.shares_memory(value, mine), name
+            assert np.array_equal(value, mine), name
+
     @pytest.mark.parametrize("fields, error, message", [
         ({"c1": [[0.3, 0.3, 0.4]] * 2}, OverrideShapeMismatch,
          "c1 override must have shape (3, 3), got (2, 3)"),
@@ -896,6 +946,45 @@ class TestOverridesChecked:
             overrides=Overrides(ca=[0.25, 0.25, 0.5])))
         assert calls == [(3, 4)]
         assert report.ca.tolist() == [0.2, 0.3, 0.5]
+
+
+class TestPipelineConfigTypes:
+    """eta and every gamma_grid value are real numbers, not bools or
+    strings, stored as floats; anything else is refused by field."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eta": "0.5"}, "eta = '0.5' is not a number"),
+        ({"eta": np.str_("0.5")}, "eta = '0.5' is not a number"),
+        ({"eta": True}, "eta = True is not a number"),
+        ({"eta": None}, "eta = None is not a number"),
+        ({"gamma_grid": 0.5}, "gamma_grid = 0.5 is not a sequence of numbers"),
+        ({"gamma_grid": None},
+         "gamma_grid = None is not a sequence of numbers"),
+        ({"gamma_grid": ("0.5",)}, "gamma_blend = '0.5' is not a number"),
+        ({"gamma_grid": (0.0, False)}, "gamma_blend = False is not a number"),
+        ({"gamma_grid": [np.bool_(True)]},
+         "gamma_blend = True is not a number"),
+    ], ids=["eta-str", "eta-numpy-str", "eta-bool", "eta-none",
+            "grid-float", "grid-none", "grid-str-value", "grid-bool-value",
+            "grid-numpy-bool-value"])
+    def test_refused_naming_the_field(self, kwargs, message):
+        with pytest.raises(ParameterOutOfRange) as err:
+            PipelineConfig(**kwargs)
+        assert str(err.value) == message
+
+    def test_numbers_are_stored_as_floats(self):
+        for eta, grid in ((1, (0, 1)), (np.float32(0.5), np.array([0.25])),
+                          (np.int64(0), [np.float64(0.5), np.int8(1)])):
+            config = PipelineConfig(eta=eta, gamma_grid=grid)
+            assert type(config.eta) is float and config.eta == eta
+            assert type(config.gamma_grid) is tuple
+            assert all(type(g) is float for g in config.gamma_grid)
+            assert config.gamma_grid == tuple(float(g) for g in grid)
+
+    def test_blend_scores_refuses_a_non_number(self):
+        with pytest.raises(ParameterOutOfRange) as err:
+            blend_scores(PUBLISHED_C1, PUBLISHED_CA, eta=None)
+        assert str(err.value) == "eta = None is not a number"
 
 
 class TestNumpyScalarsInMessages:
@@ -1026,7 +1115,8 @@ def test_permuting_experts_under_scalar(data, seed, n, l, mode):
     config = shared_weights_config(mode, l)
     rep = run(rels, config)
     prep = run(tuple(rels[b] for b in perm), config)
-    assert prep.convention == rep.convention == "scalar"
+    assert prep.config.blend_convention == rep.config.blend_convention \
+        == "scalar"
     for name in ("energies", "laplacian_energies", "c1",
                  "similarity_degrees", "ca", "ca_effective", "c2"):
         assert np.allclose(getattr(prep, name), getattr(rep, name)[perm],
@@ -1051,5 +1141,112 @@ def test_vector_convention_is_not_expert_permutation_invariant(experts):
     # channel, so reordering the case study's experts moves f.
     rep = run(experts)
     cyclic = run(experts[1:] + experts[:1])
-    assert rep.convention == cyclic.convention == "vector"
+    assert rep.config.blend_convention == cyclic.config.blend_convention \
+        == "vector"
     assert np.abs(cyclic.f - rep.f).max() == pytest.approx(2.36e-3, abs=5e-5)
+
+
+# -- a report records its run once: report.config ------------------------
+
+ECHOED = ("mode", "normalization", "eta", "gamma_grid", "closeness_mode",
+          "convention", "overridden")
+
+
+def assert_same_config(got, want):
+    """Two PipelineConfigs field by field, override arrays by their bytes
+    (== would raise on Overrides that hold arrays)."""
+    for f in dataclasses.fields(PipelineConfig):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name != "overrides":
+            assert type(a) is type(b) and a == b, f.name
+            continue
+        for o in dataclasses.fields(Overrides):
+            x, y = getattr(a, o.name), getattr(b, o.name)
+            if isinstance(x, np.ndarray):
+                assert x.shape == y.shape and hexes(x) == hexes(y), o.name
+            elif isinstance(x, HFPR):
+                assert x.values.tobytes() == y.values.tobytes(), o.name
+            else:
+                assert x == y, o.name
+
+
+def assert_rerun_reproduces(experts, config):
+    """run(experts, report.config) gives every array of the report bit
+    for bit, and the same config."""
+    report = run(experts, config)
+    again = run(experts, report.config)
+    for f in dataclasses.fields(RankingReport):
+        a, b = getattr(report, f.name), getattr(again, f.name)
+        if f.name == "config":
+            assert_same_config(b, a)
+        elif isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+    return report
+
+
+CASE_STUDY_OVERRIDES = {
+    "none": lambda m2: Overrides(),
+    "c1": lambda m2: Overrides(c1=PUBLISHED_C1),
+    "pair_similarity": lambda m2: Overrides(pair_similarity=PUBLISHED_PAIRS),
+    "reversed_pairs": lambda m2: Overrides(pair_similarity={
+        (j, i): v for (i, j), v in PUBLISHED_PAIRS.items()}),
+    "ca": lambda m2: Overrides(ca=PUBLISHED_CA),
+    "c": lambda m2: Overrides(c=PUBLISHED_C),
+    "aggregated": lambda m2: Overrides(aggregated=m2),
+    "all": lambda m2: Overrides(c1=PUBLISHED_C1, ca=PUBLISHED_CA,
+                                c=PUBLISHED_C, aggregated=m2),
+}
+
+
+class TestReportConfig:
+    def test_config_replaces_the_echoed_fields(self, experts):
+        report = run(experts)
+        names = [f.name for f in dataclasses.fields(RankingReport)]
+        assert len(names) == 16 and names[-1] == "config"
+        for name in ECHOED:
+            assert name not in names and not hasattr(report, name), name
+
+    def test_config_holds_what_auto_resolved_to(self, experts):
+        for mode, normalization in (("energy", "per_expert"),
+                                    ("laplacian", "per_channel")):
+            config = run(experts, PipelineConfig(mode=mode)).config
+            assert config.score_normalization == normalization
+            assert config.blend_convention == "vector"
+        four = experts + experts[:1]
+        config = run(four, shared_weights_config("energy", 4)).config
+        assert config.blend_convention == "scalar"
+        given_config = PipelineConfig(score_normalization="per_channel",
+                                      blend_convention="scalar")
+        config = run(experts, given_config).config
+        assert (config.score_normalization, config.blend_convention) == (
+            "per_channel", "scalar")
+
+    def test_config_holds_the_checked_overrides(self, experts):
+        ov = Overrides(pair_similarity={(1, 0): 0.9}, c=PUBLISHED_C)
+        config = run(experts, PipelineConfig(overrides=ov)).config
+        assert config.overrides.pair_similarity == {(0, 1): 0.9}
+        assert config.overrides.stage_names() == ("pair_similarity", "c")
+        assert not config.overrides.c.flags.writeable
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", sorted(CASE_STUDY_OVERRIDES))
+    def test_rerun_reproduces_the_case_study(self, experts, m2, kind, mode):
+        assert_rerun_reproduces(experts, PipelineConfig(
+            mode=mode, overrides=CASE_STUDY_OVERRIDES[kind](m2)))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+       l=st.integers(2, 5), convention=st.sampled_from(["vector", "scalar"]),
+       closeness_mode=st.sampled_from(["relative", "ratio"]),
+       mode=st.sampled_from(MODES), eta=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_rerun_reproduces_random_panels(seed, n, l, convention,
+                                        closeness_mode, mode, eta):
+    l = 3 if convention == "vector" else l
+    config = dataclasses.replace(
+        shared_weights_config(mode, l), eta=eta,
+        closeness_mode=closeness_mode, blend_convention=convention)
+    assert_rerun_reproduces(random_panel(seed, n, l), config)
