@@ -40,7 +40,6 @@ import numpy as np
 from .core import Panel, VertexAttribute, make_hfpr, random_hfpr
 from .errors import ComputationError, SchemaViolation, ValidationError
 from .pipeline import (
-    CLOSENESS_MODES,
     MODES,
     NORMALIZATIONS,
     Overrides,
@@ -48,7 +47,7 @@ from .pipeline import (
     RankingReport,
     run as run_pipeline,
 )
-from .similarity import _resolve_pairwise, pair_similarity
+from .similarity import CLOSENESS_MODES, _resolve_pairwise, pair_similarity
 from .spectral import (bounds_survey, energies, fixture_survey_rows,
                        laplacian_energies)
 
@@ -280,20 +279,16 @@ def parse_input(path: str) -> InputDocument:
 
     A missing path that names a bundled document (BUNDLED) is opened in
     the package's data directory, so documented example invocations work
-    from any directory. NaN, Infinity and numbers that overflow a float
-    are rejected, so no non-finite value enters a run.
-    Every field is converted here, overrides and published values too; a
-    value of the wrong type is a SchemaViolation naming its field.
+    from any directory. Every field is converted here, overrides and
+    published values too; a value of the wrong type is a SchemaViolation
+    naming its field. NaN, Infinity, numbers that overflow a float and a
+    key given twice are refused, so no unchecked value enters a run.
 
-    A document is first decoded by json's C scanner with no hook on
-    finite numbers and converted. That succeeds on every valid document:
-    a number that overflows decodes as inf, or as an int too large for a
-    float, and fails the finite-number checks of the conversion; an object
-    with a repeated key fails too, as the first decode would drop a value
-    unchecked. Only when this attempt raises is the document decoded again
-    with a hook on every number (_strict_loads) and converted again, and
-    that pass raises the error the document earns, with the message it
-    always had.
+    The text is decoded by json's C scanner and converted once; a
+    non-finite number decodes as inf, nan or a huge int and fails the
+    conversion. Only then does _strict_loads decode the text again, to
+    name the first decode-level error; if it finds none, the conversion's
+    error stands.
     """
     if not os.path.exists(path):
         if path not in BUNDLED:
@@ -302,30 +297,31 @@ def parse_input(path: str) -> InputDocument:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return _document(json.loads(text, parse_constant=_finite,
-                                    object_pairs_hook=_unique_keys))
+        return _document(json.loads(text, object_pairs_hook=_unique_keys))
     except (ValueError, TypeError, ArithmeticError, RecursionError):
         # ValueError covers JSON syntax, int-string limits and every
         # ValidationError; ArithmeticError an int too large for a float.
-        pass
-    return _document(_strict_loads(text))
+        _strict_loads(text)
+        raise
 
 
 def _unique_keys(pairs: list) -> dict:
-    """A decoded object as a dict. A repeated key raises, so the first
-    decode drops no value unchecked; the strict decode keeps the last."""
+    """A decoded object as a dict; its first repeated key is refused."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        raise ValueError("repeated key")
+        keys = [k for k, _ in pairs]
+        key = next(k for n, k in enumerate(keys) if k in keys[:n])
+        raise SchemaViolation("json", f"key {key!r} is given twice")
     return obj
 
 
 def _strict_loads(text: str):
-    """Decode a document, rejecting NaN, Infinity and numbers that overflow
-    a float where the decoder meets them."""
+    """Decode text as parse_input does, but raise at the first syntax
+    error, deep nesting, non-finite number or key given twice."""
     try:
         return json.loads(text, parse_float=_finite, parse_constant=_finite,
-                          parse_int=lambda token: _finite(token, int))
+                          parse_int=lambda token: _finite(token, int),
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaViolation(
             "json", f"invalid JSON at line {e.lineno}: {e.msg}") from None

@@ -57,7 +57,8 @@ from .errors import (
     TripleOutOfRange,
     ZeroDenominator,
 )
-from .similarity import _ideal_rows, _mean_degree, _resolve_pairwise, closeness
+from .similarity import (CLOSENESS_MODES, _ideal_rows, _mean_degree,
+                         _resolve_pairwise, closeness)
 # energy and laplacian_energy stay importable from this module; a run
 # solves every expert at once through energies and laplacian_energies.
 from .spectral import energies, energy, laplacian_energies, laplacian_energy
@@ -65,7 +66,6 @@ from .spectral import energies, energy, laplacian_energies, laplacian_energy
 MODES = ("energy", "laplacian")
 NORMALIZATIONS = ("per_expert", "per_channel", "auto")
 CONVENTIONS = ("vector", "scalar", "auto")
-CLOSENESS_MODES = ("relative", "ratio")
 
 _SCORE_TOL = 1e-9
 
@@ -248,7 +248,13 @@ def uncertainty_scores(experts, mode: str = "energy",
 def _degrees_and_weights(experts, pairs):
     """Mean similarity degrees and their normalization, the stage-iv
     weights, as read-only (l,) arrays; pairs as
-    similarity._resolve_pairwise returns them."""
+    similarity._resolve_pairwise returns them.
+
+    No public input reaches the zero-total check. Overrides are checked
+    positive and computed pairs are at least 1/n; subnormal overrides sum
+    exactly, so each degree is at least its smallest pair, and l >= 2
+    positive degrees have a positive total. The check stays as a guard.
+    """
     l = len(experts)
     if l < 2:
         raise NeedTwoExperts(f"need at least 2 relations, got {l}")

@@ -31,6 +31,7 @@ from .errors import (
 POSITIVE_IDEAL = (1.0, 0.0, 1.0)
 NEGATIVE_IDEAL = (0.0, 1.0, 0.0)
 IDEAL_KINDS = ("positive", "negative")
+CLOSENESS_MODES = ("relative", "ratio")
 
 
 def pair_similarity(a: HFPR, b: HFPR) -> float:
@@ -49,7 +50,8 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
 
 def _resolve_pairwise(pairwise, l: int, where: str | None = None,
                       ids=None) -> dict | None:
-    """Stage-iii overrides as {(i, j): float} with i < j, or None for none.
+    """Stage-iii overrides as {(i, j): float} with i < j, or None for none
+    (an empty map is none).
 
     Every key must be a pair of distinct expert indices below l, given in
     one orientation only, since the measure is symmetric; every value
@@ -57,7 +59,7 @@ def _resolve_pairwise(pairwise, l: int, where: str | None = None,
     pairs that a document field where writes as "id:id" keys over the
     expert ids are named by the key as written.
     """
-    if pairwise is None:
+    if not pairwise:
         return None
     out = {}
     for key, val in pairwise.items():
@@ -149,8 +151,9 @@ def closeness(s_plus, s_minus, mode: str = "relative"):
     other). Takes two floats, or two arrays of one shape scored
     elementwise; an error is raised when any element breaks its rule.
     """
-    if mode not in ("relative", "ratio"):
-        raise ParameterOutOfRange(f"mode = {mode!r} not one of relative|ratio")
+    if mode not in CLOSENESS_MODES:
+        raise ParameterOutOfRange(
+            f"mode = {mode!r} not one of {'|'.join(CLOSENESS_MODES)}")
     if np.any(s_plus < 0.0) or np.any(s_minus < 0.0):
         raise ParameterOutOfRange("ideal similarities must be nonnegative")
     if mode == "relative":

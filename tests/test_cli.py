@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hfgdm.cli as cli
+import hfgdm.spectral as spectral
 from hfgdm import energy, laplacian_energy
 from hfgdm.cli import _emit_json, main, parse_input
 from hfgdm.errors import SchemaViolation, TripleOutOfRange, ValidationError
@@ -834,7 +835,7 @@ def test_non_finite_number_exits_2_in_any_field(tmp_path, path, value,
 
 
 def test_repeated_key_cannot_hide_a_non_finite_number(tmp_path):
-    # A repeated key keeps its last value, but every value is checked.
+    # Every value is checked, and a key given twice is refused.
     text = json.dumps(SMARTPHONE).replace(
         '"eta": 0.5', '"eta": 1e999, "eta": 0.25')
     doc = tmp_path / "doc.json"
@@ -842,7 +843,8 @@ def test_repeated_key_cannot_hide_a_non_finite_number(tmp_path):
     assert main_output(["run", str(doc)]) == (
         2, "", "error: number 1e999 is not a finite float\n")
     doc.write_text(text.replace("1e999", "0.75"))
-    assert parse_input(str(doc)).config.eta == 0.25
+    assert main_output(["run", str(doc)]) == (
+        2, "", "error: key 'eta' is given twice\n")
 
 
 def _state(value):
@@ -886,6 +888,97 @@ def test_both_decoders_give_equal_documents(path):
     assert fast == _outcome(cli._strict_loads, text)
     if not path.startswith("golden"):
         assert fast[0] == "InputDocument"
+
+
+# Number tokens and object keys in smartphone.json's own text.
+NUMBER_TOKEN = re.compile(
+    r"(?<=[\[,:\s])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+KEY_TOKEN = re.compile(r'"[^"]*":\s*')
+# What a mutation writes in place of a number, or as a repeated key's value.
+TOKENS = ["1e999", "1" + "0" * 400, "9" * 5000, "NaN", "-Infinity", "-0",
+          "0.25", '"0.5"', "true", "false", "null",
+          "[" * 40 + "0.5" + "]" * 40, "[" * 3000 + "]" * 3000]
+
+
+@st.composite
+def mutated_texts(draw):
+    """smartphone.json's text after one to three mutations: a number
+    replaced by a token or respelled, a key given twice, truncation, a
+    stray character, or a byte order mark."""
+    text = SMARTPHONE_TEXT
+    for _ in range(draw(st.integers(1, 3))):
+        # A respelled number keeps its value, so that some texts parse.
+        kind = draw(st.sampled_from(("number", "respell") * 2
+                                    + ("repeat", "truncate", "stray", "bom")))
+        if kind in ("number", "respell"):
+            spans = [m.span() for m in NUMBER_TOKEN.finditer(text)]
+            if spans:
+                a, b = draw(st.sampled_from(spans))
+                token = draw(st.sampled_from(TOKENS)) if kind == "number" \
+                    else "%.17e" % float(text[a:b])
+                text = text[:a] + token + text[b:]
+        elif kind == "repeat":
+            keys = list(KEY_TOKEN.finditer(text))
+            if keys:
+                key = draw(st.sampled_from(keys))
+                text = (text[:key.start()] + key.group()
+                        + draw(st.sampled_from(TOKENS)) + ", "
+                        + text[key.start():])
+        elif kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif kind == "stray":
+            k = draw(st.integers(0, len(text)))
+            text = text[:k] + draw(st.sampled_from(",:[]{}\"")) + text[k:]
+        else:
+            text = "\ufeff" + text
+    return text
+
+
+@given(text=mutated_texts())
+@example(text=SMARTPHONE_TEXT.replace('"eta": 0.5', '"eta": 0.5, "eta": 0.5'))
+@example(text=SMARTPHONE_TEXT.replace('"eta": 0.5', '"eta": NaN'))
+@example(text=SMARTPHONE_TEXT.replace('"eta": 0.5', '"eta": -0'))
+@settings(max_examples=300, deadline=None)
+def test_parse_input_equals_the_strict_decode_converted(fuzz_path, text):
+    # Every text either parses to the document the strict decode gives,
+    # or fails with the same error type and message.
+    fuzz_path.write_text(text, encoding="utf-8")
+    try:
+        got = _state(parse_input(str(fuzz_path)))
+    except ValidationError as e:
+        got = (type(e), str(e))
+    assert got == _outcome(cli._strict_loads, text)
+
+
+@pytest.mark.parametrize("eta, error", [
+    (0.5, None), ("0.5", "config.eta must be a number")])
+def test_parse_input_converts_a_document_once(tmp_path, monkeypatch, eta,
+                                              error):
+    calls = []
+    document = cli._document
+
+    def counted(raw):
+        calls.append(raw)
+        return document(raw)
+
+    monkeypatch.setattr(cli, "_document", counted)
+    path = write_doc(tmp_path, edited(("config", "eta"), eta))
+    if error is None:
+        assert parse_input(path).config.eta == eta
+    else:
+        with pytest.raises(SchemaViolation, match=re.escape(error)):
+            parse_input(path)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_empty_pair_override_runs_as_no_override(tmp_path, fmt):
+    doc = write_doc(tmp_path, edited(
+        ("config", "overrides", "pair_similarity"), {}))
+    assert parse_input(doc).config.overrides.stage_names() == ()
+    want = main_output(["run", "smartphone.json", "--format", fmt])
+    assert want[0] == 0
+    assert main_output(["run", doc, "--format", fmt]) == want
 
 
 def test_overflowing_similarity_degrees_exit_2_with_one_error_line(tmp_path):
@@ -1273,10 +1366,9 @@ def _csv_cell(text):
         return text
 
 
-@pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_output_matches_golden(name):
-    rc, out, _ = main_output(GOLDENS[name])
-    assert rc == 0
+def assert_matches_golden(name, out):
+    """out as the golden of that name: tables byte for byte, JSON and CSV
+    with every key, string and row, and numbers within 1e-12."""
     want = (DATA / "golden" / name).read_text(encoding="utf-8")
     if name.endswith(".txt"):
         assert out == want
@@ -1289,6 +1381,13 @@ def test_output_matches_golden(name):
         for got, want in zip(got_rows, want_rows):
             assert_json_close([_csv_cell(c) for c in got],
                               [_csv_cell(c) for c in want])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_output_matches_golden(name):
+    rc, out, _ = main_output(GOLDENS[name])
+    assert rc == 0
+    assert_matches_golden(name, out)
 
 
 def test_survey_golden_byte_for_byte():
@@ -1310,3 +1409,34 @@ def test_escaped_strings_match_golden_byte_for_byte():
     assert rc == 0
     assert literal.findall(out) == literal.findall(want)
     assert '"t%s1", "t\\"2", "t\\u00e93", "t4 100%"' in out
+
+
+@pytest.fixture
+def one_ulp_solver(monkeypatch):
+    """The eigensolver with every nonzero eigenvalue moved one ulp away
+    from zero: a deterministic stand-in for another LAPACK build."""
+    solve = spectral.eigenvalues
+
+    def shifted(a):
+        w = solve(a)
+        return np.where(w == 0.0, w, np.nextafter(w, np.copysign(np.inf, w)))
+
+    monkeypatch.setattr(spectral, "eigenvalues", shifted)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_goldens_hold_under_a_one_ulp_solver(one_ulp_solver, name):
+    rc, out, _ = main_output(GOLDENS[name])
+    assert rc == 0
+    assert_matches_golden(name, out)
+
+
+def test_one_ulp_solver_moves_survey_bytes_within_1e_12(one_ulp_solver):
+    # The n = 1..12 survey keeps every value within 1e-12 but not its last
+    # digits. If test_survey_golden_byte_for_byte fails on a machine where
+    # this test passes, its solver's last bit, not the code, moved it.
+    name = "verify_bounds_count60_seed3_n1-12.csv"
+    rc, out, err = main_output(GOLDENS[name])
+    assert (rc, err) == (0, "")
+    assert_matches_golden(name, out)
+    assert out != (DATA / "golden" / name).read_text(encoding="utf-8")

@@ -1231,6 +1231,13 @@ class TestReportConfig:
         assert config.overrides.stage_names() == ("pair_similarity", "c")
         assert not config.overrides.c.flags.writeable
 
+    def test_an_empty_pair_map_is_no_override(self, experts):
+        ov = Overrides(pair_similarity={})
+        report = run(experts, PipelineConfig(overrides=ov))
+        assert report.config.overrides.stage_names() == ()
+        assert report.config.overrides.pair_similarity is None
+        assert np.array_equal(report.ca, run(experts).ca)
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kind", sorted(CASE_STUDY_OVERRIDES))
     def test_rerun_reproduces_the_case_study(self, experts, m2, kind, mode):
