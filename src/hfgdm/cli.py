@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Panel, VertexAttribute, make_hfpr, random_hfpr
-from .errors import ComputationError, SchemaViolation, ValidationError
+from .errors import (ComputationError, SchemaViolation, ValidationError,
+                     in_context)
 from .pipeline import (
     MODES,
     NORMALIZATIONS,
@@ -199,6 +200,14 @@ def _convert(value, convert, where: str, message: str):
         raise
     except (TypeError, ValueError):
         raise SchemaViolation(where, message) from None
+
+
+def _relation(values, where: str, **kwargs):
+    """make_hfpr(values, **kwargs), its error naming the field where."""
+    try:
+        return make_hfpr(values, **kwargs)
+    except ValidationError as e:
+        raise in_context(e, where) from None
 
 
 def _reals(x, ndim: int | None = None) -> np.ndarray:
@@ -374,8 +383,8 @@ def _document(raw) -> InputDocument:
         where = f"experts[{k}].hfpr"
         matrix = _convert(item["hfpr"], _reals, where,
                           f"{where} must be an n x n x 3 numeric array")
-        relations.append(
-            make_hfpr(matrix, labels=alternatives, vertex_attrs=vertex_attrs))
+        relations.append(_relation(matrix, where, labels=alternatives,
+                                   vertex_attrs=vertex_attrs))
     if len(set(ids)) != len(ids):
         raise SchemaViolation("experts", "expert ids must be unique")
     ids = tuple(ids)
@@ -389,8 +398,10 @@ def _document(raw) -> InputDocument:
         "pair_similarity": pairs("config.overrides.pair_similarity"),
         "ca": _ARRAY,
         "c": _ARRAY,
-        "aggregated": (lambda v: make_hfpr(_reals(v), labels=alternatives),
-                       "an n x n x 3 numeric array"),
+        "aggregated": (
+            lambda v: _relation(_reals(v), "config.overrides.aggregated",
+                                labels=alternatives),
+            "an n x n x 3 numeric array"),
     }
     config_readers = dict(_CONFIG_READERS, overrides=(
         lambda v: Overrides(**_read(v, "config.overrides", override_readers)),

@@ -2,7 +2,9 @@
 
 Input problems derive from ValidationError (a ValueError); numerical
 failures derive from ComputationError (a RuntimeError). Errors that point
-at matrix entries carry the offending indices as attributes.
+at matrix entries carry the offending indices as attributes. in_context
+is the one way to say where an error arose: it keeps the error's type
+and attributes and puts the place before its message.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ class SchemaViolation(ValidationError):
     def __init__(self, field: str, message: str | None = None):
         super().__init__(message or f"schema violation at field {field!r}")
         self.field = field
+
+
+def in_context(error: ValidationError, context: str) -> ValidationError:
+    """error again, of its own type and with its own attributes, its
+    message read as "context: message"."""
+    again = type(error).__new__(type(error))
+    again.__dict__.update(vars(error))
+    again.args = (f"{context}: {error}",)
+    return again
 
 
 class ComputationError(RuntimeError):

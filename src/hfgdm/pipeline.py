@@ -9,12 +9,14 @@ ranking. A run evaluates the whole gamma_blend grid as one stack and its
 report holds it that way, once, as read-only arrays with the grid on
 their first axis: c2 is blended once, c for every grid value in one
 (g, l, 3) expression, the aggregates stacked as (g, n, n, 3), and their
-ideal similarities, closeness and rankings as (g, n) arrays. Only stage
-vii runs once per grid value, in grid order, so a closure failure names
+ideal similarities, closeness and rankings as (g, n) arrays. Stage vii
+runs once per row of c_used, in grid order, so a closure failure names
 the first failing value, and run's message says so: "stage vii
-(aggregation) at gamma_blend = g: " before aggregate_hfpr's own. The
-stage functions blend_scores and rank return one grid value's row of
-the same stacks, as a tuple of the report's fields in their order.
+(aggregation) at gamma_blend = g: " before aggregate_hfpr's own. An
+override of c or of the aggregate is one row for the whole grid, so the
+stages after it run once and each one-row stack is broadcast over it.
+The stage functions blend_scores and rank return one grid value's row
+of the same stacks, as a tuple of the report's fields in their order.
 
 Run parameters are checked once, by PipelineConfig; blend_scores checks
 its own by building one, so the stack code behind both checks only the
@@ -50,13 +52,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .core import HFPR, Panel, _freeze, _plain, make_hfpr
-from .errors import (
-    NeedTwoExperts,
-    OverrideShapeMismatch,
-    ParameterOutOfRange,
-    TripleOutOfRange,
-    ZeroDenominator,
-)
+from .errors import (NeedTwoExperts, OverrideShapeMismatch,
+                     ParameterOutOfRange, TripleOutOfRange, ZeroDenominator,
+                     in_context)
 from .similarity import (CLOSENESS_MODES, _ideal_rows, _mean_degree,
                          _resolve_pairwise, closeness)
 # energy and laplacian_energy stay importable from this module; a run
@@ -76,11 +74,12 @@ def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
 
 
 def _real(name: str, value) -> float:
-    """value as a float; it must be a real number, and not a bool."""
+    """value as a float, a zero's sign dropped; it must be a real number,
+    and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterOutOfRange(
             f"{name} = {_plain(value)!r} is not a number")
-    return float(value)
+    return float(value) + 0.0
 
 
 def _score_matrix(x, l: int, name: str) -> np.ndarray:
@@ -140,8 +139,9 @@ class PipelineConfig:
     """Run parameters; gamma_grid drives one ranking per value.
 
     eta and every gamma_grid value must be real numbers in [0, 1], not
-    bools or strings, and are stored as floats; gamma_grid is stored as a
-    tuple. A report's config is the one its run used, with auto resolved.
+    bools or strings, and are stored as floats, -0.0 as 0.0; gamma_grid
+    is stored as a tuple. A report's config is the one its run used, with
+    auto resolved.
     """
 
     mode: str = "energy"
@@ -364,9 +364,8 @@ def _aggregate_at(experts: Panel, c, gamma_blend: float) -> HFPR:
         return aggregate_hfpr(experts, c)
     except TripleOutOfRange as e:
         gamma = np.format_float_positional(gamma_blend, trim="-")
-        raise TripleOutOfRange(
-            f"stage vii (aggregation) at gamma_blend = {gamma}: {e}",
-            e.i, e.j) from None
+        raise in_context(
+            e, f"stage vii (aggregation) at gamma_blend = {gamma}") from None
 
 
 def rank(agg: HFPR, closeness_mode: str = "relative") -> tuple:
@@ -395,7 +394,8 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     """Execute stages i-ix over the whole gamma_grid, deterministically.
 
     Overrides replace their stage's output and everything downstream is
-    recomputed from the injected values.
+    recomputed from the injected values: once, broadcast over the grid,
+    for a c or aggregated override, which holds for every grid value.
     """
     config = config or PipelineConfig()
     experts = Panel.of(experts)
@@ -413,15 +413,16 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
 
     grid = config.gamma_grid
     c1, ca, ca_eff, c2, c, convention = _blend_grid(c1, ca, config)
-    c_used = c if ov.c is None else np.broadcast_to(ov.c, c.shape)
-    if ov.aggregated is None:
-        aggregated = _freeze(np.stack([_aggregate_at(experts, ck, g).values
-                                       for g, ck in zip(grid, c_used)]))
-    else:
-        values = ov.aggregated.values
-        aggregated = np.broadcast_to(values, (len(grid),) + values.shape)
-    s_plus, s_minus, f, ranking = _rank_stack(aggregated,
-                                              config.closeness_mode)
+    # An overridden c is one row: zip stops at the grid's first value.
+    c_used = c if ov.c is None else ov.c[None]
+    aggregated = (ov.aggregated.values[None] if ov.aggregated is not None
+                  else _freeze(np.stack([_aggregate_at(experts, ck, g).values
+                                         for g, ck in zip(grid, c_used)])))
+    ranked = _rank_stack(aggregated, config.closeness_mode)
+    c_used, aggregated, s_plus, s_minus, f, ranking = (
+        a if len(a) == len(grid)
+        else np.broadcast_to(a, (len(grid),) + a.shape[1:])
+        for a in (c_used, aggregated, *ranked))
 
     return RankingReport(
         labels=experts[0].labels,

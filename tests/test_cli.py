@@ -25,7 +25,9 @@ import hfgdm.cli as cli
 import hfgdm.spectral as spectral
 from hfgdm import energy, laplacian_energy
 from hfgdm.cli import _emit_json, main, parse_input
-from hfgdm.errors import SchemaViolation, TripleOutOfRange, ValidationError
+from hfgdm.errors import (AsymmetricEntry, DiagonalNotZero,
+                          DimensionMismatch, EdgeExceedsVertexBound,
+                          SchemaViolation, TripleOutOfRange, ValidationError)
 from hfgdm.spectral import SurveyRow
 
 from shared import BUNDLED_DIR, REPO, SMARTPHONE_DOC
@@ -874,8 +876,7 @@ def _outcome(decode, text):
 
 
 def _fast_decode(text):
-    return json.loads(text, parse_constant=cli._finite,
-                      object_pairs_hook=cli._unique_keys)
+    return json.loads(text, object_pairs_hook=cli._unique_keys)
 
 
 @pytest.mark.parametrize(
@@ -1142,7 +1143,7 @@ OVERRIDE_MISFITS = [
      "c override must have shape (3, 3), got (4, 3)"),
     ("c", [[0.3, -0.3, 0.4]] * 3, "c override components must be nonnegative"),
     ("aggregated", [row[:3] for row in E1_HFPR[:3]],
-     "4 labels for an n = 3 relation"),
+     "config.overrides.aggregated: 4 labels for an n = 3 relation"),
 ]
 
 
@@ -1157,6 +1158,104 @@ def test_every_command_refuses_the_overrides_run_refuses(tmp_path, key, value,
                  ["energy", doc], ["energy", doc, "--format", "json"],
                  ["verify-bounds", "--fixtures", doc]):
         assert main_output(argv) == (2, "", f"error: {message}\n"), argv
+
+
+def two_experts(edit):
+    """smartphone.json's first two experts, without the published block,
+    after edit(hfpr) has changed experts[1]'s matrix in place or returned
+    a new one."""
+    doc = copy.deepcopy(SMARTPHONE)
+    del doc["published"]
+    doc["experts"] = doc["experts"][:2]
+    hfpr = doc["experts"][1]["hfpr"]
+    doc["experts"][1]["hfpr"] = edit(hfpr) or hfpr
+    return doc
+
+
+def set_entry(i, j, triple, mirror=True):
+    """An edit that sets entry (i, j), and (j, i) too if mirror."""
+    def edit(hfpr):
+        hfpr[i][j] = triple
+        if mirror:
+            hfpr[j][i] = triple
+    return edit
+
+
+def halved_under_vertex_bounds(edit):
+    """Both experts halved, which keeps them inside vertex bounds of
+    (0.4, 0.25, 0.35) at every alternative, then edit on experts[1].
+    experts[0] is checked first, so an error naming experts[1] shows
+    that the bounds hold before the edit."""
+    doc = two_experts(lambda hfpr: None)
+    for expert in doc["experts"]:
+        expert["hfpr"] = [[[x / 2 for x in t] for t in row]
+                          for row in expert["hfpr"]]
+    doc["vertex_attrs"] = [[0.4, 0.25]] * 4
+    edit(doc["experts"][1]["hfpr"])
+    return doc
+
+
+# One case per make_hfpr rule, broken in experts[1]: the document, the
+# error's type, its (i, j) (None where it has none) and its message.
+RELATION_FAULTS = {
+    "range": (two_experts(set_entry(0, 1, [-0.1, 0.5, 0.1])), TripleOutOfRange,
+              (0, 1), "mu = -0.1 at entry (0, 1) outside [0, 1]"),
+    "sum": (two_experts(set_entry(0, 1, [0.9, 0.3, 0.1], False)),
+            TripleOutOfRange, (0, 1),
+            "mu + gamma + beta = 1.3 at entry (0, 1) exceeds 1"),
+    "diagonal": (two_experts(set_entry(2, 2, [0.1, 0, 0])),
+                 DiagonalNotZero, (2, None),
+                 "diagonal entry (2, 2) = (0.1, 0.0, 0.0) must be exactly "
+                 "(0, 0, 0)"),
+    "asymmetry": (two_experts(set_entry(1, 0, [0.2, 0.5, 0.1], False)),
+                  AsymmetricEntry, (1, 0),
+                  "entry (1, 0) does not mirror (0, 1)"),
+    "vertex": (halved_under_vertex_bounds(set_entry(0, 1, [0.45, 0.1, 0.1])),
+               EdgeExceedsVertexBound, (0, 1),
+               "entry (0, 1) exceeds its vertex bounds"),
+    "shape": (two_experts(lambda h: [row[:2] for row in h[:3]]),
+              DimensionMismatch, (None, None),
+              "expected an (n, n, 3) array of triples, got shape (3, 2, 3)"),
+    "labels": (two_experts(lambda h: [row[:3] for row in h[:3]]),
+               DimensionMismatch, (None, None),
+               "4 labels for an n = 3 relation"),
+}
+
+
+@pytest.mark.parametrize("rule", RELATION_FAULTS)
+def test_a_relation_error_names_its_expert(tmp_path, rule):
+    doc, kind, entry, message = RELATION_FAULTS[rule]
+    path = write_doc(tmp_path, doc)
+    for argv in (["run", path], ["energy", path],
+                 ["verify-bounds", "--fixtures", path]):
+        assert main_output(argv) == (
+            2, "", f"error: experts[1].hfpr: {message}\n"), argv
+    with pytest.raises(kind) as e:
+        parse_input(path)
+    assert type(e.value) is kind
+    assert (getattr(e.value, "i", None), getattr(e.value, "j", None)) == entry
+
+
+@pytest.mark.parametrize("where", ["--eta", "--gamma", "config.eta",
+                                   "config.gamma_grid"])
+def test_a_signed_zero_is_echoed_as_zero(tmp_path, where):
+    # -0 and 0 compute the same numbers; the echo of eta and of the grid
+    # must not tell them apart either.
+    def argv(zero):
+        if where == "--eta":
+            return ["run", "smartphone.json", "--eta", zero]
+        if where == "--gamma":
+            return ["run", "smartphone.json", f"--gamma={zero},0.5"]
+        value = float(zero)
+        if where == "config.gamma_grid":
+            value = [value, 0.5]
+        doc = edited(tuple(where.split(".")), value)
+        return ["run", write_doc(tmp_path, doc, f"{zero}.json")]
+
+    for fmt in ([], ["--format", "json"]):
+        got = main_output(argv("-0") + fmt)
+        assert got == main_output(argv("0") + fmt)
+        assert got[0] == 0
 
 
 def test_override_shape_is_reported_before_a_published_field(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hfgdm.cli as cli
+import hfgdm.pipeline as pipeline
 from hfgdm import (
     HFPR,
     AsymmetricEntry,
@@ -837,6 +838,55 @@ class TestStackedGrid:
                 + str(single.value))
             assert (stacked.value.i, stacked.value.j) == (
                 single.value.i, single.value.j)
+
+    def test_closure_failure_under_a_c_override_names_the_first_gamma(self):
+        # c one-hot by channel takes each channel from one relation alone,
+        # so the triples sum to 0.9 * 3 whatever the grid value; the
+        # override is aggregated once, at the grid's first value.
+        experts = tuple(uniform_relation(3, t) for t in (
+            (0.9, 0.05, 0.05), (0.05, 0.9, 0.05), (0.05, 0.05, 0.9)))
+        for grid, first in (((0.0, 0.5, 1.0), "0"), ((0.7, 0.0), "0.7")):
+            with pytest.raises(TripleOutOfRange) as e:
+                run(experts, PipelineConfig(
+                    gamma_grid=grid, overrides=Overrides(c=np.eye(3))))
+            assert str(e.value) == (
+                f"stage vii (aggregation) at gamma_blend = {first}: "
+                "mu + gamma + beta = 2.7 at entry (0, 1) exceeds 1")
+            assert (e.value.i, e.value.j) == (0, 1)
+
+    def test_stages_after_a_grid_wide_override_run_once(self, experts, m2,
+                                                        monkeypatch):
+        # An overridden c or aggregate is one row for the whole grid:
+        # stage vii aggregates an overridden c once and stages viii-ix
+        # rank one row. Without an override each runs once per grid
+        # value, in grid order.
+        aggregated_with, ranked_rows = [], []
+
+        def counted_aggregate(experts, c):
+            aggregated_with.append(np.array(c))
+            return aggregate_hfpr(experts, c)
+
+        def counted_rank_stack(values, closeness_mode):
+            ranked_rows.append(len(values))
+            return _rank_stack(values, closeness_mode)
+
+        monkeypatch.setattr(pipeline, "aggregate_hfpr", counted_aggregate)
+        monkeypatch.setattr(pipeline, "_rank_stack", counted_rank_stack)
+        g = len(PipelineConfig().gamma_grid)
+        for ov, aggregations, rows in ((Overrides(c=PUBLISHED_C), 1, 1),
+                                       (Overrides(aggregated=m2), 0, 1),
+                                       (Overrides(), g, g)):
+            aggregated_with.clear()
+            ranked_rows.clear()
+            report = run(experts, PipelineConfig(overrides=ov))
+            assert len(aggregated_with) == aggregations
+            assert ranked_rows == [rows]
+            for c, used in zip(aggregated_with, report.c_used):
+                assert np.array_equal(c, used)
+            assert len({c.tobytes() for c in aggregated_with}) == aggregations
+            for name in ("c_used", "aggregated", "s_plus", "s_minus", "f",
+                         "ranking"):
+                assert len(getattr(report, name)) == g, name
 
     def test_blend_scores_is_the_grid_of_one(self, experts):
         report = run(experts, PipelineConfig(gamma_grid=(0.7,)))
