@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Panel, VertexAttribute, make_hfpr, random_hfpr
+from .core import Panel, VertexAttribute, _is_real, make_hfpr, random_hfpr
 from .errors import (ComputationError, SchemaViolation, ValidationError,
                      in_context)
 from .pipeline import (
@@ -49,8 +49,8 @@ from .pipeline import (
     run as run_pipeline,
 )
 from .similarity import CLOSENESS_MODES, _resolve_pairwise, pair_similarity
-from .spectral import (bounds_survey, energies, fixture_survey_rows,
-                       laplacian_energies)
+from .spectral import (SurveyRow, bounds_survey, energies,
+                       fixture_survey_rows, laplacian_energies)
 
 _TOP_KEYS = {"alternatives", "experts", "config", "published", "vertex_attrs"}
 # Documents in the package's data directory, which parse_input opens by name.
@@ -202,10 +202,10 @@ def _convert(value, convert, where: str, message: str):
         raise SchemaViolation(where, message) from None
 
 
-def _relation(values, where: str, **kwargs):
-    """make_hfpr(values, **kwargs), its error naming the field where."""
+def _within(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValidationError naming the field where."""
     try:
-        return make_hfpr(values, **kwargs)
+        return build(*args, **kwargs)
     except ValidationError as e:
         raise in_context(e, where) from None
 
@@ -217,7 +217,7 @@ def _reals(x, ndim: int | None = None) -> np.ndarray:
     schema does not. An int too large for a float raises OverflowError.
     """
     items = np.asarray(x, dtype=object)
-    if not set(map(type, items.ravel())) <= {float, int}:
+    if not all(map(_is_real, set(map(type, items.ravel())))):
         raise ValueError("not a numeric array")
     a = items.astype(float)
     if not np.isfinite(a).all() or ndim not in (None, a.ndim):
@@ -359,12 +359,12 @@ def _document(raw) -> InputDocument:
         if not isinstance(vertex_attrs, list) or len(vertex_attrs) != n:
             raise SchemaViolation(
                 "vertex_attrs", f"vertex_attrs must list {n} entries")
-        vertex_attrs = _convert(
-            vertex_attrs,
-            lambda v: tuple(VertexAttribute(*_reals(x, 1).tolist())
-                            for x in v),
+        vertex_attrs = tuple(_convert(
+            x, lambda x: _within(f"vertex_attrs[{k}]", VertexAttribute,
+                                 *_reals(x, 1).tolist()),
             "vertex_attrs",
             "vertex_attrs entries must be [mu1, gamma1] or [mu1, gamma1, beta1]")
+            for k, x in enumerate(vertex_attrs))
 
     experts_raw = raw["experts"]
     if not isinstance(experts_raw, list) or not experts_raw:
@@ -383,8 +383,8 @@ def _document(raw) -> InputDocument:
         where = f"experts[{k}].hfpr"
         matrix = _convert(item["hfpr"], _reals, where,
                           f"{where} must be an n x n x 3 numeric array")
-        relations.append(_relation(matrix, where, labels=alternatives,
-                                   vertex_attrs=vertex_attrs))
+        relations.append(_within(where, make_hfpr, matrix, labels=alternatives,
+                                 vertex_attrs=vertex_attrs))
     if len(set(ids)) != len(ids):
         raise SchemaViolation("experts", "expert ids must be unique")
     ids = tuple(ids)
@@ -399,8 +399,8 @@ def _document(raw) -> InputDocument:
         "ca": _ARRAY,
         "c": _ARRAY,
         "aggregated": (
-            lambda v: _relation(_reals(v), "config.overrides.aggregated",
-                                labels=alternatives),
+            lambda v: _within("config.overrides.aggregated", make_hfpr,
+                              _reals(v), labels=alternatives),
             "an n x n x 3 numeric array"),
     }
     config_readers = dict(_CONFIG_READERS, overrides=(
@@ -593,13 +593,12 @@ class _PathError(Exception):
 
 
 def _read_input(path: str) -> InputDocument:
-    """parse_input, with a path that exists but cannot be read, such as
-    a directory, reported as a _PathError naming it. A missing path still
-    raises FileNotFoundError."""
+    """parse_input, with a path that is missing, or that exists but cannot
+    be read, such as a directory, reported as a _PathError naming it."""
     try:
         return parse_input(path)
     except FileNotFoundError:
-        raise
+        raise _PathError(f"input not found: {path}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise _PathError(f"cannot read input {path}: "
                          f"{getattr(e, 'strerror', None) or e}") from None
@@ -720,7 +719,7 @@ def _survey_csv(rows) -> str:
     quantities are fixed names."""
     template = "".join([_SURVEY_ROW[r[5] is not None, r[6] is not None, r[7]]
                         for r in rows])
-    return ("seed,n,channel,quantity,value,bound_lo,bound_hi,satisfied\n"
+    return (",".join(SurveyRow._fields) + "\n"
             + template % tuple(itertools.chain.from_iterable(rows)))
 
 
@@ -784,13 +783,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "relations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_format=True):
+    def add_io(p):
         p.add_argument("input", help="scenario JSON document; the bundled "
                                      "name smartphone.json resolves when no "
                                      "such file exists")
-        if with_format:
-            p.add_argument("--format", choices=("table", "json"),
-                           default="table")
+        p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--out", default=None,
                        help="write output to this file atomically")
 
@@ -843,9 +840,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: input not found: {e}", file=sys.stderr)
-        return 2
     except (ValidationError, _PathError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -855,7 +849,3 @@ def main(argv=None) -> int:
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {e!r}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

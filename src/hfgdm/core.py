@@ -25,11 +25,16 @@ Panel.of and pair_similarity share; every function that takes a group
 accepts a Panel as is, or a sequence of relations that it turns into
 one. _channels is the one stacking, shared with the bounds survey,
 whose size groups may mix labels because no bound reads them.
+
+Every entry point checks its arguments by the rules here, one per kind:
+_choice, _integer, _real and _real_array, each naming the argument.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +60,45 @@ def _plain(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
+def _is_real(kind: type) -> bool:
+    """Whether values of type kind are real numbers: bools are not."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _choice(name: str, value, choices: tuple[str, ...]) -> str:
+    """value, if it is one of choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ParameterOutOfRange(f"{name} {value!r} not one of {choices}")
+    return value
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int, if it is an integer of at least `least`."""
+    value = _plain(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ParameterOutOfRange(
+            f"{name} = {value!r} must be an integer of at least {least}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """value as a float, a zero's sign dropped, if it is a real number."""
+    if _is_real(type(value)):
+        return float(value) + 0.0
+    raise ParameterOutOfRange(f"{name} = {_plain(value)!r} is not a number")
+
+
+def _real_array(name: str, x) -> np.ndarray:
+    """x as a float array of real numbers; a numeric ndarray is not scanned."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu":
+        return np.asarray(x, dtype=float)
+    with contextlib.suppress(ValueError, OverflowError):  # ragged; huge int
+        items = np.asarray(x, dtype=object)
+        if all(map(_is_real, set(map(type, items.ravel())))):
+            return items.astype(float)
+    raise ParameterOutOfRange(f"{name} is not an array of real numbers")
+
+
 @dataclass(frozen=True)
 class VertexAttribute:
     """Vertex grades (mu1, gamma1, beta1) with beta1 = 1 - mu1 - gamma1."""
@@ -64,7 +108,7 @@ class VertexAttribute:
     beta1: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        mu1, gamma1 = _plain(self.mu1), _plain(self.gamma1)
+        mu1, gamma1 = _real("mu1", self.mu1), _real("gamma1", self.gamma1)
         for name, v in (("mu1", mu1), ("gamma1", gamma1)):
             if not (-TOL <= v <= 1.0 + TOL):
                 raise ParameterOutOfRange(f"{name} = {v!r} outside [0, 1]")
@@ -74,7 +118,7 @@ class VertexAttribute:
                 f"mu1 + gamma1 = {mu1 + gamma1!r} exceeds 1")
         if self.beta1 is None:
             object.__setattr__(self, "beta1", derived)
-        elif not abs(self.beta1 - derived) <= TOL:  # NaN fails too
+        elif not abs(_real("beta1", self.beta1) - derived) <= TOL:  # NaN fails
             raise ParameterOutOfRange(
                 f"beta1 = {_plain(self.beta1)!r} but 1 - mu1 - gamma1 = "
                 f"{derived!r}")
@@ -202,7 +246,7 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     within the range tolerance outside [0, 1] is clipped to it, and a
     triple summing above 1 is scaled by 1/sum.
     """
-    a = np.asarray(entries, dtype=float)
+    a = _real_array("entries", entries)
     if a.ndim != 3 or a.shape[2] != 3 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(
             f"expected an (n, n, 3) array of triples, got shape {a.shape}")
@@ -316,8 +360,7 @@ def random_hfpr(n: int, rng: np.random.Generator, labels=None) -> HFPR:
     consumes the generator exactly as drawing entry by entry, redrawing
     each rejected triple at once, would.
     """
-    if n < 1:
-        raise ParameterOutOfRange(f"n = {n} must be at least 1")
+    n = _integer("n", n, 1)
     flat = _upper_indices(n)
     upper = np.empty((flat.size, 3))
     filled = 0

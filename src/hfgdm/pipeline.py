@@ -46,12 +46,12 @@ picks vector for three experts and scalar otherwise.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import HFPR, Panel, _freeze, _plain, make_hfpr
+from .core import (HFPR, Panel, _choice, _freeze, _plain, _real, _real_array,
+                   make_hfpr)
 from .errors import (NeedTwoExperts, OverrideShapeMismatch,
                      ParameterOutOfRange, TripleOutOfRange, ZeroDenominator,
                      in_context)
@@ -68,22 +68,8 @@ CONVENTIONS = ("vector", "scalar", "auto")
 _SCORE_TOL = 1e-9
 
 
-def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
-    if value not in choices:
-        raise ParameterOutOfRange(f"{name} {value!r} not one of {choices}")
-
-
-def _real(name: str, value) -> float:
-    """value as a float, a zero's sign dropped; it must be a real number,
-    and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterOutOfRange(
-            f"{name} = {_plain(value)!r} is not a number")
-    return float(value) + 0.0
-
-
 def _score_matrix(x, l: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    a = _real_array(name, x)
     if a.shape != (l, 3):
         raise OverrideShapeMismatch(
             f"{name} must have shape ({l}, 3), got {a.shape}")
@@ -99,7 +85,7 @@ class Overrides:
     pair_similarity maps expert index pairs (each pair once, in either
     orientation) to the injected stage-iii values; c1, ca, c are score
     arrays; aggregated is a full replacement relation for stage vii.
-    checked owns their shape, sign and key rules; ca summing to 1 and
+    checked owns their type, shape, sign and key rules; ca summing to 1 and
     finite similarity degrees stay with stages v and iv.
     """
 
@@ -122,7 +108,7 @@ class Overrides:
             c1 = _freeze(_score_matrix(c1, l, "c1 override").copy())
         pairs = _resolve_pairwise(self.pair_similarity, l)
         if ca is not None:
-            ca = _freeze(np.array(ca, dtype=float))
+            ca = _freeze(_real_array("ca override", ca).copy())
             if ca.shape != (l,):
                 raise OverrideShapeMismatch(
                     f"ca override must have shape ({l},), got {ca.shape}")
@@ -153,11 +139,11 @@ class PipelineConfig:
     overrides: Overrides = field(default_factory=Overrides)
 
     def __post_init__(self):
-        _check_choice("mode", self.mode, MODES)
-        _check_choice("score_normalization", self.score_normalization,
-                      NORMALIZATIONS)
-        _check_choice("closeness_mode", self.closeness_mode, CLOSENESS_MODES)
-        _check_choice("blend_convention", self.blend_convention, CONVENTIONS)
+        _choice("mode", self.mode, MODES)
+        _choice("score_normalization", self.score_normalization,
+                NORMALIZATIONS)
+        _choice("closeness_mode", self.closeness_mode, CLOSENESS_MODES)
+        _choice("blend_convention", self.blend_convention, CONVENTIONS)
         eta = _real("eta", self.eta)
         if not (0.0 <= eta <= 1.0):
             raise ParameterOutOfRange(f"eta = {eta!r} outside [0, 1]")
@@ -230,8 +216,8 @@ def uncertainty_scores(experts, mode: str = "energy",
     per_expert, laplacian uses per_channel, matching the published
     case-study sections.
     """
-    _check_choice("mode", mode, MODES)
-    _check_choice("normalization", normalization, NORMALIZATIONS)
+    _choice("mode", mode, MODES)
+    _choice("normalization", normalization, NORMALIZATIONS)
     measure = energies if mode == "energy" else laplacian_energies
     raw = measure(experts)
     if _normalization(mode, normalization) == "per_expert":
@@ -294,11 +280,11 @@ def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
     """
     config = PipelineConfig(eta=eta, gamma_grid=(gamma_blend,),
                             blend_convention=convention)
-    c1 = np.asarray(c1, dtype=float)
+    c1 = _real_array("c1", c1)
     if c1.ndim != 2 or c1.shape[1] != 3:
         raise OverrideShapeMismatch(
             f"c1 must have shape (l, 3), got {c1.shape}")
-    ca = np.asarray(ca, dtype=float)
+    ca = _real_array("ca", ca)
     if ca.shape != (len(c1),):
         raise OverrideShapeMismatch(
             f"ca must have shape ({len(c1)},), got {ca.shape}")

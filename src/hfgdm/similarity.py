@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HFPR, Panel, _freeze, _one_size, _plain
+from .core import HFPR, Panel, _choice, _freeze, _one_size, _plain, _real
 from .errors import (
     DegenerateDenominator,
     IndexOutOfRange,
@@ -53,33 +53,31 @@ def _resolve_pairwise(pairwise, l: int, where: str | None = None,
     """Stage-iii overrides as {(i, j): float} with i < j, or None for none
     (an empty map is none).
 
-    Every key must be a pair of distinct expert indices below l, given in
-    one orientation only, since the measure is symmetric; every value
-    must be positive. A message names an override by its expert indices;
-    pairs that a document field where writes as "id:id" keys over the
-    expert ids are named by the key as written.
+    Every key must be a pair of distinct int (not bool) expert indices
+    below l, given in one orientation only, since the measure is
+    symmetric; every value must be a positive real number. A message
+    names an override by its expert indices; pairs that a document field
+    where writes as "id:id" keys are named by the key as written.
     """
     if not pairwise:
         return None
     out = {}
     for key, val in pairwise.items():
         i, j = map(_plain, key)
-        if not (0 <= i < l and 0 <= j < l) or i == j:
+        if not (type(i) is type(j) is int and 0 <= min(i, j) < max(i, j) < l):
             raise OverrideShapeMismatch(
                 f"pair_similarity key {(i, j)!r} is not a valid expert pair")
-        val = float(val)
+        name = (f"{where}.{ids[i]}:{ids[j]}" if where
+                else f"pair_similarity override for experts {(i, j)!r}")
+        val = _real(name, val)
         if not val > 0.0:
-            raise ParameterOutOfRange(
-                (f"{where}.{ids[i]}:{ids[j]}" if where else
-                 f"pair_similarity override for experts {(i, j)!r}")
-                + f" is {val!r}; it must be positive")
-        pair = (int(i), int(j))
-        normalized = _pair_key(*pair)
+            raise ParameterOutOfRange(f"{name} is {val}; it must be positive")
+        normalized = _pair_key(i, j)
         if normalized in out:
             raise OverrideShapeMismatch(
                 (f"{where} gives {ids[j]}:{ids[i]} and {ids[i]}:{ids[j]}"
                  if where else
-                 f"pair_similarity gives experts {pair!r} in both orientations")
+                 f"pair_similarity gives experts {i, j} in both orientations")
                 + "; the measure is symmetric, so give it once")
         out[normalized] = val
     return out
@@ -111,7 +109,7 @@ def mean_similarity_degree(experts, b: int, pairwise=None) -> float:
     l = len(experts)
     if l < 2:
         raise NeedTwoExperts(f"need at least 2 relations, got {l}")
-    if not (0 <= b < l):
+    if type(_plain(b)) is not int or not 0 <= b < l:
         raise IndexOutOfRange(f"expert index {b} outside 0..{l - 1}")
     return _mean_degree(Panel.of(experts), b, _resolve_pairwise(pairwise, l))
 
@@ -121,17 +119,11 @@ def _ideal_rows(rows: np.ndarray, which: str) -> np.ndarray:
     array: (n,) for one relation, (g, n) for a stack of g of them.
 
     Averages (1 - min t) / (1 + max t) over ALL n columns including the
-    diagonal, with t = (1 - mu, gamma, 1 - beta) against the positive
-    ideal and t = (mu, 1 - gamma, beta) against the negative one. The
-    zero diagonal entry contributes exactly 0.5/n either way.
+    diagonal, with t = |row - POSITIVE_IDEAL| or |row - NEGATIVE_IDEAL|.
+    The zero diagonal entry contributes exactly 0.5/n either way.
     """
-    if which not in IDEAL_KINDS:
-        raise ParameterOutOfRange(f"which = {which!r} not one of {IDEAL_KINDS}")
-    mu, gamma, beta = rows[..., 0], rows[..., 1], rows[..., 2]
-    if which == "positive":
-        t = np.stack([1.0 - mu, gamma, 1.0 - beta], axis=-1)
-    else:
-        t = np.stack([mu, 1.0 - gamma, beta], axis=-1)
+    positive = _choice("which", which, IDEAL_KINDS) == "positive"
+    t = np.abs(rows - (POSITIVE_IDEAL if positive else NEGATIVE_IDEAL))
     terms = (1.0 - t.min(axis=-1)) / (1.0 + t.max(axis=-1))
     return terms.mean(axis=-1)
 
@@ -151,9 +143,7 @@ def closeness(s_plus, s_minus, mode: str = "relative"):
     other). Takes two floats, or two arrays of one shape scored
     elementwise; an error is raised when any element breaks its rule.
     """
-    if mode not in CLOSENESS_MODES:
-        raise ParameterOutOfRange(
-            f"mode = {mode!r} not one of {'|'.join(CLOSENESS_MODES)}")
+    _choice("mode", mode, CLOSENESS_MODES)
     if np.any(s_plus < 0.0) or np.any(s_minus < 0.0):
         raise ParameterOutOfRange("ideal similarities must be nonnegative")
     if mode == "relative":

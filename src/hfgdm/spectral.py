@@ -39,9 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _plain,
+from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _integer,
                    _upper_weights, random_hfpr)
-from .errors import IdentityViolated, ParameterOutOfRange
+from .errors import IdentityViolated
 
 IDENTITY_TOL = 1e-8
 BOUND_TOL = 1e-9
@@ -200,15 +200,6 @@ QUANTITIES = ("energy_determinant_bounds", "energy_mean_square_upper",
 _ROW_ORDER = [5 * c + b for bounds in ((0, 1), (2, 3, 4))
               for c in range(len(CHANNELS)) for b in bounds]
 _ROW_NAMES = [(CHANNELS[i // 5], QUANTITIES[i % 5]) for i in _ROW_ORDER]
-
-
-def _integer(name: str, value, least: int) -> int:
-    """value as a Python int, if it is an integer of at least `least`."""
-    value = _plain(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ParameterOutOfRange(
-            f"{name} = {value!r} must be an integer of at least {least}")
-    return value
 
 
 def bounds_survey(seed: int = 42, count: int = 1000,

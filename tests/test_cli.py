@@ -27,7 +27,8 @@ from hfgdm import energy, laplacian_energy
 from hfgdm.cli import _emit_json, main, parse_input
 from hfgdm.errors import (AsymmetricEntry, DiagonalNotZero,
                           DimensionMismatch, EdgeExceedsVertexBound,
-                          SchemaViolation, TripleOutOfRange, ValidationError)
+                          ParameterOutOfRange, SchemaViolation,
+                          TripleOutOfRange, ValidationError)
 from hfgdm.spectral import SurveyRow
 
 from shared import BUNDLED_DIR, REPO, SMARTPHONE_DOC
@@ -1234,6 +1235,26 @@ def test_a_relation_error_names_its_expert(tmp_path, rule):
         parse_input(path)
     assert type(e.value) is kind
     assert (getattr(e.value, "i", None), getattr(e.value, "j", None)) == entry
+
+
+@pytest.mark.parametrize("entry, kind, message", [
+    ([1.5, 0.2], ParameterOutOfRange,
+     "vertex_attrs[1]: mu1 = 1.5 outside [0, 1]"),
+    ([0.5, 0.2, 0.9], ParameterOutOfRange,
+     "vertex_attrs[1]: beta1 = 0.9 but 1 - mu1 - gamma1 = 0.3"),
+    # A wrong length is a schema fault of the whole list, named as before.
+    ([0.5], SchemaViolation,
+     "vertex_attrs entries must be [mu1, gamma1] or [mu1, gamma1, beta1]"),
+])
+def test_a_vertex_attrs_error_names_its_entry(tmp_path, entry, kind, message):
+    path = write_doc(tmp_path, edited(
+        ("vertex_attrs",), [[0.5, 0.3], entry, [0.5, 0.3], [0.5, 0.3]]))
+    for argv in (["run", path], ["energy", path],
+                 ["verify-bounds", "--fixtures", path]):
+        assert main_output(argv) == (2, "", f"error: {message}\n"), argv
+    with pytest.raises(kind) as e:
+        parse_input(path)
+    assert type(e.value) is kind
 
 
 @pytest.mark.parametrize("where", ["--eta", "--gamma", "config.eta",

@@ -22,14 +22,27 @@ from hfgdm import (
     DiagonalNotZero,
     DimensionMismatch,
     EdgeExceedsVertexBound,
+    IndexOutOfRange,
     NeedTwoExperts,
+    OverrideShapeMismatch,
+    Overrides,
     Panel,
     ParameterOutOfRange,
+    PipelineConfig,
     TripleOutOfRange,
     ValidationError,
     VertexAttribute,
+    aggregate_hfpr,
+    blend_scores,
+    bounds_survey,
+    closeness,
+    ideal_similarities,
     make_hfpr,
+    mean_similarity_degree,
     random_hfpr,
+    rank,
+    run,
+    similarity_weights,
 )
 
 from shared import M1_ROWS, build, with_membership
@@ -583,3 +596,70 @@ def test_relation_type_and_constructor_are_minimal():
         "values", "labels", "vertex_attrs"]
     assert list(inspect.signature(make_hfpr).parameters) == [
         "entries", "labels", "vertex_attrs"]
+
+
+def _run_with(**overrides):
+    return lambda ex: run(ex, PipelineConfig(overrides=Overrides(**overrides)))
+
+
+# The library's typed-error contract: an argument of the wrong type raises
+# the named ValidationError subclass, never a bare TypeError or ValueError.
+# Each case is (what is called, the call on the case study's three
+# experts, the error).
+WRONG_TYPES = [
+    ("random_hfpr n=2.5",
+     lambda ex: random_hfpr(2.5, np.random.default_rng(0)), ParameterOutOfRange),
+    ("random_hfpr n=True",
+     lambda ex: random_hfpr(True, np.random.default_rng(0)), ParameterOutOfRange),
+    ("bounds_survey count=2.5",
+     lambda ex: bounds_survey(count=2.5), ParameterOutOfRange),
+    ("similarity_weights key (0.5, 1)",
+     lambda ex: similarity_weights(ex, {(0.5, 1): 0.9}), OverrideShapeMismatch),
+    ("similarity_weights key (0, 1.9)",
+     lambda ex: similarity_weights(ex, {(0, 1.9): 0.9}), OverrideShapeMismatch),
+    ("similarity_weights key (True, 0)",
+     lambda ex: similarity_weights(ex, {(True, 0): 0.9}), OverrideShapeMismatch),
+    ("similarity_weights value '0.9'",
+     lambda ex: similarity_weights(ex, {(0, 1): "0.9"}), ParameterOutOfRange),
+    ("similarity_weights value None",
+     lambda ex: similarity_weights(ex, {(0, 1): None}), ParameterOutOfRange),
+    ("mean_similarity_degree b=0.5",
+     lambda ex: mean_similarity_degree(ex, 0.5), IndexOutOfRange),
+    ("mean_similarity_degree b=True",
+     lambda ex: mean_similarity_degree(ex, True), IndexOutOfRange),
+    ("closeness mode 'x'",
+     lambda ex: closeness(np.ones(4), np.ones(4), "x"), ParameterOutOfRange),
+    ("rank mode 'x'", lambda ex: rank(ex[0], "x"), ParameterOutOfRange),
+    ("ideal_similarities which 'x'",
+     lambda ex: ideal_similarities(ex[0], "x"), ParameterOutOfRange),
+    ("VertexAttribute mu1 '0.5'",
+     lambda ex: VertexAttribute("0.5", 0.3), ParameterOutOfRange),
+    ("aggregate_hfpr c of strings",
+     lambda ex: aggregate_hfpr(ex, [["0.3"] * 3] * 3), ParameterOutOfRange),
+    ("run c1 override of strings",
+     _run_with(c1=[["0.3"] * 3] * 3), ParameterOutOfRange),
+    ("run ca override of bools",
+     _run_with(ca=[True, False, False]), ParameterOutOfRange),
+    ("blend_scores c1 of strings",
+     lambda ex: blend_scores([["0.3"] * 3] * 3, [1 / 3] * 3),
+     ParameterOutOfRange),
+    ("blend_scores ca of strings",
+     lambda ex: blend_scores([[0.3] * 3] * 3, ["0.5", "0.25", "0.25"]),
+     ParameterOutOfRange),
+    ("make_hfpr strings",
+     lambda ex: make_hfpr(np.array(ex[0].values, dtype=str)),
+     ParameterOutOfRange),
+    ("make_hfpr bools",
+     lambda ex: make_hfpr(np.zeros((2, 2, 3), dtype=bool)), ParameterOutOfRange),
+    ("make_hfpr ragged",
+     lambda ex: make_hfpr([[[0.0] * 3] * 2, [[0.0] * 3]]), ParameterOutOfRange),
+]
+
+
+@pytest.mark.parametrize("call, error", [case[1:] for case in WRONG_TYPES],
+                         ids=[case[0] for case in WRONG_TYPES])
+def test_a_wrong_typed_argument_raises_its_typed_error(experts, call, error):
+    with pytest.raises(ValidationError) as err:
+        call(experts)
+    assert type(err.value) is error
+
