@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -37,9 +36,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Panel, VertexAttribute, _is_real, make_hfpr, random_hfpr
-from .errors import (ComputationError, SchemaViolation, ValidationError,
-                     in_context)
+from .core import Panel, VertexAttribute, _real_array, make_hfpr, random_hfpr
+from .errors import (ComputationError, ParameterOutOfRange, SchemaViolation,
+                     ValidationError, in_context)
 from .pipeline import (
     MODES,
     NORMALIZATIONS,
@@ -145,9 +144,6 @@ def _layout(obj, indent: int, parts: list[str], floats: list[float]) -> None:
         if not obj:
             parts.append("[]")
             return
-        if all(type(v) is str for v in obj):  # labels: one join
-            parts.append("[" + ", ".join(map(_string, obj)) + "]")
-            return
         if all(v is None or isinstance(v, _SCALARS) for v in obj):
             sep, each, end = "[", ", ", "]"
         else:
@@ -213,13 +209,14 @@ def _within(where: str, build, *args, **kwargs):
 def _reals(x, ndim: int | None = None) -> np.ndarray:
     """A finite float array of JSON numbers; any shape unless ndim is given.
 
-    numpy would read a numeric string or a boolean as a number; the
-    schema does not. An int too large for a float raises OverflowError.
+    Numbers are read by the library's one rule, core._real_array, so a
+    string, a boolean, ragged nesting or an int too large for a float is
+    refused; its error is raised as the ValueError that _convert names.
     """
-    items = np.asarray(x, dtype=object)
-    if not all(map(_is_real, set(map(type, items.ravel())))):
-        raise ValueError("not a numeric array")
-    a = items.astype(float)
+    try:
+        a = _real_array("value", x)
+    except ParameterOutOfRange:
+        raise ValueError("not a numeric array") from None
     if not np.isfinite(a).all() or ndim not in (None, a.ndim):
         raise ValueError("not a finite numeric array of that rank")
     return a
@@ -307,9 +304,9 @@ def parse_input(path: str) -> InputDocument:
         text = fh.read()
     try:
         return _document(json.loads(text, object_pairs_hook=_unique_keys))
-    except (ValueError, TypeError, ArithmeticError, RecursionError):
+    except (ValueError, TypeError, RecursionError):
         # ValueError covers JSON syntax, int-string limits and every
-        # ValidationError; ArithmeticError an int too large for a float.
+        # ValidationError, among them an int too large for a float.
         _strict_loads(text)
         raise
 
@@ -699,28 +696,18 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _survey_row_template(lo: bool, hi: bool, satisfied: bool) -> str:
-    """A %-template for one survey CSV row taking (seed, n, channel,
-    quantity, value, bound_lo, bound_hi, satisfied). A missing bound and
-    the verdict are consumed by %.0s, which prints nothing."""
-    return ("%d,%d,%s,%s,%.17g," + ("%.17g" if lo else "%.0s") + ","
-            + ("%.17g" if hi else "%.0s") + ","
-            + ("true" if satisfied else "false") + "%.0s\n")
-
-
-_SURVEY_ROW = {key: _survey_row_template(*key)
-               for key in itertools.product((False, True), repeat=3)}
-
-
 def _survey_csv(rows) -> str:
-    """The survey CSV: a header and one line per row, floats at 17
-    significant digits, formatted by one template over all rows, which
-    are tuples in column order. No field needs CSV quoting: channels and
-    quantities are fixed names."""
-    template = "".join([_SURVEY_ROW[r[5] is not None, r[6] is not None, r[7]]
-                        for r in rows])
-    return (",".join(SurveyRow._fields) + "\n"
-            + template % tuple(itertools.chain.from_iterable(rows)))
+    """The survey CSV: a header and one line per row, which are tuples in
+    column order, by one row format: floats at 17 significant digits, an
+    empty field for a missing bound. No field needs CSV quoting: channels
+    and quantities are fixed names."""
+    return ",".join(SurveyRow._fields) + "\n" + "".join([
+        "%d,%d,%s,%s,%.17g,%s,%s,%s\n" % (
+            seed, n, channel, quantity, value,
+            "" if lo is None else "%.17g" % lo,
+            "" if hi is None else "%.17g" % hi,
+            "true" if satisfied else "false")
+        for seed, n, channel, quantity, value, lo, hi, satisfied in rows])
 
 
 def cmd_verify_bounds(args) -> int:
@@ -752,19 +739,13 @@ def cmd_generate(args) -> int:
         raise SchemaViolation("--n", "need at least 2 alternatives")
     if args.experts < 2:
         raise SchemaViolation("--experts", "need at least 2 experts")
-    labels = [f"t{i + 1}" for i in range(args.n)]
     defaults = PipelineConfig()
-    experts = []
-    for e in range(args.experts):
-        rng = np.random.default_rng([args.seed, e])
-        h = random_hfpr(args.n, rng, labels=labels)
-        experts.append({
-            "id": f"e{e + 1}",
-            "hfpr": h.values,
-        })
+    experts = [random_hfpr(args.n, np.random.default_rng([args.seed, e]))
+               for e in range(args.experts)]
     payload = {
-        "alternatives": labels,
-        "experts": experts,
+        "alternatives": experts[0].labels,
+        "experts": [{"id": f"e{e + 1}", "hfpr": h.values}
+                    for e, h in enumerate(experts)],
         "config": {key: getattr(defaults, _CONFIG_FIELD.get(key, key))
                    for key in ("mode", "score_normalization", "eta",
                                "gamma_grid", "closeness")},

@@ -21,13 +21,17 @@ exact valid set, so convex mixes of relations stay valid.
 A Panel is the group of relations that every later stage works on: the
 l experts' relations, nonempty, of one size and with one set of labels,
 with their values stacked once. _one_size is the one group rule, which
-Panel.of and pair_similarity share; every function that takes a group
-accepts a Panel as is, or a sequence of relations that it turns into
-one. _channels is the one stacking, shared with the bounds survey,
-whose size groups may mix labels because no bound reads them.
+Panel.of, pair_similarity, rank and the aggregated override share; every
+function that takes a group accepts a Panel as is, or a sequence of
+relations that it turns into one. It reads sizes through _sizes, which
+refuses anything that is not an HFPR, naming its position, and which the
+bounds survey reads its sizes by too. _channels is the one stacking,
+shared with the bounds survey, whose size groups may mix labels because
+no bound reads them.
 
 Every entry point checks its arguments by the rules here, one per kind:
-_choice, _integer, _real and _real_array, each naming the argument.
+_choice, _integer, _real, _real_array and _sequence, each naming the
+argument.
 """
 
 from __future__ import annotations
@@ -88,6 +92,15 @@ def _real(name: str, value) -> float:
     raise ParameterOutOfRange(f"{name} = {_plain(value)!r} is not a number")
 
 
+def _sequence(name: str, x) -> tuple:
+    """x as a tuple, if it is iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ParameterOutOfRange(
+            f"{name} = {_plain(x)!r} is not a sequence") from None
+
+
 def _real_array(name: str, x) -> np.ndarray:
     """x as a float array of real numbers; a numeric ndarray is not scanned."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "fiu":
@@ -122,6 +135,19 @@ class VertexAttribute:
             raise ParameterOutOfRange(
                 f"beta1 = {_plain(self.beta1)!r} but 1 - mu1 - gamma1 = "
                 f"{derived!r}")
+
+
+def _vertex_attribute(k: int, v) -> VertexAttribute:
+    """Entry k of make_hfpr's vertex_attrs: a VertexAttribute as is, else
+    one built from its grades (mu1, gamma1) or (mu1, gamma1, beta1)."""
+    if isinstance(v, VertexAttribute):
+        return v
+    try:
+        return VertexAttribute(*v)
+    except TypeError:
+        raise ParameterOutOfRange(
+            f"vertex_attrs[{k}] = {_plain(v)!r} is not (mu1, gamma1) or "
+            "(mu1, gamma1, beta1)") from None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -174,10 +200,21 @@ class HFPR:
             _upper_weights(self.values.transpose(2, 0, 1))))
 
 
+def _sizes(relations) -> list[int]:
+    """The size n of each relation, or ParameterOutOfRange naming the
+    position of the first that is not an HFPR."""
+    for k, h in enumerate(relations):
+        if not isinstance(h, HFPR):
+            raise ParameterOutOfRange(
+                f"relation {k} is of type {type(h).__name__}, not an HFPR")
+    return [h.n for h in relations]
+
+
 def _one_size(relations) -> int:
     """The one size n of relations that share one set of labels, or
-    DimensionMismatch naming their sizes or the first that differs."""
-    sizes = {h.n for h in relations}
+    DimensionMismatch naming their sizes or the first that differs; a
+    relation that is not an HFPR is refused by _sizes."""
+    sizes = set(_sizes(relations))
     if len(sizes) != 1:
         raise DimensionMismatch(f"mixed relation sizes {sorted(sizes)}")
     labels = relations[0].labels
@@ -257,16 +294,15 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     if labels is None:
         labels = tuple(f"t{i + 1}" for i in range(n))
     else:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(map(str, _sequence("labels", labels)))
         if len(labels) != n:
             raise DimensionMismatch(
                 f"{len(labels)} labels for an n = {n} relation")
 
     attrs = None
     if vertex_attrs is not None:
-        attrs = tuple(
-            v if isinstance(v, VertexAttribute) else VertexAttribute(*v)
-            for v in vertex_attrs)
+        attrs = tuple(_vertex_attribute(k, v) for k, v in
+                      enumerate(_sequence("vertex_attrs", vertex_attrs)))
         if len(attrs) != n:
             raise DimensionMismatch(
                 f"{len(attrs)} vertex attributes for an n = {n} relation")

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import (HFPR, Panel, _choice, _freeze, _plain, _real, _real_array,
-                   make_hfpr)
+from .core import (HFPR, Panel, _choice, _freeze, _one_size, _plain, _real,
+                   _real_array, make_hfpr)
 from .errors import (NeedTwoExperts, OverrideShapeMismatch,
                      ParameterOutOfRange, TripleOutOfRange, ZeroDenominator,
                      in_context)
@@ -112,7 +112,8 @@ class Overrides:
             if ca.shape != (l,):
                 raise OverrideShapeMismatch(
                     f"ca override must have shape ({l},), got {ca.shape}")
-        if self.aggregated is not None and self.aggregated.n != n:
+        if self.aggregated is not None \
+                and _one_size((self.aggregated,)) != n:
             raise OverrideShapeMismatch(
                 "aggregated override does not match the relation size")
         if c is not None:
@@ -362,6 +363,7 @@ def rank(agg: HFPR, closeness_mode: str = "relative") -> tuple:
     holding the alternative indices sorted by closeness descending, ties
     broken toward the lower index. Row 0 of _rank_stack on a stack of one.
     """
+    _one_size((agg,))
     return tuple(a[0] for a in _rank_stack(agg.values[None], closeness_mode))
 
 

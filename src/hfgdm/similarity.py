@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HFPR, Panel, _choice, _freeze, _one_size, _plain, _real
+from .core import (HFPR, Panel, _choice, _freeze, _one_size, _plain, _real,
+                   _real_array)
 from .errors import (
     DegenerateDenominator,
     IndexOutOfRange,
@@ -35,10 +36,9 @@ CLOSENESS_MODES = ("relative", "ratio")
 
 
 def pair_similarity(a: HFPR, b: HFPR) -> float:
-    """Similarity of two same-size relations, in [1/n, 1], symmetric."""
+    """Similarity of two same-size relations, in [1/n, 1], symmetric; one
+    formula for every n, which gives exactly 1 at n = 1 (no pairs)."""
     n = _one_size((a, b))
-    if n == 1:
-        return 1.0
     d = np.abs(a.upper - b.upper)
     terms = (1.0 - d.min(axis=0)) / (1.0 + d.max(axis=0))
     return float(1.0 / n + (2.0 / n ** 2) * terms.sum())
@@ -53,25 +53,32 @@ def _resolve_pairwise(pairwise, l: int, where: str | None = None,
     """Stage-iii overrides as {(i, j): float} with i < j, or None for none
     (an empty map is none).
 
-    Every key must be a pair of distinct int (not bool) expert indices
-    below l, given in one orientation only, since the measure is
-    symmetric; every value must be a positive real number. A message
-    names an override by its expert indices; pairs that a document field
-    where writes as "id:id" keys are named by the key as written.
+    Every key must be a tuple of two distinct int (not bool) expert
+    indices below l, given in one orientation only, since the measure is
+    symmetric; every value must be a positive finite real number. A
+    message names an override by its expert indices; pairs that a
+    document field where writes as "id:id" keys are named by the key as
+    written.
     """
     if not pairwise:
         return None
     out = {}
     for key, val in pairwise.items():
-        i, j = map(_plain, key)
-        if not (type(i) is type(j) is int and 0 <= min(i, j) < max(i, j) < l):
+        key = tuple(map(_plain, key)) if isinstance(key, tuple) else key
+        if not (isinstance(key, tuple) and len(key) == 2
+                and type(key[0]) is type(key[1]) is int
+                and 0 <= min(key) < max(key) < l):
             raise OverrideShapeMismatch(
-                f"pair_similarity key {(i, j)!r} is not a valid expert pair")
+                f"pair_similarity key {_plain(key)!r} is not a valid "
+                "expert pair")
+        i, j = key
         name = (f"{where}.{ids[i]}:{ids[j]}" if where
                 else f"pair_similarity override for experts {(i, j)!r}")
         val = _real(name, val)
         if not val > 0.0:
             raise ParameterOutOfRange(f"{name} is {val}; it must be positive")
+        if val == np.inf:
+            raise ParameterOutOfRange(f"{name} is {val}; it must be finite")
         normalized = _pair_key(i, j)
         if normalized in out:
             raise OverrideShapeMismatch(
@@ -130,8 +137,13 @@ def _ideal_rows(rows: np.ndarray, which: str) -> np.ndarray:
 
 def ideal_similarities(agg: HFPR, which: str) -> np.ndarray:
     """Similarity of every row to the positive or negative ideal, a
-    read-only (n,) array."""
-    return _freeze(_ideal_rows(agg.values, which))
+    read-only (n,) array.
+
+    agg is read only through its (n, n, 3) values, so a holder of rows
+    that no relation admits, such as the ideal itself, is scored too; an
+    argument without real values raises ParameterOutOfRange."""
+    values = _real_array("agg.values", getattr(agg, "values", None))
+    return _freeze(_ideal_rows(values, which))
 
 
 def closeness(s_plus, s_minus, mode: str = "relative"):
@@ -140,17 +152,22 @@ def closeness(s_plus, s_minus, mode: str = "relative"):
     relative mode: s+ / (s+ + s-); ratio mode: s+ / s-. Higher is better
     in both; for fixed positive inputs they induce rankings identical up
     to rounding (scores 1 ulp apart in one mode can tie or swap in the
-    other). Takes two floats, or two arrays of one shape scored
-    elementwise; an error is raised when any element breaks its rule.
+    other). Takes two floats, which give a float, or two arrays of real
+    numbers of one shape scored elementwise; an error is raised when any
+    element breaks its rule.
     """
     _choice("mode", mode, CLOSENESS_MODES)
+    s_plus = _real_array("s_plus", s_plus)
+    s_minus = _real_array("s_minus", s_minus)
     if np.any(s_plus < 0.0) or np.any(s_minus < 0.0):
         raise ParameterOutOfRange("ideal similarities must be nonnegative")
     if mode == "relative":
         denom = s_plus + s_minus
         if np.any(denom <= 0.0):
             raise DegenerateDenominator("s_plus + s_minus must be positive")
-        return s_plus / denom
-    if np.any(s_minus <= 0.0):
+        f = s_plus / denom
+    elif np.any(s_minus <= 0.0):
         raise DegenerateDenominator("ratio mode needs s_minus > 0")
-    return s_plus / s_minus
+    else:
+        f = s_plus / s_minus
+    return f if f.ndim else float(f)

@@ -40,8 +40,8 @@ import numpy as np
 
 from ._kernels import eigenvalues
 from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _integer,
-                   _upper_weights, random_hfpr)
-from .errors import IdentityViolated
+                   _sizes, _upper_weights, random_hfpr)
+from .errors import IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
 BOUND_TOL = 1e-9
@@ -220,7 +220,11 @@ def bounds_survey(seed: int = 42, count: int = 1000,
     """
     seed = _integer("seed", seed, 0)
     count = _integer("count", count, 0)
-    lo, hi = n_range
+    try:
+        lo, hi = n_range
+    except (TypeError, ValueError):
+        raise ParameterOutOfRange(
+            f"n_range = {n_range!r} is not a pair (lo, hi)") from None
     lo = _integer("n_range lo", lo, 1)
     hi = _integer("n_range hi", hi, lo)
     rows: list[SurveyRow] = []
@@ -251,7 +255,7 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
     upper bound it holds vacuously when that bound's hypothesis
     (2 Σ w² ≥ p) fails on the instance.
     """
-    sizes = [h.n for h in relations]
+    sizes = _sizes(relations)
     k = len(sizes)
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(sizes):

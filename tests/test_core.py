@@ -39,11 +39,13 @@ from hfgdm import (
     ideal_similarities,
     make_hfpr,
     mean_similarity_degree,
+    pair_similarity,
     random_hfpr,
     rank,
     run,
     similarity_weights,
 )
+from hfgdm.spectral import fixture_survey_rows
 
 from shared import M1_ROWS, build, with_membership
 
@@ -653,6 +655,48 @@ WRONG_TYPES = [
      lambda ex: make_hfpr(np.zeros((2, 2, 3), dtype=bool)), ParameterOutOfRange),
     ("make_hfpr ragged",
      lambda ex: make_hfpr([[[0.0] * 3] * 2, [[0.0] * 3]]), ParameterOutOfRange),
+    # A key that is not a pair, an n_range that is not (lo, hi), scores
+    # that are not numbers, labels or grades that are not sequences.
+    ("similarity_weights key 0",
+     lambda ex: similarity_weights(ex, {0: 0.9}), OverrideShapeMismatch),
+    ("similarity_weights key (0, 1, 2)",
+     lambda ex: similarity_weights(ex, {(0, 1, 2): 0.9}),
+     OverrideShapeMismatch),
+    ("bounds_survey n_range=5",
+     lambda ex: bounds_survey(count=1, n_range=5), ParameterOutOfRange),
+    ("bounds_survey n_range=(3,)",
+     lambda ex: bounds_survey(count=1, n_range=(3,)), ParameterOutOfRange),
+    ("bounds_survey n_range='3:8'",
+     lambda ex: bounds_survey(count=1, n_range="3:8"), ParameterOutOfRange),
+    ("closeness strings", lambda ex: closeness("a", "b"), ParameterOutOfRange),
+    ("closeness None", lambda ex: closeness(None, 0.5), ParameterOutOfRange),
+    ("closeness string arrays",
+     lambda ex: closeness(np.array(["0.4", "0.5"]), np.array(["0.5", "0.4"])),
+     ParameterOutOfRange),
+    ("make_hfpr labels=5",
+     lambda ex: make_hfpr(np.zeros((2, 2, 3)), labels=5), ParameterOutOfRange),
+    ("make_hfpr vertex_attrs=5",
+     lambda ex: make_hfpr(np.zeros((2, 2, 3)), vertex_attrs=5),
+     ParameterOutOfRange),
+    ("make_hfpr vertex_attrs one grade",
+     lambda ex: make_hfpr(np.zeros((2, 2, 3)), vertex_attrs=[(0.5,)] * 2),
+     ParameterOutOfRange),
+    # Something other than a relation where a relation belongs.
+    ("run ints", lambda ex: run([1, 2]), ParameterOutOfRange),
+    ("pair_similarity int", lambda ex: pair_similarity(ex[0], 3),
+     ParameterOutOfRange),
+    ("rank array", lambda ex: rank(np.zeros((4, 4, 3))), ParameterOutOfRange),
+    ("ideal_similarities None",
+     lambda ex: ideal_similarities(None, "positive"), ParameterOutOfRange),
+    ("fixture_survey_rows array",
+     lambda ex: fixture_survey_rows([np.zeros((3, 3, 3))]),
+     ParameterOutOfRange),
+    ("run aggregated override array",
+     _run_with(aggregated=np.zeros((4, 4, 3))), ParameterOutOfRange),
+    # A pair override that is not finite.
+    ("mean_similarity_degree pair inf",
+     lambda ex: mean_similarity_degree(ex, 0, {(0, 1): float("inf")}),
+     ParameterOutOfRange),
 ]
 
 
@@ -662,4 +706,29 @@ def test_a_wrong_typed_argument_raises_its_typed_error(experts, call, error):
     with pytest.raises(ValidationError) as err:
         call(experts)
     assert type(err.value) is error
+
+
+# The start of the message of cases above whose rule names the argument,
+# the entry or the relation's position.
+NAMED = {
+    "similarity_weights key (0, 1, 2)":
+        "pair_similarity key (0, 1, 2) is not a valid expert pair",
+    "bounds_survey n_range=5": "n_range = 5 is not a pair (lo, hi)",
+    "closeness None": "s_plus is not an array of real numbers",
+    "make_hfpr labels=5": "labels = 5 is not a sequence",
+    "make_hfpr vertex_attrs one grade":
+        "vertex_attrs[0] = (0.5,) is not (mu1, gamma1)",
+    "pair_similarity int": "relation 1 is of type int, not an HFPR",
+    "mean_similarity_degree pair inf":
+        "pair_similarity override for experts (0, 1) is inf; it must be "
+        "finite",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED))
+def test_a_refused_argument_is_named(experts, case):
+    call = next(c[1] for c in WRONG_TYPES if c[0] == case)
+    with pytest.raises(ValidationError) as err:
+        call(experts)
+    assert str(err.value).startswith(NAMED[case])
 
