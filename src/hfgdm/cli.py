@@ -827,6 +827,6 @@ def main(argv=None) -> int:
     except ComputationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:  # defensive: a fault of the program
         print(f"internal error: {e!r}", file=sys.stderr)
         return 1

@@ -20,18 +20,18 @@ exact valid set, so convex mixes of relations stay valid.
 
 A Panel is the group of relations that every later stage works on: the
 l experts' relations, nonempty, of one size and with one set of labels,
-with their values stacked once. _one_size is the one group rule, which
-Panel.of, pair_similarity, rank and the aggregated override share; every
-function that takes a group accepts a Panel as is, or a sequence of
-relations that it turns into one. It reads sizes through _sizes, which
-refuses anything that is not an HFPR, naming its position, and which the
-bounds survey reads its sizes by too. _channels is the one stacking,
-shared with the bounds survey, whose size groups may mix labels because
-no bound reads them.
+with their values stacked once. _group reads a group, refusing one that
+is not iterable, such as a lone HFPR; _one_size checks it, for Panel.of,
+pair_similarity, rank and the aggregated override. Every function that
+takes a group accepts a Panel as is, or relations that Panel.of turns
+into one. _sizes, which the bounds survey reads its sizes by too,
+refuses anything that is not an HFPR, naming its position. _channels is
+the one stacking, shared with the bounds survey, whose size groups may
+mix labels because no bound reads them.
 
 Every entry point checks its arguments by the rules here, one per kind:
-_choice, _integer, _real, _real_array and _sequence, each naming the
-argument.
+_choice, _integer, _real, _real_array, _sequence and _group, each naming
+the argument, and _not_a's message for any other wrong type of object.
 """
 
 from __future__ import annotations
@@ -93,12 +93,19 @@ def _real(name: str, value) -> float:
 
 
 def _sequence(name: str, x) -> tuple:
-    """x as a tuple, if it is iterable."""
+    """x as a tuple, if it is iterable and not a str, which is one value."""
     try:
-        return tuple(x)
+        if not isinstance(x, str):
+            return tuple(x)
     except TypeError:
-        raise ParameterOutOfRange(
-            f"{name} = {_plain(x)!r} is not a sequence") from None
+        pass
+    raise ParameterOutOfRange(f"{name} = {_plain(x)!r} is not a sequence")
+
+
+def _not_a(name: str, x, kind: str) -> ParameterOutOfRange:
+    """The error for argument name, x, not being a kind of object."""
+    return ParameterOutOfRange(
+        f"{name} is of type {type(x).__name__}, not {kind}")
 
 
 def _real_array(name: str, x) -> np.ndarray:
@@ -200,13 +207,20 @@ class HFPR:
             _upper_weights(self.values.transpose(2, 0, 1))))
 
 
+def _group(relations) -> tuple:
+    """relations as a tuple, if it is iterable: a lone HFPR is not."""
+    try:
+        return tuple(relations)
+    except TypeError:
+        raise _not_a("relations", relations, "a sequence of HFPRs") from None
+
+
 def _sizes(relations) -> list[int]:
     """The size n of each relation, or ParameterOutOfRange naming the
     position of the first that is not an HFPR."""
     for k, h in enumerate(relations):
         if not isinstance(h, HFPR):
-            raise ParameterOutOfRange(
-                f"relation {k} is of type {type(h).__name__}, not an HFPR")
+            raise _not_a(f"relation {k}", h, "an HFPR")
     return [h.n for h in relations]
 
 
@@ -253,7 +267,7 @@ class Panel:
         of labels, stacked."""
         if isinstance(relations, Panel):
             return relations
-        relations = tuple(relations)
+        relations = _group(relations)
         if not relations:
             raise NeedTwoExperts("need at least 1 relation")
         _one_size(relations)
@@ -397,6 +411,8 @@ def random_hfpr(n: int, rng: np.random.Generator, labels=None) -> HFPR:
     each rejected triple at once, would.
     """
     n = _integer("n", n, 1)
+    if not isinstance(rng, np.random.Generator):
+        raise _not_a("rng", rng, "a numpy.random.Generator")
     flat = _upper_indices(n)
     upper = np.empty((flat.size, 3))
     filled = 0

@@ -50,13 +50,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import (HFPR, Panel, _choice, _freeze, _one_size, _plain, _real,
-                   _real_array, make_hfpr)
-from .errors import (NeedTwoExperts, OverrideShapeMismatch,
-                     ParameterOutOfRange, TripleOutOfRange, ZeroDenominator,
-                     in_context)
+from .core import (HFPR, Panel, _choice, _freeze, _not_a, _one_size, _plain,
+                   _real, _real_array, make_hfpr)
+from .errors import (OverrideShapeMismatch, ParameterOutOfRange,
+                     TripleOutOfRange, ZeroDenominator, in_context)
 from .similarity import (CLOSENESS_MODES, _ideal_rows, _mean_degree,
-                         _resolve_pairwise, closeness)
+                         _pair_panel, _resolve_pairwise, closeness)
 # energy and laplacian_energy stay importable from this module; a run
 # solves every expert at once through energies and laplacian_energies.
 from .spectral import energies, energy, laplacian_energies, laplacian_energy
@@ -127,8 +126,8 @@ class PipelineConfig:
 
     eta and every gamma_grid value must be real numbers in [0, 1], not
     bools or strings, and are stored as floats, -0.0 as 0.0; gamma_grid
-    is stored as a tuple. A report's config is the one its run used, with
-    auto resolved.
+    is stored as a tuple; overrides must be an Overrides. A report's
+    config is the one its run used, with auto resolved.
     """
 
     mode: str = "energy"
@@ -145,6 +144,8 @@ class PipelineConfig:
                 NORMALIZATIONS)
         _choice("closeness_mode", self.closeness_mode, CLOSENESS_MODES)
         _choice("blend_convention", self.blend_convention, CONVENTIONS)
+        if not isinstance(self.overrides, Overrides):
+            raise _not_a("overrides", self.overrides, "an Overrides")
         eta = _real("eta", self.eta)
         if not (0.0 <= eta <= 1.0):
             raise ParameterOutOfRange(f"eta = {eta!r} outside [0, 1]")
@@ -232,21 +233,18 @@ def uncertainty_scores(experts, mode: str = "energy",
     return _freeze(raw / denom)
 
 
-def _degrees_and_weights(experts, pairs):
+def _degrees_and_weights(experts: Panel, pairs):
     """Mean similarity degrees and their normalization, the stage-iv
-    weights, as read-only (l,) arrays; pairs as
-    similarity._resolve_pairwise returns them.
+    weights, as read-only (l,) arrays; experts as _pair_panel gives them
+    and pairs as _resolve_pairwise does.
 
     No public input reaches the zero-total check. Overrides are checked
     positive and computed pairs are at least 1/n; subnormal overrides sum
     exactly, so each degree is at least its smallest pair, and l >= 2
     positive degrees have a positive total. The check stays as a guard.
     """
-    l = len(experts)
-    if l < 2:
-        raise NeedTwoExperts(f"need at least 2 relations, got {l}")
-    experts = Panel.of(experts)
-    degrees = tuple(_mean_degree(experts, b, pairs) for b in range(l))
+    degrees = tuple(_mean_degree(experts, b, pairs)
+                    for b in range(len(experts)))
     total = sum(degrees)
     if not np.isfinite(total):
         raise ParameterOutOfRange(
@@ -265,6 +263,7 @@ def similarity_weights(experts, pairwise=None) -> np.ndarray:
     index pairs to positive floats, each pair once in either orientation;
     anything not injected is computed.
     """
+    experts = _pair_panel(experts)
     return _degrees_and_weights(
         experts, _resolve_pairwise(pairwise, len(experts)))[1]
 
@@ -385,7 +384,9 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
     recomputed from the injected values: once, broadcast over the grid,
     for a c or aggregated override, which holds for every grid value.
     """
-    config = config or PipelineConfig()
+    config = PipelineConfig() if config is None else config
+    if not isinstance(config, PipelineConfig):
+        raise _not_a("config", config, "a PipelineConfig")
     experts = Panel.of(experts)
     ov = config.overrides.checked(len(experts), experts[0].n)
 
@@ -397,7 +398,8 @@ def run(experts, config: PipelineConfig | None = None) -> RankingReport:
         experts, config.mode, normalization)
 
     degrees, ca = ((None, ov.ca) if ov.ca is not None
-                   else _degrees_and_weights(experts, ov.pair_similarity))
+                   else _degrees_and_weights(_pair_panel(experts),
+                                             ov.pair_similarity))
 
     grid = config.gamma_grid
     c1, ca, ca_eff, c2, c, convention = _blend_grid(c1, ca, config)

@@ -17,12 +17,15 @@ two into the ranking score.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
-from .core import (HFPR, Panel, _choice, _freeze, _one_size, _plain, _real,
-                   _real_array)
+from .core import (HFPR, Panel, _choice, _freeze, _group, _not_a, _one_size,
+                   _plain, _real, _real_array)
 from .errors import (
     DegenerateDenominator,
+    DimensionMismatch,
     IndexOutOfRange,
     NeedTwoExperts,
     OverrideShapeMismatch,
@@ -51,7 +54,7 @@ def _pair_key(i: int, j: int) -> tuple[int, int]:
 def _resolve_pairwise(pairwise, l: int, where: str | None = None,
                       ids=None) -> dict | None:
     """Stage-iii overrides as {(i, j): float} with i < j, or None for none
-    (an empty map is none).
+    (an empty map is none); anything else that is not a mapping is refused.
 
     Every key must be a tuple of two distinct int (not bool) expert
     indices below l, given in one orientation only, since the measure is
@@ -60,6 +63,8 @@ def _resolve_pairwise(pairwise, l: int, where: str | None = None,
     document field where writes as "id:id" keys are named by the key as
     written.
     """
+    if pairwise is not None and not isinstance(pairwise, Mapping):
+        raise _not_a("pair_similarity", pairwise, "a mapping")
     if not pairwise:
         return None
     out = {}
@@ -90,6 +95,15 @@ def _resolve_pairwise(pairwise, l: int, where: str | None = None,
     return out
 
 
+def _pair_panel(experts) -> Panel:
+    """experts as a Panel, if they are the at least two that a pair needs."""
+    relations = experts if isinstance(experts, Panel) else _group(experts)
+    if len(relations) < 2:
+        raise NeedTwoExperts(
+            f"need at least 2 relations, got {len(relations)}")
+    return Panel.of(relations)
+
+
 def _mean_degree(experts, b: int, pairs: dict | None) -> float:
     """mean_similarity_degree of expert b, with pairs as _resolve_pairwise
     returns them."""
@@ -113,12 +127,11 @@ def mean_similarity_degree(experts, b: int, pairwise=None) -> float:
     pairs to positive floats, each pair once in either orientation;
     missing pairs are computed.
     """
+    experts = _pair_panel(experts)
     l = len(experts)
-    if l < 2:
-        raise NeedTwoExperts(f"need at least 2 relations, got {l}")
     if type(_plain(b)) is not int or not 0 <= b < l:
         raise IndexOutOfRange(f"expert index {b} outside 0..{l - 1}")
-    return _mean_degree(Panel.of(experts), b, _resolve_pairwise(pairwise, l))
+    return _mean_degree(experts, b, _resolve_pairwise(pairwise, l))
 
 
 def _ideal_rows(rows: np.ndarray, which: str) -> np.ndarray:
@@ -153,12 +166,17 @@ def closeness(s_plus, s_minus, mode: str = "relative"):
     in both; for fixed positive inputs they induce rankings identical up
     to rounding (scores 1 ulp apart in one mode can tie or swap in the
     other). Takes two floats, which give a float, or two arrays of real
-    numbers of one shape scored elementwise; an error is raised when any
-    element breaks its rule.
+    numbers of one shape scored elementwise; anything else, or an element
+    that breaks its rule (being finite first), is refused before dividing.
     """
     _choice("mode", mode, CLOSENESS_MODES)
     s_plus = _real_array("s_plus", s_plus)
     s_minus = _real_array("s_minus", s_minus)
+    if s_plus.shape != s_minus.shape:
+        raise DimensionMismatch(f"s_plus has shape {s_plus.shape} but "
+                                f"s_minus has shape {s_minus.shape}")
+    if not (np.isfinite(s_plus).all() and np.isfinite(s_minus).all()):
+        raise ParameterOutOfRange("ideal similarities must be finite")
     if np.any(s_plus < 0.0) or np.any(s_minus < 0.0):
         raise ParameterOutOfRange("ideal similarities must be nonnegative")
     if mode == "relative":

@@ -39,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import eigenvalues
-from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _integer,
-                   _sizes, _upper_weights, random_hfpr)
+from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _group,
+                   _integer, _sizes, _upper_weights, random_hfpr)
 from .errors import IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
@@ -308,4 +308,4 @@ def _survey_rows(relations, first_key: int) -> list[SurveyRow]:
 
 def fixture_survey_rows(experts) -> list[SurveyRow]:
     """Bound rows for explicit relations; seed column carries the index."""
-    return _survey_rows(list(experts), 0)
+    return _survey_rows(_group(experts), 0)

@@ -1370,6 +1370,16 @@ def test_computation_error_exits_1(monkeypatch):
             "Eigenvalues did not converge\n")
 
 
+def test_an_unexpected_exception_exits_1_as_an_internal_error(monkeypatch):
+    # The defensive branch: an exception that is neither a typed input
+    # error nor a ComputationError exits 1 with one line on stderr.
+    def fail(relations):
+        raise KeyError("boom")
+    monkeypatch.setattr(cli, "energies", fail)
+    assert main_output(["energy", "smartphone.json"]) == (
+        1, "", "internal error: KeyError('boom')\n")
+
+
 def test_bundled_documents_ship_where_parse_input_opens_them():
     # Each bundled name lies in the source tree's data directory, matches
     # the package-data glob that puts it in a built package, and is the

@@ -1,0 +1,211 @@
+"""The typed-error contract over the whole public surface, as one table.
+
+Every callable of hfgdm.__all__ starts from a valid call on the bundled
+case study, and one argument at a time is replaced by each value of a
+zoo of wrong and edge values. Each call must return, or raise a
+ValidationError or a ComputationError subclass: never a bare TypeError,
+ValueError, AttributeError or IndexError, and never a RuntimeWarning,
+which the pytest configuration turns into an error. ValidationError
+subclasses ValueError, so the class tree is what is checked.
+
+Sizes and counts are unbounded arguments, so the zoo holds only small
+ints: a huge count would start that much work.
+"""
+import numpy as np
+import pytest
+
+import hfgdm
+from hfgdm import (HFPR, ComputationError, DimensionMismatch, Overrides,
+                   Panel, ParameterOutOfRange, PipelineConfig, RankingReport,
+                   SurveyRow, ValidationError, VertexAttribute,
+                   aggregate_hfpr, blend_scores, bounds_survey, closeness,
+                   energies, energy, ideal_similarities, laplacian_energies,
+                   laplacian_energy, make_hfpr, mean_similarity_degree,
+                   pair_similarity, random_hfpr, rank, run,
+                   similarity_weights, uncertainty_scores)
+from hfgdm.spectral import fixture_survey_rows
+from shared import LABELS, M1_ROWS, M2_ROWS, M3_ROWS, PUBLISHED_PAIRS, build
+
+EXPERTS = tuple(build(rows) for rows in (M1_ROWS, M2_ROWS, M3_ROWS))
+PANEL = Panel.of(EXPERTS)
+AGG = aggregate_hfpr(EXPERTS, np.full((3, 3), 1 / 3))
+S_PLUS, S_MINUS, _, _ = rank(AGG)
+REPORT = run(EXPERTS)
+ROW = fixture_survey_rows(EXPERTS)[0]
+
+ZOO = {
+    "None": None,
+    "True": True,
+    "str": "x",
+    "0": 0,
+    "1": 1,
+    "-1": -1,
+    "3": 3,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "-0.0": -0.0,
+    "[]": [],
+    "ragged": [[0.1, 0.2], [0.3]],
+    "dict": {"a": 1},
+    "short tuple": (0.5,),
+    "wrong-shape array": np.zeros((2, 5)),
+    "object array": np.array([object(), 0.5], dtype=object),
+    "string array": np.array(["0.1", "0.2"]),
+    "other size": random_hfpr(5, np.random.default_rng(0)),
+    "lone HFPR": EXPERTS[0],
+    "Panel": PANEL,
+}
+
+# Each public callable, and a function giving the keyword arguments of a
+# valid call on the case study: fresh each time, for random_hfpr's rng.
+SURFACE = {
+    "HFPR": (HFPR, lambda: dict(values=EXPERTS[0].values, labels=LABELS,
+                                vertex_attrs=None)),
+    "Panel": (Panel, lambda: dict(relations=PANEL.relations,
+                                  channels=PANEL.channels)),
+    "Panel.of": (Panel.of, lambda: dict(relations=EXPERTS)),
+    "VertexAttribute": (VertexAttribute,
+                        lambda: dict(mu1=0.5, gamma1=0.3, beta1=0.2)),
+    "Overrides": (Overrides, lambda: dict(
+        c1=REPORT.c1, pair_similarity=PUBLISHED_PAIRS, ca=REPORT.ca,
+        c=REPORT.c[0], aggregated=AGG)),
+    "PipelineConfig": (PipelineConfig, lambda: dict(vars(PipelineConfig()))),
+    "RankingReport": (RankingReport, lambda: dict(vars(REPORT))),
+    "SurveyRow": (SurveyRow, ROW._asdict),
+    "make_hfpr": (make_hfpr, lambda: dict(entries=EXPERTS[0].values,
+                                          labels=LABELS, vertex_attrs=None)),
+    "random_hfpr": (random_hfpr, lambda: dict(
+        n=4, rng=np.random.default_rng(0), labels=LABELS)),
+    "energies": (energies, lambda: dict(relations=EXPERTS)),
+    "energy": (energy, lambda: dict(h=EXPERTS[0])),
+    "laplacian_energies": (laplacian_energies, lambda: dict(relations=EXPERTS)),
+    "laplacian_energy": (laplacian_energy, lambda: dict(h=EXPERTS[0])),
+    "bounds_survey": (bounds_survey,
+                      lambda: dict(seed=42, count=2, n_range=(3, 5))),
+    "pair_similarity": (pair_similarity,
+                        lambda: dict(a=EXPERTS[0], b=EXPERTS[1])),
+    "mean_similarity_degree": (mean_similarity_degree, lambda: dict(
+        experts=EXPERTS, b=0, pairwise=PUBLISHED_PAIRS)),
+    "ideal_similarities": (ideal_similarities,
+                           lambda: dict(agg=AGG, which="positive")),
+    "closeness": (closeness, lambda: dict(s_plus=S_PLUS, s_minus=S_MINUS,
+                                          mode="relative")),
+    "uncertainty_scores": (uncertainty_scores, lambda: dict(
+        experts=EXPERTS, mode="energy", normalization="auto")),
+    "similarity_weights": (similarity_weights, lambda: dict(
+        experts=EXPERTS, pairwise=PUBLISHED_PAIRS)),
+    "blend_scores": (blend_scores, lambda: dict(
+        c1=REPORT.c1, ca=REPORT.ca, eta=0.5, gamma_blend=0.5,
+        convention="auto")),
+    "aggregate_hfpr": (aggregate_hfpr,
+                       lambda: dict(experts=EXPERTS, c=REPORT.c[0])),
+    "rank": (rank, lambda: dict(agg=AGG, closeness_mode="relative")),
+    "run": (run, lambda: dict(experts=EXPERTS, config=PipelineConfig())),
+}
+
+CASES = [(name, argument, value) for name, (_, valid) in SURFACE.items()
+         for argument in valid() for value in ZOO]
+
+
+def test_the_table_walks_every_public_callable():
+    # Every function and constructor of the public surface, the error
+    # classes aside, has a valid call here; Panel.of is walked beside its
+    # class.
+    callables = {name for name in hfgdm.__all__
+                 if callable(getattr(hfgdm, name))
+                 and not (isinstance(getattr(hfgdm, name), type)
+                          and issubclass(getattr(hfgdm, name), Exception))}
+    assert len(callables) == 24
+    assert set(SURFACE) == callables | {"Panel.of"}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE))
+def test_each_walk_starts_from_a_valid_call(name):
+    fn, valid = SURFACE[name]
+    fn(**valid())
+
+
+@pytest.mark.parametrize("name, argument, value", CASES,
+                         ids=[f"{name}({argument}={value})"
+                              for name, argument, value in CASES])
+def test_a_wrong_argument_returns_or_raises_a_typed_error(name, argument,
+                                                          value):
+    fn, valid = SURFACE[name]
+    kwargs = valid()
+    kwargs[argument] = ZOO[value]
+    try:
+        fn(**kwargs)
+    except (ValidationError, ComputationError):
+        pass
+
+
+# Calls refused by the group, pair-map, rng and score-pair rules, by the
+# config rule and by the sequence rule's refusal of a str; several of them
+# used to succeed. Each is (what is called, the call, the error, its whole
+# message).
+REFUSALS = [
+    ("Panel.of int", lambda: Panel.of(5), ParameterOutOfRange,
+     "relations is of type int, not a sequence of HFPRs"),
+    ("run int", lambda: run(5), ParameterOutOfRange,
+     "relations is of type int, not a sequence of HFPRs"),
+    ("energies lone HFPR", lambda: energies(EXPERTS[0]), ParameterOutOfRange,
+     "relations is of type HFPR, not a sequence of HFPRs"),
+    ("mean_similarity_degree int", lambda: mean_similarity_degree(5, 0),
+     ParameterOutOfRange, "relations is of type int, not a sequence of HFPRs"),
+    ("similarity_weights lone HFPR", lambda: similarity_weights(EXPERTS[0]),
+     ParameterOutOfRange, "relations is of type HFPR, not a sequence of HFPRs"),
+    ("fixture_survey_rows int", lambda: fixture_survey_rows(5),
+     ParameterOutOfRange, "relations is of type int, not a sequence of HFPRs"),
+    ("similarity_weights pair list",
+     lambda: similarity_weights(EXPERTS, [(0, 1)]), ParameterOutOfRange,
+     "pair_similarity is of type list, not a mapping"),
+    ("similarity_weights empty list", lambda: similarity_weights(EXPERTS, []),
+     ParameterOutOfRange, "pair_similarity is of type list, not a mapping"),
+    ("run pair override int",
+     lambda: run(EXPERTS, PipelineConfig(
+         overrides=Overrides(pair_similarity=5))),
+     ParameterOutOfRange, "pair_similarity is of type int, not a mapping"),
+    ("random_hfpr rng None", lambda: random_hfpr(4, None), ParameterOutOfRange,
+     "rng is of type NoneType, not a numpy.random.Generator"),
+    ("random_hfpr RandomState",
+     lambda: random_hfpr(4, np.random.RandomState(0)), ParameterOutOfRange,
+     "rng is of type RandomState, not a numpy.random.Generator"),
+    ("closeness two lengths", lambda: closeness(np.ones(3), np.ones(4)),
+     DimensionMismatch, "s_plus has shape (3,) but s_minus has shape (4,)"),
+    ("closeness array and float", lambda: closeness(np.ones(3), 0.5),
+     DimensionMismatch, "s_plus has shape (3,) but s_minus has shape ()"),
+    ("closeness inf ratio", lambda: closeness(np.inf, np.inf, "ratio"),
+     ParameterOutOfRange, "ideal similarities must be finite"),
+    ("closeness float and inf", lambda: closeness(1.0, np.inf),
+     ParameterOutOfRange, "ideal similarities must be finite"),
+    ("closeness nan", lambda: closeness(np.nan, 0.4), ParameterOutOfRange,
+     "ideal similarities must be finite"),
+    ("make_hfpr str labels",
+     lambda: make_hfpr(EXPERTS[0].values, labels="abcd"), ParameterOutOfRange,
+     "labels = 'abcd' is not a sequence"),
+    ("run config int", lambda: run(EXPERTS, 5), ParameterOutOfRange,
+     "config is of type int, not a PipelineConfig"),
+    ("run config empty dict", lambda: run(EXPERTS, {}), ParameterOutOfRange,
+     "config is of type dict, not a PipelineConfig"),
+    ("PipelineConfig overrides int", lambda: PipelineConfig(overrides=5),
+     ParameterOutOfRange, "overrides is of type int, not an Overrides"),
+]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_a_refused_call_raises_its_typed_error_and_message(call, error,
+                                                           message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_no_pair_map_is_no_override():
+    # None and an empty mapping inject nothing; the weights are computed.
+    want = similarity_weights(EXPERTS)
+    for none in (None, {}):
+        assert np.array_equal(similarity_weights(EXPERTS, none), want)
