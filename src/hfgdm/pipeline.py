@@ -19,11 +19,14 @@ The stage functions blend_scores and rank return one grid value's row
 of the same stacks, as a tuple of the report's fields in their order.
 
 Run parameters are checked once, by PipelineConfig; blend_scores checks
-its own by building one, so the stack code behind both checks only the
-score invariants. A report records its run once, as config: the
-PipelineConfig the run used, with auto resolved and the overrides as
-Overrides.checked gave them, so run(experts, report.config) gives the
-same report again, bit for bit.
+its own by building one. Scores are checked once where they enter, by
+_scores: the shape, sign and finiteness of c1, ca and c, given or as
+overrides, and of aggregate_hfpr's weights. So the stack code behind
+both checks only that ca sums to 1, which needs run-time values. A
+report records its run once, as config: the PipelineConfig the run
+used, with auto resolved and the overrides as Overrides.checked gave
+them, so run(experts, report.config) gives the same report again, bit
+for bit.
 
 Every function that takes the experts' relations takes a Panel, or a
 sequence of relations that Panel.of checks and stacks. run builds that
@@ -50,8 +53,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import (HFPR, Panel, _choice, _freeze, _not_a, _one_size, _plain,
-                   _real, _real_array, make_hfpr)
+from .core import (HFPR, Panel, _choice, _freeze, _not_a, _one_size, _real,
+                   _real_array, _sequence, make_hfpr)
 from .errors import (OverrideShapeMismatch, ParameterOutOfRange,
                      TripleOutOfRange, ZeroDenominator, in_context)
 from .similarity import (CLOSENESS_MODES, _ideal_rows, _mean_degree,
@@ -67,12 +70,18 @@ CONVENTIONS = ("vector", "scalar", "auto")
 _SCORE_TOL = 1e-9
 
 
-def _score_matrix(x, l: int, name: str) -> np.ndarray:
+def _scores(name: str, x, shape: tuple) -> np.ndarray:
+    """x as a float array of scores, the one rule where c1, ca, c and
+    aggregation weights enter: exactly shape, every component finite and
+    none below -_SCORE_TOL."""
     a = _real_array(name, x)
-    if a.shape != (l, 3):
+    if a.shape != shape:
         raise OverrideShapeMismatch(
-            f"{name} must have shape ({l}, 3), got {a.shape}")
-    if a.min() < -_SCORE_TOL:
+            f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterOutOfRange(
+            f"{name} components must be nonnegative and finite")
+    if (a < -_SCORE_TOL).any():
         raise ParameterOutOfRange(f"{name} components must be nonnegative")
     return a
 
@@ -84,8 +93,8 @@ class Overrides:
     pair_similarity maps expert index pairs (each pair once, in either
     orientation) to the injected stage-iii values; c1, ca, c are score
     arrays; aggregated is a full replacement relation for stage vii.
-    checked owns their type, shape, sign and key rules; ca summing to 1 and
-    finite similarity degrees stay with stages v and iv.
+    checked owns their type, shape, sign, finiteness and key rules; ca
+    summing to 1 and finite similarity degrees stay with stages v and iv.
     """
 
     c1: object | None = None
@@ -104,19 +113,16 @@ class Overrides:
         float copies and pairs as _resolve_pairwise gives them."""
         c1, ca, c = self.c1, self.ca, self.c
         if c1 is not None:
-            c1 = _freeze(_score_matrix(c1, l, "c1 override").copy())
+            c1 = _freeze(_scores("c1 override", c1, (l, 3)).copy())
         pairs = _resolve_pairwise(self.pair_similarity, l)
         if ca is not None:
-            ca = _freeze(_real_array("ca override", ca).copy())
-            if ca.shape != (l,):
-                raise OverrideShapeMismatch(
-                    f"ca override must have shape ({l},), got {ca.shape}")
+            ca = _freeze(_scores("ca override", ca, (l,)).copy())
         if self.aggregated is not None \
                 and _one_size((self.aggregated,)) != n:
             raise OverrideShapeMismatch(
                 "aggregated override does not match the relation size")
         if c is not None:
-            c = _freeze(_score_matrix(c, l, "c override").copy())
+            c = _freeze(_scores("c override", c, (l, 3)).copy())
         return Overrides(c1, pairs, ca, c, self.aggregated)
 
 
@@ -149,13 +155,8 @@ class PipelineConfig:
         eta = _real("eta", self.eta)
         if not (0.0 <= eta <= 1.0):
             raise ParameterOutOfRange(f"eta = {eta!r} outside [0, 1]")
-        try:
-            grid = tuple(self.gamma_grid)
-        except TypeError:
-            raise ParameterOutOfRange(
-                f"gamma_grid = {_plain(self.gamma_grid)!r} is not a sequence "
-                "of numbers") from None
-        grid = tuple(_real("gamma_blend", g) for g in grid)
+        grid = tuple(_real("gamma_blend", g)
+                     for g in _sequence("gamma_grid", self.gamma_grid))
         if not grid:
             raise ParameterOutOfRange("gamma_grid must not be empty")
         for g in grid:
@@ -275,8 +276,9 @@ def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
     Returns (ca_effective, c2, c), the report's fields in their order, as
     read-only (l, 3) arrays: row 0 of _blend_grid on a grid of one. eta,
     gamma_blend and convention meet PipelineConfig's rules; c1 must be
-    (l, 3) and ca (l,). See the module docstring for the vector/scalar
-    conventions; vector requires exactly three experts.
+    (l, 3) and ca (l,), both meeting _scores' rule. See the module
+    docstring for the vector/scalar conventions; vector requires exactly
+    three experts.
     """
     config = PipelineConfig(eta=eta, gamma_grid=(gamma_blend,),
                             blend_convention=convention)
@@ -284,10 +286,8 @@ def blend_scores(c1, ca, eta: float = 0.5, gamma_blend: float = 0.5,
     if c1.ndim != 2 or c1.shape[1] != 3:
         raise OverrideShapeMismatch(
             f"c1 must have shape (l, 3), got {c1.shape}")
-    ca = _real_array("ca", ca)
-    if ca.shape != (len(c1),):
-        raise OverrideShapeMismatch(
-            f"ca must have shape ({len(c1)},), got {ca.shape}")
+    c1 = _scores("c1", c1, c1.shape)
+    ca = _scores("ca", ca, (len(c1),))
     _, _, ca_eff, c2, c, _ = _blend_grid(c1, ca, config)
     return ca_eff, c2, c[0]
 
@@ -296,10 +296,11 @@ def _blend_grid(c1: np.ndarray, ca: np.ndarray,
                 config: PipelineConfig) -> tuple:
     """Stages v-vi for every gamma_blend value of a checked config at
     once, for (l, 3) scores c1 and (l,) weights ca: c2 once, c as one
-    (g, l, 3) stack, each score invariant (nonnegative, finite, ca summing
-    to 1) checked once over the stack. Returns the read-only arrays c1,
-    ca, ca_effective, c2 and c, then the convention that auto resolved
-    to."""
+    (g, l, 3) stack. c1 and ca are finite and nonnegative, having passed
+    _scores or been computed so, and a convex blend of them stays so,
+    within rounding; only ca summing to 1 is checked here. Returns the
+    read-only arrays c1, ca, ca_effective, c2 and c, then the convention
+    that auto resolved to."""
     c1, ca = np.array(c1), np.array(ca)  # copies: the caller's stay writable
     l = len(c1)
     convention = config.blend_convention
@@ -316,13 +317,6 @@ def _blend_grid(c1: np.ndarray, ca: np.ndarray,
     gammas = np.array(config.gamma_grid)[:, None, None]
     c2 = config.eta * c1 + (1.0 - config.eta) * ca_eff
     c = gammas * c1 + (1.0 - gammas) * c2
-
-    # Each check is written so that NaN and infinities fail it.
-    for name, a in (("c1", c1), ("ca_effective", ca_eff), ("c2", c2),
-                    ("c", c)):
-        if not -_SCORE_TOL <= a.min() <= a.max() < np.inf:
-            raise ParameterOutOfRange(
-                f"{name} components must be nonnegative and finite")
     if not abs(ca.sum() - 1.0) <= _SCORE_TOL:
         raise ParameterOutOfRange(f"ca must sum to 1, got {float(ca.sum())!r}")
 
@@ -333,11 +327,12 @@ def aggregate_hfpr(experts, c) -> HFPR:
     """Stage vii: channelwise weighted sum of the expert relations.
 
     Entry (i, j) gets mu = sum_b c[b, 0] * mu_ij of expert b, and likewise
-    for gamma and beta with columns 1 and 2. The result is validated as an
-    HFPR; it always passes when every weight column sums to at most 1.
+    for gamma and beta with columns 1 and 2; c is (l, 3) and meets
+    _scores' rule. The result is validated as an HFPR; it always passes
+    when every weight column sums to at most 1.
     """
     experts = Panel.of(experts)
-    weights = _score_matrix(c, len(experts), "c")
+    weights = _scores("c", c, (len(experts), 3))
     vals = np.einsum("bc,bcij->ijc", weights, experts.channels)
     return make_hfpr(vals, labels=experts[0].labels)
 

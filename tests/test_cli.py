@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-import tomllib
 import warnings
 from pathlib import Path
 
@@ -1140,6 +1139,7 @@ OVERRIDE_MISFITS = [
     ("c1", [[-0.3, 0.3, 0.4]] * 3,
      "c1 override components must be nonnegative"),
     ("ca", [0.5, 0.5], "ca override must have shape (3,), got (2,)"),
+    ("ca", [1.2, -0.1, -0.1], "ca override components must be nonnegative"),
     ("c", [[0.3, 0.3, 0.4]] * 4,
      "c override must have shape (3, 3), got (4, 3)"),
     ("c", [[0.3, -0.3, 0.4]] * 3, "c override components must be nonnegative"),
@@ -1150,8 +1150,8 @@ OVERRIDE_MISFITS = [
 
 @pytest.mark.parametrize(
     "key, value, message", OVERRIDE_MISFITS,
-    ids=["c1-shape", "c1-negative", "ca-shape", "c-shape", "c-negative",
-         "aggregated-size"])
+    ids=["c1-shape", "c1-negative", "ca-shape", "ca-negative", "c-shape",
+         "c-negative", "aggregated-size"])
 def test_every_command_refuses_the_overrides_run_refuses(tmp_path, key, value,
                                                          message):
     doc = write_doc(tmp_path, edited(("config", "overrides", key), value))
@@ -1383,7 +1383,9 @@ def test_an_unexpected_exception_exits_1_as_an_internal_error(monkeypatch):
 def test_bundled_documents_ship_where_parse_input_opens_them():
     # Each bundled name lies in the source tree's data directory, matches
     # the package-data glob that puts it in a built package, and is the
-    # file parse_input opens for it.
+    # file parse_input opens for it. tomllib is in the standard library
+    # from Python 3.11.
+    tomllib = pytest.importorskip("tomllib")
     with open(REPO / "pyproject.toml", "rb") as fh:
         globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["hfgdm"]
     assert cli.BUNDLED

@@ -140,10 +140,51 @@ def test_a_wrong_argument_returns_or_raises_a_typed_error(name, argument,
         pass
 
 
-# Calls refused by the group, pair-map, rng and score-pair rules, by the
-# config rule and by the sequence rule's refusal of a str; several of them
-# used to succeed. Each is (what is called, the call, the error, its whole
-# message).
+def _one_bad(valid, bad):
+    """A copy of the score array valid with its first component bad."""
+    a = np.array(valid, dtype=float)
+    a.flat[0] = bad
+    return a
+
+
+# Values nested inside a config: the zoo, and right-shaped score arrays
+# that each hold one negative, NaN or infinite component.
+NESTED = dict(ZOO, **{
+    f"{kind} in {name}": _one_bad(valid, bad)
+    for kind, bad in (("negative", -0.5), ("nan", np.nan), ("inf", np.inf))
+    for name, valid in (("(3, 3)", REPORT.c1), ("(3,)", REPORT.ca))})
+OVERRIDE_FIELDS = tuple(vars(Overrides()))
+CONFIG_FIELDS = tuple(f for f in vars(PipelineConfig()) if f != "overrides")
+NESTED_CASES = (
+    [("run", f"overrides.{f}", v) for f in OVERRIDE_FIELDS for v in NESTED]
+    + [("checked", f, v) for f in OVERRIDE_FIELDS for v in NESTED]
+    + [("run", f, v) for f in CONFIG_FIELDS for v in NESTED])
+
+
+@pytest.mark.parametrize("how, argument, value", NESTED_CASES,
+                         ids=[f"{how}({argument}={value})"
+                              for how, argument, value in NESTED_CASES])
+def test_a_wrong_nested_value_returns_or_raises_a_typed_error(how, argument,
+                                                              value):
+    # Each Overrides field through run and through Overrides.checked, and
+    # each other PipelineConfig field through run.
+    field_name = argument.removeprefix("overrides.")
+    try:
+        if how == "checked":
+            Overrides(**{field_name: NESTED[value]}).checked(3, 4)
+        elif argument.startswith("overrides."):
+            run(EXPERTS, PipelineConfig(
+                overrides=Overrides(**{field_name: NESTED[value]})))
+        else:
+            run(EXPERTS, PipelineConfig(**{field_name: NESTED[value]}))
+    except (ValidationError, ComputationError):
+        pass
+
+
+# Calls refused by the group, pair-map, rng, score-pair and score rules, by
+# the config rule and by the sequence rule's refusal of a str; several of
+# them used to succeed or to warn. Each is (what is called, the call, the
+# error, its whole message).
 REFUSALS = [
     ("Panel.of int", lambda: Panel.of(5), ParameterOutOfRange,
      "relations is of type int, not a sequence of HFPRs"),
@@ -190,6 +231,28 @@ REFUSALS = [
      "config is of type dict, not a PipelineConfig"),
     ("PipelineConfig overrides int", lambda: PipelineConfig(overrides=5),
      ParameterOutOfRange, "overrides is of type int, not an Overrides"),
+    ("run nan c override",
+     lambda: run(EXPERTS, PipelineConfig(
+         overrides=Overrides(c=_one_bad(REPORT.c[0], np.nan)))),
+     ParameterOutOfRange, "c override components must be nonnegative and "
+     "finite"),
+    ("run inf c1 override",
+     lambda: run(EXPERTS, PipelineConfig(
+         overrides=Overrides(c1=_one_bad(REPORT.c1, np.inf)))),
+     ParameterOutOfRange, "c1 override components must be nonnegative and "
+     "finite"),
+    ("checked inf ca override",
+     lambda: Overrides(ca=[np.inf, 0, 0]).checked(3, 4), ParameterOutOfRange,
+     "ca override components must be nonnegative and finite"),
+    ("aggregate_hfpr inf weight",
+     lambda: aggregate_hfpr(EXPERTS, [[np.inf, 0.3, 0.3]] * 3),
+     ParameterOutOfRange, "c components must be nonnegative and finite"),
+    ("blend_scores negative ca",
+     lambda: blend_scores(REPORT.c1, [1.2, -0.1, -0.1]), ParameterOutOfRange,
+     "ca components must be nonnegative"),
+    ("PipelineConfig str gamma_grid",
+     lambda: PipelineConfig(gamma_grid="0.5"), ParameterOutOfRange,
+     "gamma_grid = '0.5' is not a sequence"),
 ]
 
 

@@ -3,8 +3,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hfgdm.cli as cli
 import hfgdm.pipeline as pipeline
@@ -744,6 +745,20 @@ def closed_scores(rng, l):
     return np.repeat((w / w.sum())[:, None], 3, axis=1)
 
 
+TOL = pipeline._SCORE_TOL
+
+
+@st.composite
+def accepted_scores(draw):
+    """c1 and ca that _scores accepts, for 1 to 6 experts, ca summing to
+    1: components from -_SCORE_TOL up, c1's up to 1e308."""
+    l = draw(st.integers(1, 6))
+    c1 = draw(hnp.arrays(float, (l, 3), elements=st.floats(-TOL, 1e308)))
+    rest = draw(hnp.arrays(float, (l - 1,),
+                           elements=st.floats(-TOL, 1.0 / l)))
+    return c1, np.append(rest, 1.0 - rest.sum())
+
+
 class TestStackedGrid:
     @pytest.mark.parametrize("mode", ["relative", "ratio"])
     @pytest.mark.parametrize("laplacian", [False, True])
@@ -909,14 +924,34 @@ class TestStackedGrid:
         with pytest.raises(ParameterOutOfRange,
                            match="c1 components must be nonnegative"):
             blend_scores([[-0.1, 0.5, 0.6]] * 3, PUBLISHED_CA)
-        with pytest.raises(ParameterOutOfRange, match="ca_effective "
-                           "components must be nonnegative"):
+        with pytest.raises(ParameterOutOfRange,
+                           match="ca components must be nonnegative"):
             blend_scores(PUBLISHED_C1, [1.2, -0.1, -0.1])
         with pytest.raises(ParameterOutOfRange,
                            match="c1 components must be nonnegative"):
             blend_scores([[np.nan, 0.5, 0.5]] * 3, PUBLISHED_CA)
         with pytest.raises(ParameterOutOfRange, match=r"gamma_blend = 1\.5"):
             blend_scores(PUBLISHED_C1, PUBLISHED_CA, gamma_blend=1.5)
+
+    @given(scores=accepted_scores(), eta=st.floats(0.0, 1.0),
+           grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    @example(scores=(np.full((2, 3), -TOL), np.array([-TOL, 1.0 + TOL])),
+             eta=0.2, grid=[0.1])
+    @settings(max_examples=200, deadline=None)
+    def test_blends_of_accepted_scores_stay_finite_and_nonnegative(
+            self, scores, eta, grid):
+        # Why _blend_grid checks no score but ca's sum: every c1 and ca
+        # that _scores accepts, ca summing to 1, blends into a finite c2
+        # and c with no component below -_SCORE_TOL, up to the rounding of
+        # two blends. The example's c2 and c come out just below it.
+        c1, ca = (pipeline._scores(name, a, a.shape)
+                  for name, a in zip(("c1", "ca"), scores))
+        _, _, _, c2, c, _ = pipeline._blend_grid(
+            c1, ca, PipelineConfig(eta=eta, gamma_grid=grid))
+        floor = -TOL * (1.0 + 8 * np.finfo(float).eps)
+        for name, a in (("c2", c2), ("c", c)):
+            assert np.isfinite(a).all(), name
+            assert a.min() >= floor, name
 
 
 class TestOverridesChecked:
@@ -1007,16 +1042,16 @@ class TestPipelineConfigTypes:
         ({"eta": np.str_("0.5")}, "eta = '0.5' is not a number"),
         ({"eta": True}, "eta = True is not a number"),
         ({"eta": None}, "eta = None is not a number"),
-        ({"gamma_grid": 0.5}, "gamma_grid = 0.5 is not a sequence of numbers"),
-        ({"gamma_grid": None},
-         "gamma_grid = None is not a sequence of numbers"),
+        ({"gamma_grid": 0.5}, "gamma_grid = 0.5 is not a sequence"),
+        ({"gamma_grid": None}, "gamma_grid = None is not a sequence"),
+        ({"gamma_grid": "0.5"}, "gamma_grid = '0.5' is not a sequence"),
         ({"gamma_grid": ("0.5",)}, "gamma_blend = '0.5' is not a number"),
         ({"gamma_grid": (0.0, False)}, "gamma_blend = False is not a number"),
         ({"gamma_grid": [np.bool_(True)]},
          "gamma_blend = True is not a number"),
     ], ids=["eta-str", "eta-numpy-str", "eta-bool", "eta-none",
-            "grid-float", "grid-none", "grid-str-value", "grid-bool-value",
-            "grid-numpy-bool-value"])
+            "grid-float", "grid-none", "grid-str", "grid-str-value",
+            "grid-bool-value", "grid-numpy-bool-value"])
     def test_refused_naming_the_field(self, kwargs, message):
         with pytest.raises(ParameterOutOfRange) as err:
             PipelineConfig(**kwargs)
