@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Panel, VertexAttribute, _real_array, make_hfpr, random_hfpr
+from .core import Panel, _real_array, _vertex_attrs, make_hfpr, random_hfpr
 from .errors import (ComputationError, ParameterOutOfRange, SchemaViolation,
                      ValidationError, in_context)
 from .pipeline import (
@@ -353,15 +353,7 @@ def _document(raw) -> InputDocument:
 
     vertex_attrs = raw.get("vertex_attrs")
     if vertex_attrs is not None:
-        if not isinstance(vertex_attrs, list) or len(vertex_attrs) != n:
-            raise SchemaViolation(
-                "vertex_attrs", f"vertex_attrs must list {n} entries")
-        vertex_attrs = tuple(_convert(
-            x, lambda x: _within(f"vertex_attrs[{k}]", VertexAttribute,
-                                 *_reals(x, 1).tolist()),
-            "vertex_attrs",
-            "vertex_attrs entries must be [mu1, gamma1] or [mu1, gamma1, beta1]")
-            for k, x in enumerate(vertex_attrs))
+        vertex_attrs = _vertex_attrs(vertex_attrs, n)
 
     experts_raw = raw["experts"]
     if not isinstance(experts_raw, list) or not experts_raw:

@@ -30,8 +30,11 @@ the one stacking, shared with the bounds survey, whose size groups may
 mix labels because no bound reads them.
 
 Every entry point checks its arguments by the rules here, one per kind:
-_choice, _integer, _real, _real_array, _sequence and _group, each naming
-the argument, and _not_a's message for any other wrong type of object.
+_choice, _integer, _real, _real_array, _sequence, _group and
+_vertex_attrs, each naming the argument, and _not_a's message for any
+other wrong type of object. An int that no float holds is refused as a
+number. A refused value is shown by _shown, which never fails, so an int
+past Python's digit limit for str is refused with a typed error too.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .errors import (
     ParameterOutOfRange,
     TripleOutOfRange,
     ValidationError,
+    in_context,
 )
 
 TOL = 1e-9
@@ -60,8 +64,20 @@ CHANNELS = ("membership", "nonmembership", "hesitancy")
 
 
 def _plain(x):
-    """x as a Python number if it is a numpy scalar, for a message."""
+    """x as a Python number if it is a numpy scalar."""
     return x.item() if isinstance(x, np.generic) else x
+
+
+def _shown(x) -> str:
+    """x for a message: its repr, a numpy scalar's as a Python number's.
+    It never fails, so a refusal is raised as itself: an int past Python's
+    digit limit for str shows its size, any other failing repr its type."""
+    x = _plain(x)
+    try:
+        return repr(x)
+    except Exception:
+        return (f"<int of {x.bit_length()} bits>" if isinstance(x, int)
+                else f"<{type(x).__name__}>")
 
 
 def _is_real(kind: type) -> bool:
@@ -72,7 +88,8 @@ def _is_real(kind: type) -> bool:
 def _choice(name: str, value, choices: tuple[str, ...]) -> str:
     """value, if it is one of choices."""
     if not isinstance(value, str) or value not in choices:
-        raise ParameterOutOfRange(f"{name} {value!r} not one of {choices}")
+        raise ParameterOutOfRange(
+            f"{name} {_shown(value)} not one of {choices}")
     return value
 
 
@@ -80,16 +97,21 @@ def _integer(name: str, value, least: int) -> int:
     """value as a Python int, if it is an integer of at least `least`."""
     value = _plain(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ParameterOutOfRange(
-            f"{name} = {value!r} must be an integer of at least {least}")
+        raise ParameterOutOfRange(f"{name} = {_shown(value)} must be an "
+                                  f"integer of at least {least}")
     return value
 
 
 def _real(name: str, value) -> float:
-    """value as a float, a zero's sign dropped, if it is a real number."""
-    if _is_real(type(value)):
+    """value as a float, a zero's sign dropped, if it is a real number
+    that a float can hold."""
+    if not _is_real(type(value)):
+        raise ParameterOutOfRange(f"{name} = {_shown(value)} is not a number")
+    try:
         return float(value) + 0.0
-    raise ParameterOutOfRange(f"{name} = {_plain(value)!r} is not a number")
+    except OverflowError:
+        raise ParameterOutOfRange(
+            f"{name} is too large for a float") from None
 
 
 def _sequence(name: str, x) -> tuple:
@@ -99,7 +121,7 @@ def _sequence(name: str, x) -> tuple:
             return tuple(x)
     except TypeError:
         pass
-    raise ParameterOutOfRange(f"{name} = {_plain(x)!r} is not a sequence")
+    raise ParameterOutOfRange(f"{name} = {_shown(x)} is not a sequence")
 
 
 def _not_a(name: str, x, kind: str) -> ParameterOutOfRange:
@@ -140,21 +162,30 @@ class VertexAttribute:
             object.__setattr__(self, "beta1", derived)
         elif not abs(_real("beta1", self.beta1) - derived) <= TOL:  # NaN fails
             raise ParameterOutOfRange(
-                f"beta1 = {_plain(self.beta1)!r} but 1 - mu1 - gamma1 = "
+                f"beta1 = {_shown(self.beta1)} but 1 - mu1 - gamma1 = "
                 f"{derived!r}")
 
 
-def _vertex_attribute(k: int, v) -> VertexAttribute:
-    """Entry k of make_hfpr's vertex_attrs: a VertexAttribute as is, else
-    one built from its grades (mu1, gamma1) or (mu1, gamma1, beta1)."""
-    if isinstance(v, VertexAttribute):
-        return v
-    try:
-        return VertexAttribute(*v)
-    except TypeError:
-        raise ParameterOutOfRange(
-            f"vertex_attrs[{k}] = {_plain(v)!r} is not (mu1, gamma1) or "
-            "(mu1, gamma1, beta1)") from None
+def _vertex_attrs(vertex_attrs, n: int) -> tuple[VertexAttribute, ...]:
+    """vertex_attrs as one VertexAttribute per alternative of an n x n
+    relation, for make_hfpr and a document alike: each entry k as is, or
+    built from grades (mu1, gamma1) or (mu1, gamma1, beta1), its fault
+    named vertex_attrs[k]. Entries are checked before their number."""
+    attrs = []
+    for k, v in enumerate(_sequence("vertex_attrs", vertex_attrs)):
+        try:
+            attrs.append(v if isinstance(v, VertexAttribute)
+                         else VertexAttribute(*v))
+        except TypeError:
+            raise ParameterOutOfRange(
+                f"vertex_attrs[{k}] = {_shown(v)} is not (mu1, gamma1) or "
+                "(mu1, gamma1, beta1)") from None
+        except ValidationError as e:
+            raise in_context(e, f"vertex_attrs[{k}]") from None
+    if len(attrs) != n:
+        raise DimensionMismatch(
+            f"{len(attrs)} vertex attributes for an n = {n} relation")
+    return tuple(attrs)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -308,22 +339,20 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     if labels is None:
         labels = tuple(f"t{i + 1}" for i in range(n))
     else:
-        labels = tuple(map(str, _sequence("labels", labels)))
+        labels = _sequence("labels", labels)
+        try:
+            labels = tuple(map(str, labels))
+        except ValueError:  # an int past Python's digit limit for str
+            raise ParameterOutOfRange(
+                "labels hold an int too large to show") from None
         if len(labels) != n:
             raise DimensionMismatch(
                 f"{len(labels)} labels for an n = {n} relation")
 
-    attrs = None
-    if vertex_attrs is not None:
-        attrs = tuple(_vertex_attribute(k, v) for k, v in
-                      enumerate(_sequence("vertex_attrs", vertex_attrs)))
-        if len(attrs) != n:
-            raise DimensionMismatch(
-                f"{len(attrs)} vertex attributes for an n = {n} relation")
-
     mu, gamma, beta = a.transpose(2, 0, 1)
-    vertex_bounds = None
-    if attrs is not None:
+    attrs = vertex_bounds = None
+    if vertex_attrs is not None:
+        attrs = _vertex_attrs(vertex_attrs, n)
         mu1, gamma1, beta1 = np.array(
             [(v.mu1, v.gamma1, v.beta1) for v in attrs], dtype=float).T
         vertex_bounds = (np.minimum.outer(mu1, mu1) + TOL,

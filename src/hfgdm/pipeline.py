@@ -10,9 +10,9 @@ report holds it that way, once, as read-only arrays with the grid on
 their first axis: c2 is blended once, c for every grid value in one
 (g, l, 3) expression, the aggregates stacked as (g, n, n, 3), and their
 ideal similarities, closeness and rankings as (g, n) arrays. Stage vii
-runs once per row of c_used, in grid order, so a closure failure names
-the first failing value, and run's message says so: "stage vii
-(aggregation) at gamma_blend = g: " before aggregate_hfpr's own. An
+runs once per row of c_used, in grid order, so each refusal, a closure
+failure or a weight below zero, names the first failing value: "stage
+vii (aggregation) at gamma_blend = g: " before aggregate_hfpr's message. An
 override of c or of the aggregate is one row for the whole grid, so the
 stages after it run once and each one-row stack is broadcast over it.
 The stage functions blend_scores and rank return one grid value's row
@@ -56,7 +56,7 @@ import numpy as np
 from .core import (HFPR, Panel, _choice, _freeze, _not_a, _one_size, _real,
                    _real_array, _sequence, make_hfpr)
 from .errors import (OverrideShapeMismatch, ParameterOutOfRange,
-                     TripleOutOfRange, ZeroDenominator, in_context)
+                     ValidationError, ZeroDenominator, in_context)
 from .similarity import (CLOSENESS_MODES, _ideal_rows, _mean_degree,
                          _pair_panel, _resolve_pairwise, closeness)
 # energy and laplacian_energy stay importable from this module; a run
@@ -338,12 +338,12 @@ def aggregate_hfpr(experts, c) -> HFPR:
 
 
 def _aggregate_at(experts: Panel, c, gamma_blend: float) -> HFPR:
-    """aggregate_hfpr within run: a weighted triple outside the valid
-    range names the stage and the gamma_blend value before its own
-    message, as the same TripleOutOfRange with the same (i, j)."""
+    """aggregate_hfpr within run: each refusal names the stage and the
+    gamma_blend value before its own message, as the same error with the
+    same attributes, (i, j) among them."""
     try:
         return aggregate_hfpr(experts, c)
-    except TripleOutOfRange as e:
+    except ValidationError as e:
         gamma = np.format_float_positional(gamma_blend, trim="-")
         raise in_context(
             e, f"stage vii (aggregation) at gamma_blend = {gamma}") from None

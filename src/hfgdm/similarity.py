@@ -22,7 +22,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .core import (HFPR, Panel, _choice, _freeze, _group, _not_a, _one_size,
-                   _plain, _real, _real_array)
+                   _plain, _real, _real_array, _shown)
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -74,7 +74,7 @@ def _resolve_pairwise(pairwise, l: int, where: str | None = None,
                 and type(key[0]) is type(key[1]) is int
                 and 0 <= min(key) < max(key) < l):
             raise OverrideShapeMismatch(
-                f"pair_similarity key {_plain(key)!r} is not a valid "
+                f"pair_similarity key {_shown(key)} is not a valid "
                 "expert pair")
         i, j = key
         name = (f"{where}.{ids[i]}:{ids[j]}" if where
@@ -130,7 +130,7 @@ def mean_similarity_degree(experts, b: int, pairwise=None) -> float:
     experts = _pair_panel(experts)
     l = len(experts)
     if type(_plain(b)) is not int or not 0 <= b < l:
-        raise IndexOutOfRange(f"expert index {b} outside 0..{l - 1}")
+        raise IndexOutOfRange(f"expert index {_shown(b)} outside 0..{l - 1}")
     return _mean_degree(experts, b, _resolve_pairwise(pairwise, l))
 
 

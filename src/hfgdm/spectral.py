@@ -40,7 +40,7 @@ import numpy as np
 
 from ._kernels import eigenvalues
 from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _group,
-                   _integer, _sizes, _upper_weights, random_hfpr)
+                   _integer, _shown, _sizes, _upper_weights, random_hfpr)
 from .errors import IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
@@ -224,7 +224,7 @@ def bounds_survey(seed: int = 42, count: int = 1000,
         lo, hi = n_range
     except (TypeError, ValueError):
         raise ParameterOutOfRange(
-            f"n_range = {n_range!r} is not a pair (lo, hi)") from None
+            f"n_range = {_shown(n_range)} is not a pair (lo, hi)") from None
     lo = _integer("n_range lo", lo, 1)
     hi = _integer("n_range hi", hi, lo)
     rows: list[SurveyRow] = []

@@ -173,9 +173,10 @@ class TestParseInput:
             parse_input(str(path))
 
     def test_vertex_attrs_length_checked(self, tmp_path):
+        # The one entry's beta1 fault is reported before the length.
         doc = json.loads(SMARTPHONE_TEXT)
         doc["vertex_attrs"] = [[0.5, 0.3, 0.1]]
-        with pytest.raises(SchemaViolation, match="vertex_attrs"):
+        with pytest.raises(ParameterOutOfRange, match="vertex_attrs"):
             parse_input(write_doc(tmp_path, doc))
 
 
@@ -1242,9 +1243,9 @@ def test_a_relation_error_names_its_expert(tmp_path, rule):
      "vertex_attrs[1]: mu1 = 1.5 outside [0, 1]"),
     ([0.5, 0.2, 0.9], ParameterOutOfRange,
      "vertex_attrs[1]: beta1 = 0.9 but 1 - mu1 - gamma1 = 0.3"),
-    # A wrong length is a schema fault of the whole list, named as before.
-    ([0.5], SchemaViolation,
-     "vertex_attrs entries must be [mu1, gamma1] or [mu1, gamma1, beta1]"),
+    # A wrong number of grades is core's arity fault, named by its entry.
+    ([0.5], ParameterOutOfRange,
+     "vertex_attrs[1] = [0.5] is not (mu1, gamma1) or (mu1, gamma1, beta1)"),
 ])
 def test_a_vertex_attrs_error_names_its_entry(tmp_path, entry, kind, message):
     path = write_doc(tmp_path, edited(

@@ -9,8 +9,12 @@ which the pytest configuration turns into an error. ValidationError
 subclasses ValueError, so the class tree is what is checked.
 
 Sizes and counts are unbounded arguments, so the zoo holds only small
-ints: a huge count would start that much work.
+ints: a huge count would start that much work. The walk of nested
+places adds ints that no float holds, or that Python will not print,
+only where a value is not a size or a count.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,10 +185,126 @@ def test_a_wrong_nested_value_returns_or_raises_a_typed_error(how, argument,
         pass
 
 
-# Calls refused by the group, pair-map, rng, score-pair and score rules, by
-# the config rule and by the sequence rule's refusal of a str; several of
-# them used to succeed or to warn. Each is (what is called, the call, the
-# error, its whole message).
+def _with(valid, value, *places):
+    """valid as nested lists, with the element at each place (an index
+    tuple) replaced by value."""
+    rows = np.asarray(valid).tolist()
+    for place in places:
+        inner = rows
+        for k in place[:-1]:
+            inner = inner[k]
+        inner[place[-1]] = value
+    return rows
+
+
+def _hashable(value) -> bool:
+    try:
+        hash((0, value))
+    except TypeError:
+        return False
+    return True
+
+
+# Values placed inside an otherwise valid list argument: the zoo, and ints
+# that no float holds or whose str Python refuses.
+INNER = dict(ZOO, **{"10**400": 10 ** 400, "-10**400": -10 ** 400,
+                     "10**5000": 10 ** 5000})
+C = REPORT.c[0]
+# Each place: a call taking the value to put there, and the value that
+# makes the call valid.
+PLACES = {
+    "gamma_grid entry": (lambda v: PipelineConfig(gamma_grid=(0.0, v)), 0.5),
+    "VertexAttribute grade": (lambda v: VertexAttribute(0.5, v), 0.3),
+    "vertex_attrs grade": (lambda v: make_hfpr(
+        np.zeros((4, 4, 3)), vertex_attrs=[(0.5, 0.3)] * 3 + [(v, 0.3)]),
+        0.5),
+    "relation entry, both twins": (lambda v: make_hfpr(
+        _with(EXPERTS[0].values, v, (0, 1, 0), (1, 0, 0))),
+        EXPERTS[0].values[0, 1, 0]),
+    "label": (lambda v: make_hfpr(EXPERTS[0].values, labels=LABELS[:3] + (v,)),
+              "t4"),
+    "blend_scores c1 row": (lambda v: blend_scores(
+        _with(REPORT.c1, v, (1, 0)), REPORT.ca), REPORT.c1[1, 0]),
+    "run c1 override row": (lambda v: run(EXPERTS, PipelineConfig(
+        overrides=Overrides(c1=_with(REPORT.c1, v, (1, 0))))),
+        REPORT.c1[1, 0]),
+    "run c override row": (lambda v: run(EXPERTS, PipelineConfig(
+        overrides=Overrides(c=_with(C, v, (1, 0))))), C[1, 0]),
+    "aggregation weights row": (lambda v: aggregate_hfpr(
+        EXPERTS, _with(C, v, (1, 0))), C[1, 0]),
+    "similarity_weights pair value": (lambda v: similarity_weights(
+        EXPERTS, {(0, 1): v}), 0.9),
+    "run pair value": (lambda v: run(EXPERTS, PipelineConfig(
+        overrides=Overrides(pair_similarity={(0, 1): v}))), 0.9),
+    "similarity_weights pair key": (lambda v: similarity_weights(
+        EXPERTS, {(0, v): 0.9}), 1),
+    "closeness element": (lambda v: closeness([0.5, v], [0.5, 0.5]), 0.5),
+}
+# A pair key must be hashable to be written at all.
+PLACE_CASES = [(place, value) for place in PLACES for value in INNER
+               if "key" not in place or _hashable(INNER[value])]
+
+
+@pytest.mark.parametrize("place", sorted(PLACES))
+def test_each_place_starts_from_a_valid_value(place):
+    # So a refusal in the walk below is the placed value's.
+    call, valid = PLACES[place]
+    call(valid)
+
+
+@pytest.mark.parametrize("place, value", PLACE_CASES,
+                         ids=[f"{place}={value}"
+                              for place, value in PLACE_CASES])
+def test_a_wrong_value_in_a_list_returns_or_raises_a_typed_error(place,
+                                                                 value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            PLACES[place][0](INNER[value])
+        except (ValidationError, ComputationError):
+            pass
+
+
+# Whole arguments that are an int no float holds, or whose str Python
+# refuses, beside those the walk above places and REFUSALS pins; each
+# raised a bare OverflowError or ValueError.
+HUGE_INT_CALLS = {
+    "blend_scores eta": lambda: blend_scores(
+        REPORT.c1, REPORT.ca, eta=10 ** 400),
+    "PipelineConfig mode": lambda: PipelineConfig(mode=10 ** 5000),
+    "PipelineConfig gamma_grid": lambda: PipelineConfig(
+        gamma_grid=10 ** 5000),
+    "make_hfpr one-grade vertex_attrs": lambda: make_hfpr(
+        np.zeros((2, 2, 3)), vertex_attrs=[(10 ** 5000,)] * 2),
+    "make_hfpr labels": lambda: make_hfpr(np.zeros((2, 2, 3)),
+                                          labels=10 ** 5000),
+    "closeness mode": lambda: closeness(0.5, 0.5, mode=10 ** 5000),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_INT_CALLS)
+def test_a_huge_int_raises_a_typed_error(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            HUGE_INT_CALLS[name]()
+
+
+def _two_experts_blending_below_zero():
+    # Scores each within -1e-9 of the valid set blend to c components one
+    # ulp further below zero, which aggregate_hfpr refuses.
+    h = make_hfpr([[[0, 0, 0], [0.3, 0.2, 0.1]], [[0.3, 0.2, 0.1], [0, 0, 0]]])
+    return run([h, h], PipelineConfig(
+        eta=0.2, gamma_grid=(0.1,), overrides=Overrides(
+            c1=np.full((2, 3), -1e-9), ca=[-1e-9, 1 + 1e-9])))
+
+
+# Calls refused by the group, pair-map, rng, score-pair, score and vertex
+# rules, by the config rule, by the sequence rule's refusal of a str and
+# by the number and message rules' refusal of huge ints, and stage vii's
+# named refusal; several of them used to succeed, to warn or to raise a
+# bare error. Each is (what is called, the call, the error, its whole
+# message).
 REFUSALS = [
     ("Panel.of int", lambda: Panel.of(5), ParameterOutOfRange,
      "relations is of type int, not a sequence of HFPRs"),
@@ -253,6 +373,21 @@ REFUSALS = [
     ("PipelineConfig str gamma_grid",
      lambda: PipelineConfig(gamma_grid="0.5"), ParameterOutOfRange,
      "gamma_grid = '0.5' is not a sequence"),
+    ("run c blended below zero", _two_experts_blending_below_zero,
+     ParameterOutOfRange, "stage vii (aggregation) at gamma_blend = 0.1: "
+     "c components must be nonnegative"),
+    ("make_hfpr vertex grade",
+     lambda: make_hfpr(np.zeros((2, 2, 3)),
+                       vertex_attrs=[(1.5, 0), (0.5, 0.2)]),
+     ParameterOutOfRange, "vertex_attrs[0]: mu1 = 1.5 outside [0, 1]"),
+    ("PipelineConfig eta past a float", lambda: PipelineConfig(eta=10 ** 400),
+     ParameterOutOfRange, "eta is too large for a float"),
+    ("bounds_survey count past str",
+     lambda: bounds_survey(count=-10 ** 5000), ParameterOutOfRange,
+     "count = <int of 16610 bits> must be an integer of at least 0"),
+    ("make_hfpr label past str",
+     lambda: make_hfpr(np.zeros((2, 2, 3)), labels=["a", 10 ** 5000]),
+     ParameterOutOfRange, "labels hold an int too large to show"),
 ]
 
 
