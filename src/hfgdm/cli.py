@@ -2,17 +2,19 @@
 
 Input is a single strict-schema JSON document per scenario (see
 parse_input), local or bundled, read by one path and checked once on
-parse by every command. Its overrides pass Overrides.checked, and both
-its pair maps, override and published, the pair rule (_resolve_pairwise)
-naming a key as written, so energy and verify-bounds --fixtures refuse
-every override that run refuses; ca summing to 1 and finite similarity
-degrees are stage rules that only run reaches. Machine output
-serializes every float with 17 significant digits so documents
-round-trip exactly. A report is laid out in one walk as a %-template
-with a slot per float (a float array or tuple gives the same bytes as
-its nested lists; every number of a run is an array, laid out through
-one cached template per shape); each distinct float is formatted once
-and the template filled in one step.
+parse by every command: each value by the core rule for its kind, named
+by its document path, so only a fault in the document's own shape is a
+SchemaViolation. Its overrides pass Overrides.checked, and both its pair
+maps, override and published, the pair rule (_resolve_pairwise) naming a
+key as written, so energy and verify-bounds --fixtures refuse every
+override that run refuses; ca summing to 1 and finite similarity degrees
+are stage rules that only run reaches. Machine output serializes every
+float with 17 significant digits so documents round-trip exactly. A
+report is laid out in one walk as a %-template with a slot per float (a
+float array or tuple gives the same bytes as its nested lists; every
+number of a run is an array, laid out through one cached template per
+shape); each distinct float is formatted once and the template filled in
+one step.
 Tables render 4 decimal places and mirror the published case-study table
 column order (gamma, score vectors, similarities to the ideals,
 closeness, ranking) for eyeball diffing. All output is written once,
@@ -26,6 +28,7 @@ in verify-bounds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -36,7 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Panel, _real_array, _vertex_attrs, make_hfpr, random_hfpr
+from .core import (Panel, _real, _real_array, _sequence, _vertex_attrs,
+                   make_hfpr, random_hfpr)
 from .errors import (ComputationError, ParameterOutOfRange, SchemaViolation,
                      ValidationError, in_context)
 from .pipeline import (
@@ -186,18 +190,6 @@ def _finite(token: str, parse=float):
     return parse(token)
 
 
-def _convert(value, convert, where: str, message: str):
-    """convert(value), reporting a TypeError or ValueError from it as a
-    SchemaViolation at field `where`. A ValidationError is a ValueError
-    too; it already names its problem and passes through unchanged."""
-    try:
-        return convert(value)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError):
-        raise SchemaViolation(where, message) from None
-
-
 def _within(where: str, build, *args, **kwargs):
     """build(*args, **kwargs), its ValidationError naming the field where."""
     try:
@@ -206,45 +198,19 @@ def _within(where: str, build, *args, **kwargs):
         raise in_context(e, where) from None
 
 
-def _reals(x, ndim: int | None = None) -> np.ndarray:
-    """A finite float array of JSON numbers; any shape unless ndim is given.
-
-    Numbers are read by the library's one rule, core._real_array, so a
-    string, a boolean, ragged nesting or an int too large for a float is
-    refused; its error is raised as the ValueError that _convert names.
-    """
-    try:
-        a = _real_array("value", x)
-    except ParameterOutOfRange:
-        raise ValueError("not a numeric array") from None
-    if not np.isfinite(a).all() or ndim not in (None, a.ndim):
-        raise ValueError("not a finite numeric array of that rank")
-    return a
+def _is_labels(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
-def _labels(x) -> tuple[str, ...]:
-    if not (x and isinstance(x, list) and all(isinstance(s, str) for s in x)):
-        raise TypeError("not a nonempty list of strings")
-    return tuple(x)
-
-
-# Readers map a document key to (converter, what the value must be). A
-# converter of None hands the value on as given: PipelineConfig checks it
-# against its choices.
-_NUMBER = (lambda x: float(_reals(x, 0)), "a number")
-_VECTOR = (lambda x: _reals(x, 1), "a list of numbers")
-_ARRAY = (_reals, "a numeric array")
-
-
-def _pair_map(mapping, ids: tuple[str, ...], where: str) -> dict:
+def _pair_map(where: str, mapping, ids: tuple[str, ...]) -> dict:
     """An {"id:id": number} object as {(i, j): float} over expert indices,
-    in the orientation each key is written; the values must meet the pair
-    override rule (_resolve_pairwise), which names a key as written.
+    in the orientation each key is written, its values as the pair
+    override rule (_resolve_pairwise) reads them, naming a key as written.
 
     A key is read at the one ':' that leaves two distinct expert ids, so
     an id may itself hold ':'; a key with no such reading, or with more
     than one, is refused."""
-    out = {}
+    written = {}
     for key, value in _require_mapping(mapping, where).items():
         readings = [(key[:k], key[k + 1:]) for k, ch in enumerate(key)
                     if ch == ":"]
@@ -255,29 +221,34 @@ def _pair_map(mapping, ids: tuple[str, ...], where: str) -> dict:
                 "splits into two expert ids in more than one way" if readings
                 else "must be two distinct expert ids joined by ':'"))
         (a, b), = readings
-        out[ids.index(a), ids.index(b)] = _convert(
-            value, _NUMBER[0], f"{where}.{key}", f"{where}.{key} must be a number")
-    _resolve_pairwise(out, len(ids), where, ids)
-    return out
+        written[ids.index(a), ids.index(b)] = value
+    resolved = _resolve_pairwise(written, len(ids), where, ids)
+    return {(i, j): resolved[min(i, j), max(i, j)] for i, j in written}
 
 
+def _grid(where: str, x) -> tuple[float, ...]:
+    """A gamma grid as its floats, entry k named where[k]."""
+    return tuple(_real(f"{where}[{k}]", g)
+                 for k, g in enumerate(_sequence(where, x)))
+
+
+# Readers map a document key to the rule that reads its value, called
+# with the value's document path as its name. A reader of None hands the
+# value on as given: PipelineConfig checks it against its choices.
 _CONFIG_READERS = dict.fromkeys(
-    ("mode", "score_normalization", "closeness", "blend_convention"),
-    (None, None)) | {"eta": _NUMBER, "gamma_grid": _VECTOR}
+    ("mode", "score_normalization", "closeness", "blend_convention")) | {
+    "eta": _real, "gamma_grid": _grid}
 # Document key -> PipelineConfig field, where the two differ. Defaults
 # live in PipelineConfig alone.
 _CONFIG_FIELD = {"closeness": "closeness_mode"}
 
 
 def _read(obj, where: str, readers: dict) -> dict:
-    """Check obj's keys against readers and convert each value present."""
+    """Check obj's keys against readers and read each value present."""
     _check_keys(_require_mapping(obj, where), readers, where)
-    out = {}
-    for key, value in obj.items():
-        convert, what = readers[key]
-        out[key] = value if convert is None else _convert(
-            value, convert, f"{where}.{key}", f"{where}.{key} must be {what}")
-    return out
+    return {key: value if readers[key] is None
+            else readers[key](f"{where}.{key}", value)
+            for key, value in obj.items()}
 
 
 def parse_input(path: str) -> InputDocument:
@@ -285,10 +256,15 @@ def parse_input(path: str) -> InputDocument:
 
     A missing path that names a bundled document (BUNDLED) is opened in
     the package's data directory, so documented example invocations work
-    from any directory. Every field is converted here, overrides and
-    published values too; a value of the wrong type is a SchemaViolation
-    naming its field. NaN, Infinity, numbers that overflow a float and a
-    key given twice are refused, so no unchecked value enters a run.
+    from any directory. Every field is read here, overrides and
+    published values too. A value of the wrong type is refused by the
+    core rule for its kind, under its document path: "config.eta = '0.5'
+    is not a number" is a ParameterOutOfRange. Only a fault in the
+    document's shape (an unknown or missing field, a field that must be
+    an object and is not, an expert id, the alternatives or a published
+    value) is a SchemaViolation naming the field. NaN, Infinity, numbers
+    that overflow a float and a key given twice are refused, so no
+    unchecked value enters a run.
 
     The text is decoded by json's C scanner and converted once; a
     non-finite number decodes as inf, nan or a huge int and fails the
@@ -336,20 +312,27 @@ def _strict_loads(text: str):
 
 
 def _document(raw) -> InputDocument:
-    """Convert and validate a decoded scenario document."""
+    """Read and validate a decoded scenario document."""
     raw = _require_mapping(raw, "document")
     _check_keys(raw, _TOP_KEYS, "document")
     for required in ("alternatives", "experts"):
         if required not in raw:
             raise SchemaViolation(required, f"missing field {required!r}")
 
-    alternatives = _convert(raw["alternatives"], _labels, "alternatives",
-                            "alternatives must be a nonempty list of labels")
+    alternatives = raw["alternatives"]
+    if not (alternatives and _is_labels(alternatives)):
+        raise SchemaViolation(
+            "alternatives", "alternatives must be a nonempty list of labels")
+    alternatives = tuple(alternatives)
     repeated = [a for k, a in enumerate(alternatives) if a in alternatives[:k]]
     if repeated:
         raise SchemaViolation("alternatives", f"alternative label "
                               f"{repeated[0]!r} appears more than once")
     n = len(alternatives)
+
+    def relation(where, value, vertex_attrs=None):
+        return _within(where, make_hfpr, _real_array(where, value),
+                       labels=alternatives, vertex_attrs=vertex_attrs)
 
     vertex_attrs = raw.get("vertex_attrs")
     if vertex_attrs is not None:
@@ -369,58 +352,42 @@ def _document(raw) -> InputDocument:
         if "hfpr" not in item:
             raise SchemaViolation(f"experts[{k}].hfpr", "missing hfpr matrix")
         ids.append(item["id"])
-        where = f"experts[{k}].hfpr"
-        matrix = _convert(item["hfpr"], _reals, where,
-                          f"{where} must be an n x n x 3 numeric array")
-        relations.append(_within(where, make_hfpr, matrix, labels=alternatives,
-                                 vertex_attrs=vertex_attrs))
+        relations.append(relation(f"experts[{k}].hfpr", item["hfpr"],
+                                  vertex_attrs))
     if len(set(ids)) != len(ids):
         raise SchemaViolation("experts", "expert ids must be unique")
     ids = tuple(ids)
 
-    def pairs(where):
-        return (lambda mapping: _pair_map(mapping, ids, where),
-                "an object of pair similarities")
-
-    override_readers = {
-        "c1": _ARRAY,
-        "pair_similarity": pairs("config.overrides.pair_similarity"),
-        "ca": _ARRAY,
-        "c": _ARRAY,
-        "aggregated": (
-            lambda v: _within("config.overrides.aggregated", make_hfpr,
-                              _reals(v), labels=alternatives),
-            "an n x n x 3 numeric array"),
-    }
-    config_readers = dict(_CONFIG_READERS, overrides=(
-        lambda v: Overrides(**_read(v, "config.overrides", override_readers)),
-        None))
-    config = _read(raw.get("config", {}), "config", config_readers)
+    pairs = functools.partial(_pair_map, ids=ids)
+    override_readers = {"c1": _real_array, "pair_similarity": pairs,
+                        "ca": _real_array, "c": _real_array,
+                        "aggregated": relation}
+    config = _read(raw.get("config", {}), "config", dict(
+        _CONFIG_READERS, overrides=lambda where, v: Overrides(
+            **_read(v, where, override_readers))))
     config = PipelineConfig(
         **{_CONFIG_FIELD.get(k, k): v for k, v in config.items()})
     config = replace(config, overrides=config.overrides.checked(len(ids), n))
 
-    def per_expert(x):
-        v = _reals(x, 1)
-        if len(v) != len(ids):
-            raise ValueError("not one value per expert")
-        return v
+    def per_expert(where, x):
+        with contextlib.suppress(ParameterOutOfRange):
+            v = _real_array(where, x)
+            if v.shape == (len(ids),) and np.isfinite(v).all():
+                return v
+        raise SchemaViolation(where, f"{where} must be a list of {len(ids)} "
+                                     "numbers, one per expert")
 
-    def ranking(x):
-        x = _labels(x)
-        if sorted(x) != sorted(alternatives):
-            raise ValueError("not each alternative once")
-        return x
+    def ranking(where, x):
+        if _is_labels(x) and sorted(x) == sorted(alternatives):
+            return tuple(x)
+        raise SchemaViolation(
+            where, f"{where} must be a list of every alternative exactly once")
 
-    one_each = (per_expert, f"a list of {len(ids)} numbers, one per expert")
     published = raw.get("published")
     if published is not None:
         published = _read(published, "published", {
-            "pair_similarity": pairs("published.pair_similarity"),
-            "similarity_degrees": one_each,
-            "ca": one_each,
-            "ranking": (ranking, "a list of every alternative exactly once"),
-        })
+            "pair_similarity": pairs, "similarity_degrees": per_expert,
+            "ca": per_expert, "ranking": ranking})
 
     return InputDocument(
         expert_ids=ids,
@@ -626,9 +593,11 @@ def _merged_config(doc: InputDocument, args) -> PipelineConfig:
                for flag, field in _FLAG_FIELD.items()
                if getattr(args, flag) is not None}
     if "gamma_grid" in changes:
-        changes["gamma_grid"] = _convert(
-            args.gamma, lambda text: tuple(float(x) for x in text.split(",")),
-            "--gamma", f"cannot parse gamma grid {args.gamma!r}")
+        try:
+            changes["gamma_grid"] = tuple(map(float, args.gamma.split(",")))
+        except ValueError:
+            raise SchemaViolation("--gamma", f"cannot parse gamma grid "
+                                             f"{args.gamma!r}") from None
     if args.override_similarity:
         if args.override_similarity != "paper":
             raise SchemaViolation(

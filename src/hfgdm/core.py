@@ -18,23 +18,25 @@ every relation equals its own transpose bit for bit; likewise a value
 within the range or sum tolerance is stored clipped or scaled into the
 exact valid set, so convex mixes of relations stay valid.
 
-A Panel is the group of relations that every later stage works on: the
-l experts' relations, nonempty, of one size and with one set of labels,
-with their values stacked once. _group reads a group, refusing one that
-is not iterable, such as a lone HFPR; _one_size checks it, for Panel.of,
-pair_similarity, rank and the aggregated override. Every function that
-takes a group accepts a Panel as is, or relations that Panel.of turns
-into one. _sizes, which the bounds survey reads its sizes by too,
-refuses anything that is not an HFPR, naming its position. _channels is
-the one stacking, shared with the bounds survey, whose size groups may
-mix labels because no bound reads them.
+A Panel is the group of relations that every later stage works on: the l
+experts' relations, nonempty, of one size and with one set of labels,
+with their values stacked once. _group reads a group, refusing what
+_sequence refuses, such as a lone HFPR or a set; _one_size checks it,
+for Panel.of, pair_similarity, rank and the aggregated override. Every
+function that takes a group accepts a Panel as is, or relations that
+Panel.of turns into one. _sizes, which the bounds survey reads its sizes
+by too, refuses anything that is not an HFPR, naming its position.
+_channels is the one stacking, shared with the bounds survey, whose size
+groups may mix labels because no bound reads them.
 
 Every entry point checks its arguments by the rules here, one per kind:
 _choice, _integer, _real, _real_array, _sequence, _group and
 _vertex_attrs, each naming the argument, and _not_a's message for any
-other wrong type of object. An int that no float holds is refused as a
-number. A refused value is shown by _shown, which never fails, so an int
-past Python's digit limit for str is refused with a typed error too.
+other wrong type of object; the CLI reads a document's values by them
+too, named by their document paths. An int that no float holds is
+refused as a number. A refused value is shown by _shown, which never
+fails, so an int past Python's digit limit for str is refused with a
+typed error too.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,9 +118,11 @@ def _real(name: str, value) -> float:
 
 
 def _sequence(name: str, x) -> tuple:
-    """x as a tuple, if it is iterable and not a str, which is one value."""
+    """x as a tuple, if it holds values in the order they were given: a
+    str or bytes is one value, a mapping's values would be dropped and a
+    set has no order a caller gave."""
     try:
-        if not isinstance(x, str):
+        if not isinstance(x, (str, bytes, Mapping, set, frozenset)):
             return tuple(x)
     except TypeError:
         pass
@@ -169,13 +174,14 @@ class VertexAttribute:
 def _vertex_attrs(vertex_attrs, n: int) -> tuple[VertexAttribute, ...]:
     """vertex_attrs as one VertexAttribute per alternative of an n x n
     relation, for make_hfpr and a document alike: each entry k as is, or
-    built from grades (mu1, gamma1) or (mu1, gamma1, beta1), its fault
-    named vertex_attrs[k]. Entries are checked before their number."""
+    built from its grades, a sequence (mu1, gamma1) or (mu1, gamma1,
+    beta1), its fault named vertex_attrs[k]. Entries are checked before
+    their number."""
     attrs = []
     for k, v in enumerate(_sequence("vertex_attrs", vertex_attrs)):
         try:
             attrs.append(v if isinstance(v, VertexAttribute)
-                         else VertexAttribute(*v))
+                         else VertexAttribute(*_sequence("grades", v)))
         except TypeError:
             raise ParameterOutOfRange(
                 f"vertex_attrs[{k}] = {_shown(v)} is not (mu1, gamma1) or "
@@ -239,10 +245,11 @@ class HFPR:
 
 
 def _group(relations) -> tuple:
-    """relations as a tuple, if it is iterable: a lone HFPR is not."""
+    """relations as a tuple, if _sequence reads them as one: a lone HFPR
+    is not, and neither is a set, whose order would make a run's."""
     try:
-        return tuple(relations)
-    except TypeError:
+        return _sequence("relations", relations)
+    except ParameterOutOfRange:
         raise _not_a("relations", relations, "a sequence of HFPRs") from None
 
 

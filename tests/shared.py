@@ -1,6 +1,7 @@
 """The bundled case study's expert relations and published values,
 written out for the tests, and small helpers. Test modules import them
 from here; conftest builds its fixtures from them."""
+import json
 from pathlib import Path
 
 import numpy as np
@@ -67,3 +68,15 @@ def with_membership(c):
     a = np.zeros(np.shape(c) + (3,))
     a[..., 0] = c
     return a
+
+
+def edited(path, value):
+    """The bundled document, decoded, with the field at path (a key tuple)
+    set. An int in path indexes a list."""
+    doc = json.loads(SMARTPHONE_DOC.read_text(encoding="utf-8"))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key] if isinstance(key, int) else \
+            parent.setdefault(key, {})
+    parent[path[-1]] = value
+    return doc

@@ -30,7 +30,7 @@ from hfgdm.errors import (AsymmetricEntry, DiagonalNotZero,
                           TripleOutOfRange, ValidationError)
 from hfgdm.spectral import SurveyRow
 
-from shared import BUNDLED_DIR, REPO, SMARTPHONE_DOC
+from shared import BUNDLED_DIR, REPO, SMARTPHONE_DOC, edited
 
 RUN_JSON_ARGS = ["run", "smartphone.json", "--format", "json"]
 # Directory that holds the imported ``hfgdm`` package, for child processes.
@@ -723,19 +723,6 @@ def main_output(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def edited(path, value):
-    """The bundled document with the field at path (a key tuple) set.
-
-    An int in path indexes a list."""
-    doc = copy.deepcopy(SMARTPHONE)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key] if isinstance(key, int) else \
-            parent.setdefault(key, {})
-    parent[path[-1]] = value
-    return doc
-
-
 def field_name(path):
     """A key tuple as the document field name an error message uses."""
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
@@ -745,31 +732,54 @@ def field_name(path):
 E1_HFPR = SMARTPHONE["experts"][0]["hfpr"]
 
 
-# One wrong-typed field each. Every one of these used to escape as an
-# uncaught TypeError, ValueError or AttributeError: "internal error", exit 1.
+# One wrong-typed field each, with the error every command that parses
+# the document gives: the core rule for the value's kind, named by its
+# document path, or a SchemaViolation for a fault in the document's own
+# shape. Every one of these once escaped as an uncaught TypeError,
+# ValueError or AttributeError: "internal error", exit 1.
+NOT_A_NUMBER = ParameterOutOfRange, "{} = {!r} is not a number"
+NOT_A_SEQUENCE = ParameterOutOfRange, "{} = {!r} is not a sequence"
+NOT_AN_ARRAY = ParameterOutOfRange, "{} is not an array of real numbers"
+NOT_ONE_PER_EXPERT = (SchemaViolation,
+                      "{} must be a list of 3 numbers, one per expert")
 WRONG_TYPED = [
-    (("config", "eta"), "abc"),
-    (("config", "eta"), [1]),
-    (("config", "eta"), None),
-    (("config", "gamma_grid"), "ab"),
-    (("config", "gamma_grid"), 5),
-    (("config", "overrides", "c1"), "x"),
-    (("config", "overrides", "ca"), [[1], [1, 2]]),
-    (("config", "overrides", "aggregated"), [[1], [1, 2]]),
-    (("config", "overrides", "pair_similarity"), {"e1:e2": "x"}),
-    (("published", "ca"), ["x", 0.3, 0.4]),
-    (("published", "pair_similarity"), [1, 2]),
-    (("published", "ranking"), 5),
-    (("vertex_attrs",), [1, 2, 3, 4]),
+    (("config", "eta"), "abc", NOT_A_NUMBER),
+    (("config", "eta"), [1], NOT_A_NUMBER),
+    (("config", "eta"), None, NOT_A_NUMBER),
+    (("config", "gamma_grid"), "ab", NOT_A_SEQUENCE),
+    (("config", "gamma_grid"), 5, NOT_A_SEQUENCE),
+    (("config", "gamma_grid"), {"0.5": 1}, NOT_A_SEQUENCE),
+    (("config", "gamma_grid"), [0.0, "x"], (
+        ParameterOutOfRange, "{}[1] = 'x' is not a number")),
+    (("config", "overrides", "c1"), "x", NOT_AN_ARRAY),
+    (("config", "overrides", "ca"), [[1], [1, 2]], NOT_AN_ARRAY),
+    (("config", "overrides", "c"), [[True, 0, 0]] * 3, NOT_AN_ARRAY),
+    (("config", "overrides", "aggregated"), [[1], [1, 2]], NOT_AN_ARRAY),
+    (("config", "overrides", "pair_similarity"), {"e1:e2": "x"}, (
+        ParameterOutOfRange, "{}.e1:e2 = 'x' is not a number")),
+    (("published", "ca"), ["x", 0.3, 0.4], NOT_ONE_PER_EXPERT),
+    (("published", "pair_similarity"), [1, 2], (
+        SchemaViolation, "field '{}' must be an object")),
+    (("published", "ranking"), 5, (
+        SchemaViolation, "{} must be a list of every alternative exactly "
+        "once")),
+    (("vertex_attrs",), [1, 2, 3, 4], (
+        ParameterOutOfRange, "{}[0]: grades = 1 is not a sequence")),
+    (("vertex_attrs",), ["ab", "cd", "ef", "gh"], (
+        ParameterOutOfRange, "{}[0]: grades = 'ab' is not a sequence")),
     # numpy reads these as numbers; the schema does not.
-    (("config", "eta"), "0.5"),
-    (("config", "eta"), True),
-    (("config", "overrides", "pair_similarity"), {"e1:e2": "0.9"}),
-    (("published", "ca"), [True, 0.3, 0.4]),
+    (("config", "eta"), "0.5", NOT_A_NUMBER),
+    (("config", "eta"), True, NOT_A_NUMBER),
+    (("config", "overrides", "pair_similarity"), {"e1:e2": "0.9"}, (
+        ParameterOutOfRange, "{}.e1:e2 = '0.9' is not a number")),
+    (("published", "pair_similarity"), {"e1:e2": "0.9"}, (
+        ParameterOutOfRange, "{}.e1:e2 = '0.9' is not a number")),
+    (("published", "ca"), [True, 0.3, 0.4], NOT_ONE_PER_EXPERT),
     (("experts", 0, "hfpr"), [[[str(x) for x in t] for t in row]
-                              for row in E1_HFPR]),
+                              for row in E1_HFPR], NOT_AN_ARRAY),
     (("experts", 0, "hfpr"), [[[False if x == 0 else x for x in t]
-                               for t in row] for row in E1_HFPR]),
+                               for t in row] for row in E1_HFPR],
+     NOT_AN_ARRAY),
 ]
 
 
@@ -781,15 +791,17 @@ def case_id(path, value):
 
 
 @pytest.mark.parametrize(
-    "path, value", WRONG_TYPED,
-    ids=[case_id(p, v) for p, v in WRONG_TYPED])
-def test_wrong_typed_field_exits_2_naming_it(tmp_path, path, value):
+    "path, value, error", WRONG_TYPED,
+    ids=[case_id(p, v) for p, v, _ in WRONG_TYPED])
+def test_wrong_typed_field_exits_2_naming_it(tmp_path, path, value, error):
+    kind, message = error[0], error[1].format(field_name(path), value)
     doc = write_doc(tmp_path, edited(path, value))
-    rc, out, err = main_output(["run", doc])
-    assert rc == 2
-    assert out == ""
-    assert field_name(path) in err
-    assert "internal error" not in err
+    with pytest.raises(ValidationError) as info:
+        parse_input(doc)
+    assert (type(info.value), str(info.value)) == (kind, message)
+    for argv in (["run", doc], ["energy", doc],
+                 ["verify-bounds", "--fixtures", doc]):
+        assert main_output(argv) == (2, "", f"error: {message}\n"), argv
 
 
 # A non-finite number must be refused wherever it stands, whether the
@@ -953,7 +965,7 @@ def test_parse_input_equals_the_strict_decode_converted(fuzz_path, text):
 
 
 @pytest.mark.parametrize("eta, error", [
-    (0.5, None), ("0.5", "config.eta must be a number")])
+    (0.5, None), ("0.5", "config.eta = '0.5' is not a number")])
 def test_parse_input_converts_a_document_once(tmp_path, monkeypatch, eta,
                                               error):
     calls = []
@@ -968,8 +980,10 @@ def test_parse_input_converts_a_document_once(tmp_path, monkeypatch, eta,
     if error is None:
         assert parse_input(path).config.eta == eta
     else:
-        with pytest.raises(SchemaViolation, match=re.escape(error)):
+        with pytest.raises(ParameterOutOfRange) as info:
             parse_input(path)
+        assert (type(info.value), str(info.value)) == (ParameterOutOfRange,
+                                                       error)
     assert len(calls) == 1
 
 

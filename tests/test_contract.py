@@ -300,11 +300,11 @@ def _two_experts_blending_below_zero():
 
 
 # Calls refused by the group, pair-map, rng, score-pair, score and vertex
-# rules, by the config rule, by the sequence rule's refusal of a str and
-# by the number and message rules' refusal of huge ints, and stage vii's
-# named refusal; several of them used to succeed, to warn or to raise a
-# bare error. Each is (what is called, the call, the error, its whole
-# message).
+# rules, by the config rule, by the sequence rule's refusal of a str,
+# bytes, a mapping or a set (in a group, too), by the number and message
+# rules' refusal of huge ints, and stage vii's named refusal; several of
+# them used to succeed, to warn or to raise a bare error. Each is (what is
+# called, the call, the error, its whole message).
 REFUSALS = [
     ("Panel.of int", lambda: Panel.of(5), ParameterOutOfRange,
      "relations is of type int, not a sequence of HFPRs"),
@@ -388,6 +388,24 @@ REFUSALS = [
     ("make_hfpr label past str",
      lambda: make_hfpr(np.zeros((2, 2, 3)), labels=["a", 10 ** 5000]),
      ParameterOutOfRange, "labels hold an int too large to show"),
+    # tuple() would read a mapping's keys, a set in an order no caller
+    # gave, bytes as ints.
+    ("make_hfpr str grades",
+     lambda: make_hfpr(np.zeros((2, 2, 3)), vertex_attrs=["ab", "cd"]),
+     ParameterOutOfRange, "vertex_attrs[0]: grades = 'ab' is not a sequence"),
+    ("make_hfpr mapping labels",
+     lambda: make_hfpr(np.zeros((2, 2, 3)), labels={"x": 1, "y": 2}),
+     ParameterOutOfRange, "labels = {'x': 1, 'y': 2} is not a sequence"),
+    ("make_hfpr bytes labels",
+     lambda: make_hfpr(np.zeros((2, 2, 3)), labels=b"xy"),
+     ParameterOutOfRange, "labels = b'xy' is not a sequence"),
+    ("PipelineConfig mapping gamma_grid",
+     lambda: PipelineConfig(gamma_grid={0.5: 1}), ParameterOutOfRange,
+     "gamma_grid = {0.5: 1} is not a sequence"),
+    ("Panel.of set", lambda: Panel.of(set(EXPERTS)), ParameterOutOfRange,
+     "relations is of type set, not a sequence of HFPRs"),
+    ("run frozenset", lambda: run(frozenset(EXPERTS)), ParameterOutOfRange,
+     "relations is of type frozenset, not a sequence of HFPRs"),
 ]
 
 

@@ -1,9 +1,10 @@
-"""The README's Library code block and Command line block run as written.
+"""The README's Library code block and Command line block run as written,
+and the errors its Scenario documents section quotes are printed as quoted.
 
-They name the public functions, result forms and commands a reader
-starts from, so a renamed or deleted export, a result whose form
-changed, or a stale documented command fails here rather than only in
-the docs.
+They name the public functions, result forms, commands and errors a
+reader starts from, so a renamed or deleted export, a result whose form
+changed, a stale documented command or a stale quoted error fails here
+rather than only in the docs.
 """
 import contextlib
 import io
@@ -17,7 +18,7 @@ import numpy as np
 
 from hfgdm.cli import main, parse_input
 
-from shared import SMARTPHONE_DOC
+from shared import SMARTPHONE_DOC, edited
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,3 +68,67 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
         assert rc == 0, (argv, err.getvalue())
         if "--out" in argv:
             assert (tmp_path / argv[argv.index("--out") + 1]).is_file(), argv
+
+
+def four_experts_with_colon_ids():
+    doc = edited(("config", "overrides", "pair_similarity"), {"a:b:c": 1.0})
+    doc["experts"].append(dict(doc["experts"][0]))
+    for expert, ident in zip(doc["experts"], ("a", "a:b", "b:c", "c")):
+        expert["id"] = ident
+    return doc
+
+
+SMARTPHONE_TEXT = SMARTPHONE_DOC.read_text(encoding="utf-8")
+# Each error example the Scenario documents section quotes, with the
+# document, edited from the bundled one, whose run prints it.
+ERROR_EXAMPLES = {
+    "error: key 'eta' is given twice": SMARTPHONE_TEXT.replace(
+        '"eta": 0.5', '"eta": 0.5, "eta": 0.5', 1),
+    "error: config.eta = '0.5' is not a number":
+        edited(("config", "eta"), "0.5"),
+    "error: experts[0].hfpr is not an array of real numbers":
+        edited(("experts", 0, "hfpr"), "x"),
+    "error: vertex_attrs[1]: mu1 = 1.5 outside [0, 1]":
+        edited(("vertex_attrs",), [[0.5, 0.3], [1.5, 0.2]] * 2),
+    "error: vertex_attrs[0]: grades = 'ab' is not a sequence":
+        edited(("vertex_attrs",), ["ab", "cd", "ef", "gh"]),
+    "error: experts[1].hfpr: mu + gamma + beta = 1.3 at entry (0, 1) "
+    "exceeds 1": edited(("experts", 1, "hfpr", 0, 1), [0.6, 0.4, 0.3]),
+    "error: published.ca must be a list of 3 numbers, one per expert":
+        edited(("published", "ca"), [0.3, 0.4]),
+    "error: config.overrides.pair_similarity.e1:e2 is -1.0; it must be "
+    "positive": edited(("config", "overrides", "pair_similarity"),
+                       {"e1:e2": -1.0}),
+    "error: config.overrides.pair_similarity gives e1:e2 and e2:e1; the "
+    "measure is symmetric, so give it once":
+        edited(("config", "overrides", "pair_similarity"),
+               {"e1:e2": 1.0, "e2:e1": 1.0}),
+    "error: pair key 'a:b:c' splits into two expert ids in more than one "
+    "way": four_experts_with_colon_ids(),
+    "error: published.pair_similarity.e1:e2 is -1.0; it must be positive":
+        edited(("published", "pair_similarity"), {"e1:e2": -1.0}),
+    "error: ca must sum to 1, got 2.7":
+        edited(("config", "overrides", "ca"), [0.9, 0.9, 0.9]),
+    "error: number 1e999 is not a finite float": SMARTPHONE_TEXT.replace(
+        '"eta": 0.5', '"eta": 1e999', 1),
+}
+
+
+def test_scenario_document_errors_are_quoted_verbatim(tmp_path):
+    # Every backticked error the section quotes, its line breaks read as
+    # spaces, is what `hfgdm run` prints for its listed document, and no
+    # listed document has lost its quote.
+    section = README.read_text().split("\n### Scenario documents\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    quoted = {" ".join(m.split())
+              for m in re.findall(r"`(error: [^`]*)`", section)}
+    assert quoted == set(ERROR_EXAMPLES)
+    for message, doc in ERROR_EXAMPLES.items():
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc),
+                        encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["run", str(path)])
+        assert (rc, out.getvalue(), err.getvalue()) == (
+            2, "", message + "\n"), message
