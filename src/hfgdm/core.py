@@ -10,8 +10,8 @@ relation encodes one expert's pairwise preferences over the alternatives.
 All types are immutable after construction and safe to share between
 workers. make_hfpr is the only way to build an HFPR, and it validates a
 relation once, symmetry included: a valid array is accepted after a few
-whole-array reductions, and only an invalid one is scanned rule by rule
-for the first offending entry in row-major order. Later stages trust the
+whole-array reductions, and only an invalid one is scanned entry by
+entry in row-major order for the first rule broken. Later stages trust the
 HFPR type and do not check it again. A twin within the symmetry
 tolerance is stored as the exact mirror of its upper-triangle entry, so
 every relation equals its own transpose bit for bit; likewise a value
@@ -30,7 +30,7 @@ _channels is the one stacking, shared with the bounds survey, whose size
 groups may mix labels because no bound reads them.
 
 Every entry point checks its arguments by the rules here, one per kind:
-_choice, _integer, _real, _real_array, _sequence, _group and
+_choice, _integer, _size, _real, _real_array, _sequence, _group and
 _vertex_attrs, each naming the argument, and _not_a's message for any
 other wrong type of object; the CLI reads a document's values by them
 too, named by their document paths. An int that no float holds is
@@ -103,6 +103,16 @@ def _integer(name: str, value, least: int) -> int:
         raise ParameterOutOfRange(f"{name} = {_shown(value)} must be an "
                                   f"integer of at least {least}")
     return value
+
+
+def _size(name: str, value, least: int) -> int:
+    """value as a Python int n of at least `least`, if numpy can hold an
+    (n, n, 3) float array."""
+    n = _integer(name, value, least)
+    if n * n * 24 > np.iinfo(np.intp).max:
+        raise ParameterOutOfRange(
+            f"{name} = {_shown(n)} is too large for an (n, n, 3) array")
+    return n
 
 
 def _real(name: str, value) -> float:
@@ -199,10 +209,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _upper_indices(n: int) -> np.ndarray:
     """Flat row-major indices of the strict upper triangle of an n x n
-    matrix, read-only and built once per n."""
+    matrix, read-only; those of the 16 sizes used last are kept."""
     iu, ju = np.triu_indices(n, 1)
     return _freeze(iu * n + ju)
 
@@ -322,9 +332,9 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     """Validate and build an HFPR from an (n, n, 3) array of triples.
 
     A few whole-array reductions, built from the same float expressions
-    as the rules, accept a valid array. Otherwise each rule is checked
-    over all entries at once, and the first offending entry in row-major
-    order is reported, under the first rule it breaks in this order:
+    as the rules, accept a valid array. Otherwise the entries are scanned
+    in row-major order until one breaks a rule, and that entry is
+    reported under the first rule it breaks in this order:
     component range (NaN fails it) and triple sum, exact-zero diagonal,
     componentwise symmetry against the upper-triangle twin (tolerance
     1e-9, reported at the lower-triangle entry; an accepted twin is
@@ -357,14 +367,14 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
                 f"{len(labels)} labels for an n = {n} relation")
 
     mu, gamma, beta = a.transpose(2, 0, 1)
-    attrs = vertex_bounds = None
+    attrs = bounds = None
     if vertex_attrs is not None:
         attrs = _vertex_attrs(vertex_attrs, n)
         mu1, gamma1, beta1 = np.array(
             [(v.mu1, v.gamma1, v.beta1) for v in attrs], dtype=float).T
-        vertex_bounds = (np.minimum.outer(mu1, mu1) + TOL,
-                         np.maximum.outer(gamma1, gamma1) + TOL,
-                         np.minimum.outer(beta1, beta1) + TOL)
+        bounds = np.stack([np.minimum.outer(mu1, mu1),
+                           np.maximum.outer(gamma1, gamma1),
+                           np.minimum.outer(beta1, beta1)], axis=2) + TOL
 
     # Accept at once when whole-array reductions of the rules' own
     # expressions show no entry breaks any rule; NaN fails the range test.
@@ -373,9 +383,7 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
             and (top := (mu + gamma + beta).max()) <= 1.0 + TOL \
             and not a.reshape(n * n, 3)[::n + 1].any() \
             and np.abs(a - a.transpose(1, 0, 2)).max() <= TOL \
-            and (vertex_bounds is None or (
-                (mu <= vertex_bounds[0]) & (gamma <= vertex_bounds[1])
-                & (beta <= vertex_bounds[2])).all()):
+            and (bounds is None or (a <= bounds).all()):
         # A twin within the tolerance is stored as its upper entry's mirror.
         values = np.where(np.tri(n, dtype=bool)[..., None],
                           a.transpose(1, 0, 2), a)
@@ -387,50 +395,35 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
             values /= np.maximum(values.sum(axis=2, keepdims=True), 1.0)
         return HFPR(values=_freeze(values), labels=labels, vertex_attrs=attrs)
 
-    # Some entry breaks a rule: find the first one.
-    row, col = np.indices((n, n))
-    with np.errstate(invalid="ignore"):  # inf - inf and inf + -inf give NaN
-        rules = {
-            "range": ~((a >= -TOL) & (a <= 1.0 + TOL)).all(axis=2),
-            "sum": mu + gamma + beta > 1.0 + TOL,
-            "diagonal": (row == col) & (a != 0.0).any(axis=2),
-            "asymmetry": (col < row) & (
-                np.abs(a - a.transpose(1, 0, 2)).max(axis=2) > TOL),
-        }
-        if vertex_bounds is not None:
-            # A diagonal entry breaks no vertex bound unless it is
-            # nonzero, and then the diagonal rule reports it first.
-            rules["vertex"] = ((mu > vertex_bounds[0])
-                               | (gamma > vertex_bounds[1])
-                               | (beta > vertex_bounds[2]))
-    failing = np.logical_or.reduce(list(rules.values()))
-    i, j = divmod(int(failing.argmax()), n)
-    rule = next(name for name, mask in rules.items() if mask[i, j])
-    raise _entry_error(rule, a, i, j)
-
-
-def _entry_error(rule: str, a: np.ndarray, i: int, j: int) -> ValidationError:
-    """The error for the first rule of make_hfpr that entry (i, j) breaks."""
-    mu, gamma, beta = (float(v) for v in a[i, j])
-    if rule == "range":
-        name, v = next((name, v) for name, v in
-                       (("mu", mu), ("gamma", gamma), ("beta", beta))
-                       if not (-TOL <= v <= 1.0 + TOL))
-        return TripleOutOfRange(
-            f"{name} = {v!r} at entry ({i}, {j}) outside [0, 1]", i, j)
-    if rule == "sum":
-        return TripleOutOfRange(
-            f"mu + gamma + beta = {mu + gamma + beta!r} at entry ({i}, {j}) "
-            "exceeds 1", i, j)
-    if rule == "diagonal":
-        return DiagonalNotZero(
-            f"diagonal entry ({i}, {i}) = ({mu}, {gamma}, {beta}) "
-            "must be exactly (0, 0, 0)", i)
-    if rule == "asymmetry":
-        return AsymmetricEntry(
-            f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
-    return EdgeExceedsVertexBound(
-        f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
+    # Some entry breaks a rule: scan the entries in row-major order, a row
+    # at a time as Python floats, for the first. The upper twin of a lower
+    # entry comes earlier, so it has passed the range test.
+    for i in range(n):
+        twins = a[:i, i].tolist()
+        limits = None if bounds is None else bounds[i].tolist()
+        for j, triple in enumerate(a[i].tolist()):
+            for name, v in zip(("mu", "gamma", "beta"), triple):
+                if not -TOL <= v <= 1.0 + TOL:  # NaN fails
+                    raise TripleOutOfRange(
+                        f"{name} = {v!r} at entry ({i}, {j}) outside [0, 1]",
+                        i, j)
+            mu, gamma, beta = triple
+            if mu + gamma + beta > 1.0 + TOL:
+                raise TripleOutOfRange(
+                    f"mu + gamma + beta = {mu + gamma + beta!r} at entry "
+                    f"({i}, {j}) exceeds 1", i, j)
+            if i == j and any(triple):  # -0.0 is zero
+                raise DiagonalNotZero(
+                    f"diagonal entry ({i}, {i}) = ({mu}, {gamma}, {beta}) "
+                    "must be exactly (0, 0, 0)", i)
+            if j < i and any(abs(v - w) > TOL
+                             for v, w in zip(triple, twins[j])):
+                raise AsymmetricEntry(
+                    f"entry ({i}, {j}) does not mirror ({j}, {i})", i, j)
+            if limits and any(v > w for v, w in zip(triple, limits[j])):
+                raise EdgeExceedsVertexBound(
+                    f"entry ({i}, {j}) exceeds its vertex bounds", i, j)
+    raise AssertionError("make_hfpr refused a relation that breaks no rule")
 
 
 def random_hfpr(n: int, rng: np.random.Generator, labels=None) -> HFPR:
@@ -446,7 +439,7 @@ def random_hfpr(n: int, rng: np.random.Generator, labels=None) -> HFPR:
     consumes the generator exactly as drawing entry by entry, redrawing
     each rejected triple at once, would.
     """
-    n = _integer("n", n, 1)
+    n = _size("n", n, 1)
     if not isinstance(rng, np.random.Generator):
         raise _not_a("rng", rng, "a numpy.random.Generator")
     flat = _upper_indices(n)

@@ -117,12 +117,12 @@ class Overrides:
         pairs = _resolve_pairwise(self.pair_similarity, l)
         if ca is not None:
             ca = _freeze(_scores("ca override", ca, (l,)).copy())
+        if c is not None:
+            c = _freeze(_scores("c override", c, (l, 3)).copy())
         if self.aggregated is not None \
                 and _one_size((self.aggregated,)) != n:
             raise OverrideShapeMismatch(
                 "aggregated override does not match the relation size")
-        if c is not None:
-            c = _freeze(_scores("c override", c, (l, 3)).copy())
         return Overrides(c1, pairs, ca, c, self.aggregated)
 
 

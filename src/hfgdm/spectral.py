@@ -40,7 +40,8 @@ import numpy as np
 
 from ._kernels import eigenvalues
 from .core import (CHANNELS, HFPR, Panel, _channels, _freeze, _group,
-                   _integer, _shown, _sizes, _upper_weights, random_hfpr)
+                   _integer, _shown, _size, _sizes, _upper_weights,
+                   random_hfpr)
 from .errors import IdentityViolated, ParameterOutOfRange
 
 IDENTITY_TOL = 1e-8
@@ -215,8 +216,9 @@ def bounds_survey(seed: int = 42, count: int = 1000,
     one block's relations are held at once: SURVEY_BLOCK instances, or
     fewer when the adjacency stack of a block of the largest size would
     exceed SURVEY_BLOCK_BYTES, but always at least one. A seed or count
-    below 0, or an n_range that is not integers 1 <= lo <= hi, raises
-    ParameterOutOfRange naming the argument; count = 0 gives no rows.
+    below 0, or an n_range that is not integers 1 <= lo <= hi or whose
+    hi is too large for numpy's arrays, raises ParameterOutOfRange naming
+    the argument before any draw; count = 0 gives no rows.
     """
     seed = _integer("seed", seed, 0)
     count = _integer("count", count, 0)
@@ -226,7 +228,7 @@ def bounds_survey(seed: int = 42, count: int = 1000,
         raise ParameterOutOfRange(
             f"n_range = {_shown(n_range)} is not a pair (lo, hi)") from None
     lo = _integer("n_range lo", lo, 1)
-    hi = _integer("n_range hi", hi, lo)
+    hi = _size("n_range hi", hi, lo)
     rows: list[SurveyRow] = []
     size = max(1, min(SURVEY_BLOCK,
                       SURVEY_BLOCK_BYTES // (3 * hi * hi * 8)))

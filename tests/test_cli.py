@@ -475,6 +475,20 @@ class TestVerifyBounds:
         assert captured.err == "error: seed -5 must be non-negative\n"
 
 
+@pytest.mark.parametrize("argv, name, n", [
+    (["generate", "--n", str(10**20)], "n", 10**20),
+    (["generate", "--n", str(2**63)], "n", 2**63),
+    (["verify-bounds", "--count", "1", "--n-range", f"1:{10**20}"],
+     "n_range hi", 10**20),
+    (["verify-bounds", "--count", "1", "--n-range", f"{2**32}:{2**32}"],
+     "n_range hi", 2**32),
+], ids=["generate-1e20", "generate-2^63", "survey-1e20", "survey-2^32"])
+def test_size_numpy_cannot_hold_exits_2(argv, name, n):
+    # Refused before anything is allocated.
+    assert main_output(argv) == (
+        2, "", f"error: {name} = {n} is too large for an (n, n, 3) array\n")
+
+
 class TestGenerate:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

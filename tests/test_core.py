@@ -1,8 +1,9 @@
 """Domain-type construction, validation order, and the channel matrices.
 
-make_hfpr checks every rule over the whole array at once. The row-major
-double loop it replaced is kept here as make_hfpr_reference, and a fuzz
-test requires the two to agree on every outcome. random_hfpr draws all
+make_hfpr accepts a valid array by whole-array reductions and scans a
+refused one entry by entry for its first fault. make_hfpr_reference
+checks every entry by a row-major double loop, and a fuzz test requires
+the two to agree on every outcome. random_hfpr draws all
 its triples in bulk; the per-entry draw loop it replaced is kept as
 random_hfpr_reference, and a property test requires the same values and
 the same generator state afterwards.
@@ -503,6 +504,12 @@ class TestRandomHfpr:
         with pytest.raises(ParameterOutOfRange):
             random_hfpr(0, np.random.default_rng(1))
         assert random_hfpr(1, np.random.default_rng(1)).n == 1
+
+    @pytest.mark.parametrize("n", [10**400, 2**63], ids=["1e400", "2^63"])
+    def test_size_numpy_cannot_hold_is_refused(self, n):
+        # Refused before anything is allocated.
+        with pytest.raises(ParameterOutOfRange, match="is too large for an"):
+            random_hfpr(n, np.random.default_rng(1))
 
     def test_matches_fixture_builder(self, m1):
         assert np.array_equal(build(M1_ROWS).values, m1.values)

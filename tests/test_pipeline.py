@@ -1003,13 +1003,15 @@ class TestOverridesChecked:
          OverrideShapeMismatch, "c1 override must have shape"),
         ({"pair_similarity": {(0, 1): -1.0}, "ca": [1.0]},
          ParameterOutOfRange, "pair_similarity override for experts (0, 1)"),
+        ({"c": [[1, 2]], "aggregated": "small"}, OverrideShapeMismatch,
+         "c override must have shape (3, 3), got (1, 2)"),
     ], ids=["c1-shape", "c1-negative", "pair-key", "ca-shape",
             "aggregated-size", "c-shape", "c-negative", "c1-before-c",
-            "pair-before-ca"])
+            "pair-before-ca", "c-before-aggregated"])
     def test_run_raises_what_checked_raises(self, experts, fields, error,
                                             message):
         if fields.get("aggregated") == "small":
-            fields = {"aggregated": make_hfpr(np.zeros((2, 2, 3)))}
+            fields = {**fields, "aggregated": make_hfpr(np.zeros((2, 2, 3)))}
         ov = Overrides(**fields)
         with pytest.raises(error) as checked:
             ov.checked(3, 4)

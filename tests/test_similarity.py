@@ -13,6 +13,7 @@ from hfgdm import (
     NeedTwoExperts,
     ParameterOutOfRange,
     aggregate_hfpr,
+    bounds_survey,
     closeness,
     ideal_similarities,
     make_hfpr,
@@ -109,6 +110,11 @@ class TestPairSimilarity:
         rng = np.random.default_rng(seed)
         a, b = random_hfpr(n, rng), random_hfpr(n, rng)
         assert pair_similarity(a, b) == pair_similarity_reference(a, b)
+
+    def test_index_cache_keeps_few_sizes(self):
+        # A survey over many sizes must not keep an index array per size.
+        bounds_survey(seed=1, count=40, n_range=(1, 60))
+        assert _upper_indices.cache_info().currsize <= 16
 
     def test_cached_indices_are_read_only(self):
         flat = _upper_indices(5)
