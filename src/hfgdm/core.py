@@ -33,10 +33,11 @@ Every entry point checks its arguments by the rules here, one per kind:
 _choice, _integer, _size, _real, _real_array, _sequence, _group and
 _vertex_attrs, each naming the argument, and _not_a's message for any
 other wrong type of object; the CLI reads a document's values by them
-too, named by their document paths. An int that no float holds is
-refused as a number. A refused value is shown by _shown, which never
-fails, so an int past Python's digit limit for str is refused with a
-typed error too.
+too, named by their document paths, and its integer flags, named as
+the library names their values. An int that no float holds is refused
+as a number. A refused value is shown by _shown, which never fails, so
+an int past Python's digit limit for str is refused with a typed error
+too.
 """
 
 from __future__ import annotations
@@ -158,7 +159,12 @@ def _real_array(name: str, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VertexAttribute:
-    """Vertex grades (mu1, gamma1, beta1) with beta1 = 1 - mu1 - gamma1."""
+    """Vertex grades (mu1, gamma1, beta1) with beta1 = 1 - mu1 - gamma1.
+
+    Grades within the tolerance are stored as floats inside the exact
+    valid set, as make_hfpr stores its triples: each clipped to [0, 1],
+    and mu1 and gamma1 scaled by 1/(mu1 + gamma1) where that exceeds 1.
+    """
 
     mu1: float
     gamma1: float
@@ -173,12 +179,17 @@ class VertexAttribute:
         if derived < -TOL:
             raise ParameterOutOfRange(
                 f"mu1 + gamma1 = {mu1 + gamma1!r} exceeds 1")
-        if self.beta1 is None:
-            object.__setattr__(self, "beta1", derived)
-        elif not abs(_real("beta1", self.beta1) - derived) <= TOL:  # NaN fails
+        beta1 = derived if self.beta1 is None else _real("beta1", self.beta1)
+        if not abs(beta1 - derived) <= TOL:  # NaN fails
             raise ParameterOutOfRange(
                 f"beta1 = {_shown(self.beta1)} but 1 - mu1 - gamma1 = "
                 f"{derived!r}")
+        mu1, gamma1, beta1 = (min(max(v, 0.0), 1.0)
+                              for v in (mu1, gamma1, beta1))
+        if (total := mu1 + gamma1) > 1.0:
+            mu1, gamma1 = mu1 / total, gamma1 / total
+        for name, v in (("mu1", mu1), ("gamma1", gamma1), ("beta1", beta1)):
+            object.__setattr__(self, name, v)
 
 
 def _vertex_attrs(vertex_attrs, n: int) -> tuple[VertexAttribute, ...]:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -454,16 +455,18 @@ class TestVerifyBounds:
         capsys.readouterr()
 
     @pytest.mark.parametrize("args, message", [
-        (["--count", "0"], "count must be at least 1"),
-        (["--count", "-3"], "count must be at least 1"),
-        (["--seed", "-1"], "seed -1 must be non-negative"),
-        (["--n-range", "5:3"], "invalid n range '5:3'"),
-        (["--n-range", "0:3"], "invalid n range '0:3'"),
+        (["--count", "0"], "count = 0 must be an integer of at least 1"),
+        (["--count", "-3"], "count = -3 must be an integer of at least 1"),
+        (["--seed", "-1"], "seed = -1 must be an integer of at least 0"),
+        (["--n-range", "5:3"],
+         "n_range hi = 3 must be an integer of at least 5"),
+        (["--n-range", "0:3"],
+         "n_range lo = 0 must be an integer of at least 1"),
         (["--n-range", "3.5:4"], "cannot parse n range '3.5:4', want LO:HI"),
     ])
-    def test_bad_arguments_keep_cli_messages(self, args, message):
-        # bounds_survey checks these too, but the CLI's own messages are
-        # the ones printed.
+    def test_bad_arguments_print_core_messages(self, args, message):
+        # Only the LO:HI text parse is the CLI's own; every integer is
+        # refused by core's rule, under the name bounds_survey gives it.
         assert main_output(["verify-bounds", *args]) == (
             2, "", f"error: {message}\n")
 
@@ -472,7 +475,8 @@ class TestVerifyBounds:
         assert main(["verify-bounds", "--seed", "-5", "--count", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed -5 must be non-negative\n"
+        assert captured.err == (
+            "error: seed = -5 must be an integer of at least 0\n")
 
 
 @pytest.mark.parametrize("argv, name, n", [
@@ -487,6 +491,56 @@ def test_size_numpy_cannot_hold_exits_2(argv, name, n):
     # Refused before anything is allocated.
     assert main_output(argv) == (
         2, "", f"error: {name} = {n} is too large for an (n, n, 3) array\n")
+
+
+# An integer flag refused by core's rule: the name the library gives the
+# value, the value as given, and the least value the rule accepts.
+FLAG_REFUSAL = re.compile(
+    r"error: (seed|count|n_range lo|n_range hi|n|experts) = (-?\d+) must be "
+    r"an integer of at least (\d+)\n")
+
+
+@given(command=st.sampled_from(["generate", "verify-bounds"]),
+       seed=st.integers(-5, 2 ** 70), n=st.integers(-3, 8),
+       experts=st.integers(-3, 4), count=st.integers(-3, 3),
+       lo=st.integers(-2, 8), hi=st.integers(-2, 8))
+@settings(max_examples=200, deadline=None)
+def test_integer_flags_read_by_core_rules(command, seed, n, experts, count,
+                                          lo, hi):
+    # Kept to small sizes and counts: every accepted flag set does the work.
+    # Each flag is given as --flag=VALUE, so a negative n range is not read
+    # as an option.
+    if command == "generate":
+        flags = {"seed": seed, "n": n, "experts": experts}
+        least = {"seed": 0, "n": 2, "experts": 2}
+        argv = ["generate", f"--seed={seed}", f"--n={n}",
+                f"--experts={experts}"]
+    else:
+        flags = {"seed": seed, "count": count, "n_range lo": lo,
+                 "n_range hi": hi}
+        least = {"seed": 0, "count": 1, "n_range lo": 1, "n_range hi": lo}
+        argv = ["verify-bounds", f"--seed={seed}", f"--count={count}",
+                f"--n-range={lo}:{hi}"]
+    refused = {name for name, v in flags.items() if v < least[name]}
+    rc, out, err = main_output(argv)
+    if not refused:
+        assert rc in ((0,) if command == "generate" else (0, 3)), err
+        if command == "generate":
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "gen.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(out)
+                doc = parse_input(path)
+            assert (len(doc.experts), doc.experts[0].n) == (experts, n)
+        else:
+            assert out.startswith(CSV_HEADER + "\n")
+        return
+    assert (rc, out) == (2, "")
+    match = FLAG_REFUSAL.fullmatch(err)
+    assert match, err
+    name, value, at_least = match.groups()
+    assert name in refused
+    assert (int(value), int(at_least)) == (flags[name], least[name])
 
 
 class TestGenerate:
@@ -540,16 +594,17 @@ class TestGenerate:
             "mu + gamma + beta = 1.085199015764041 at entry (0, 1) "
             "exceeds 1\n")
 
-    def test_degenerate_sizes_exit_2(self, capsys):
-        assert main(["generate", "--n", "1"]) == 2
-        assert main(["generate", "--experts", "1"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("flag", ["n", "experts"])
+    def test_degenerate_sizes_exit_2(self, flag):
+        assert main_output(["generate", f"--{flag}", "1"]) == (
+            2, "", f"error: {flag} = 1 must be an integer of at least 2\n")
 
     def test_negative_seed_exits_2(self, capsys):
         assert main(["generate", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed -1 must be non-negative\n"
+        assert captured.err == (
+            "error: seed = -1 must be an integer of at least 0\n")
 
 
 class TestFloatFormat:

@@ -191,6 +191,28 @@ class TestVertexAttribute:
         with pytest.raises(ParameterOutOfRange):
             VertexAttribute(0.8, 0.4)
 
+    def test_tolerated_grades_stored_in_the_exact_set(self):
+        # mu1 + gamma1 just above 1 and beta1 just below 0 pass the
+        # tolerances; stored as given, the vertex rule on the zero
+        # diagonal (beta <= min(beta1, beta1)) refused every relation.
+        v = VertexAttribute(0.5, 0.5 + 5e-10, -1.4e-9)
+        assert v.beta1 == 0.0 and v.mu1 + v.gamma1 <= 1.0
+        make_hfpr(np.zeros((2, 2, 3)), vertex_attrs=[v] * 2)
+
+    @pytest.mark.parametrize("args, stored", [
+        ((np.float32(0.3), 0), (float(np.float32(0.3)), 0.0,
+                                1.0 - float(np.float32(0.3)))),
+        ((1, 0, np.int64(0)), (1.0, 0.0, 0.0)),
+        ((np.float64(0.25), np.int8(0), 0.75), (0.25, 0.0, 0.75)),
+        ((0.1, 0.2, 0.7), (0.1, 0.2, 0.7)),
+    ])
+    def test_grades_stored_as_floats(self, args, stored):
+        # Exact grades keep their bits; numpy scalars and ints become floats.
+        v = VertexAttribute(*args)
+        got = (v.mu1, v.gamma1, v.beta1)
+        assert all(type(x) is float for x in got)
+        assert got == stored
+
     def test_grade_outside_unit_interval(self):
         with pytest.raises(ParameterOutOfRange, match=r"^mu1 = 1\.5 outside"):
             VertexAttribute(1.5, 0.0)
