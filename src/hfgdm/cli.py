@@ -2,14 +2,16 @@
 
 Input is a single strict-schema JSON document per scenario (see
 parse_input), local or bundled, read by one path and checked once on
-parse by every command: each value by the core rule for its kind, named
-by its document path, so only a fault in the document's own shape is a
-SchemaViolation. Its overrides pass Overrides.checked, and both its pair
-maps, override and published, the pair rule (_resolve_pairwise) naming a
-key as written, so energy and verify-bounds --fixtures refuse every
-override that run refuses; ca summing to 1 and finite similarity degrees
-are stage rules that only run reaches. Integer flags, like document
-values, are read by core's rules, named as the library names them.
+parse by every command: each value by the core rule for its kind (labels
+by _labels, as make_hfpr reads them), named by its document path, so
+only a fault in the document's own shape is a SchemaViolation. Its
+overrides pass Overrides.checked, and both its pair maps, override and
+published, the pair rule (_resolve_pairwise) naming a key as written, so
+energy and verify-bounds --fixtures refuse every override that run
+refuses; ca summing to 1 and finite similarity degrees are stage rules
+that only run reaches. Integer flags, like document values, are read by
+core's rules, named as the library names them, and a survey flag left
+out takes bounds_survey's default.
 Machine output serializes every float with 17 significant digits so
 documents round-trip exactly. A report is laid out in one walk as a
 %-template with a slot per float (a float array or tuple gives the same
@@ -40,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Panel, _integer, _real, _real_array, _sequence, _size,
-                   _vertex_attrs, make_hfpr, random_hfpr)
+from .core import (Panel, _integer, _labels, _real, _real_array, _sequence,
+                   _size, _vertex_attrs, make_hfpr, random_hfpr)
 from .errors import (ComputationError, ParameterOutOfRange, SchemaViolation,
                      ValidationError, in_context)
 from .pipeline import (
@@ -176,31 +178,11 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise SchemaViolation(
-            f"{where}.{sorted(unknown)[0]}",
-            f"unknown field {sorted(unknown)[0]!r} in {where}")
-
-
 def _finite(token: str, parse=float):
     """Parse a JSON number token; NaN, Infinity and overflow are errors."""
     if not math.isfinite(float(token)):
         raise SchemaViolation("json", f"number {token} is not a finite float")
     return parse(token)
-
-
-def _within(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), its ValidationError naming the field where."""
-    try:
-        return build(*args, **kwargs)
-    except ValidationError as e:
-        raise in_context(e, where) from None
-
-
-def _is_labels(x) -> bool:
-    return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
 def _pair_map(where: str, mapping, ids: tuple[str, ...]) -> dict:
@@ -245,8 +227,12 @@ _CONFIG_FIELD = {"closeness": "closeness_mode"}
 
 
 def _read(obj, where: str, readers: dict) -> dict:
-    """Check obj's keys against readers and read each value present."""
-    _check_keys(_require_mapping(obj, where), readers, where)
+    """obj, an object whose keys readers all know, with each value read."""
+    unknown = _require_mapping(obj, where).keys() - readers.keys()
+    if unknown:
+        key = min(unknown)
+        raise SchemaViolation(f"{where}.{key}",
+                              f"unknown field {key!r} in {where}")
     return {key: value if readers[key] is None
             else readers[key](f"{where}.{key}", value)
             for key, value in obj.items()}
@@ -255,16 +241,17 @@ def _read(obj, where: str, readers: dict) -> dict:
 def parse_input(path: str) -> InputDocument:
     """Parse and validate a scenario document; strict schema.
 
-    A missing path that names a bundled document (BUNDLED) is opened in
-    the package's data directory, so documented example invocations work
-    from any directory. Every field is read here, overrides and
-    published values too. A value of the wrong type is refused by the
-    core rule for its kind, under its document path: "config.eta = '0.5'
-    is not a number" is a ParameterOutOfRange. Only a fault in the
-    document's shape (an unknown or missing field, a field that must be
-    an object and is not, an expert id, the alternatives or a published
-    value) is a SchemaViolation naming the field. NaN, Infinity, numbers
-    that overflow a float and a key given twice are refused, so no
+    A missing path that names a bundled document (BUNDLED) is opened in the
+    package's data directory, so documented example invocations work from
+    any directory. Every field is read here, overrides and published values
+    too. A value of the wrong type is refused by the core rule for its kind,
+    under its document path: "config.eta = '0.5' is not a number" is a
+    ParameterOutOfRange, as is a repeated or non-string label (_labels).
+    Only a fault in the document's shape (an unknown or missing field, a
+    field that must be an object and is not, an expert id, empty
+    alternatives, a ranking that is not a permutation of them or another
+    published value) is a SchemaViolation naming the field. NaN, Infinity,
+    numbers that overflow a float and a key given twice are refused, so no
     unchecked value enters a run.
 
     The text is decoded by json's C scanner and converted once; a
@@ -314,26 +301,24 @@ def _strict_loads(text: str):
 
 def _document(raw) -> InputDocument:
     """Read and validate a decoded scenario document."""
-    raw = _require_mapping(raw, "document")
-    _check_keys(raw, _TOP_KEYS, "document")
+    raw = _read(raw, "document", dict.fromkeys(_TOP_KEYS))
     for required in ("alternatives", "experts"):
         if required not in raw:
             raise SchemaViolation(required, f"missing field {required!r}")
 
-    alternatives = raw["alternatives"]
-    if not (alternatives and _is_labels(alternatives)):
+    alternatives = _labels("alternatives", raw["alternatives"])
+    if not alternatives:
         raise SchemaViolation(
             "alternatives", "alternatives must be a nonempty list of labels")
-    alternatives = tuple(alternatives)
-    repeated = [a for k, a in enumerate(alternatives) if a in alternatives[:k]]
-    if repeated:
-        raise SchemaViolation("alternatives", f"alternative label "
-                              f"{repeated[0]!r} appears more than once")
     n = len(alternatives)
 
     def relation(where, value, vertex_attrs=None):
-        return _within(where, make_hfpr, _real_array(where, value),
-                       labels=alternatives, vertex_attrs=vertex_attrs)
+        entries = _real_array(where, value)
+        try:
+            return make_hfpr(entries, labels=alternatives,
+                             vertex_attrs=vertex_attrs)
+        except ValidationError as e:
+            raise in_context(e, where) from None
 
     vertex_attrs = raw.get("vertex_attrs")
     if vertex_attrs is not None:
@@ -346,8 +331,7 @@ def _document(raw) -> InputDocument:
     ids = []
     relations = []
     for k, item in enumerate(experts_raw):
-        item = _require_mapping(item, f"experts[{k}]")
-        _check_keys(item, {"id", "hfpr"}, f"experts[{k}]")
+        item = _read(item, f"experts[{k}]", dict.fromkeys(("id", "hfpr")))
         if "id" not in item or not isinstance(item["id"], str):
             raise SchemaViolation(f"experts[{k}].id", "expert id must be a string")
         if "hfpr" not in item:
@@ -379,8 +363,9 @@ def _document(raw) -> InputDocument:
                                      "numbers, one per expert")
 
     def ranking(where, x):
-        if _is_labels(x) and sorted(x) == sorted(alternatives):
-            return tuple(x)
+        x = _labels(where, x)
+        if set(x) == set(alternatives):
+            return x
         raise SchemaViolation(
             where, f"{where} must be a list of every alternative exactly once")
 
@@ -671,13 +656,20 @@ def _survey_csv(rows) -> str:
 
 
 def cmd_verify_bounds(args) -> int:
+    # The survey flags given; bounds_survey's defaults stand for the rest.
+    survey = {key: getattr(args, key) for key in ("seed", "count", "n_range")
+              if getattr(args, key) is not None}
     if args.fixtures is not None:
-        doc = _read_input(args.fixtures)
-        rows = fixture_survey_rows(doc.experts)
+        if survey:
+            flag = "--" + next(iter(survey)).replace("_", "-")
+            raise SchemaViolation(flag, f"--fixtures takes no {flag}")
+        rows = fixture_survey_rows(_read_input(args.fixtures).experts)
     else:
-        rows = bounds_survey(seed=args.seed,
-                             count=_integer("count", args.count, 1),
-                             n_range=_parse_n_range(args.n_range))
+        if "count" in survey:
+            survey["count"] = _integer("count", survey["count"], 1)
+        if "n_range" in survey:
+            survey["n_range"] = _parse_n_range(survey["n_range"])
+        rows = bounds_survey(**survey)
     _write_output(_survey_csv(rows), args.out)
     violations = sum(not r.satisfied for r in rows)
     if violations:
@@ -745,11 +737,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify-bounds",
         help="random bounds survey as CSV; exit 3 on any violation")
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--count", type=int, default=1000)
-    p_verify.add_argument("--n-range", default="3:8", dest="n_range",
-                          metavar="LO:HI")
-    p_verify.add_argument("--fixtures", nargs="?", const="smartphone.json",
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--count", type=int)
+    p_verify.add_argument("--n-range", dest="n_range", metavar="LO:HI")
+    p_verify.add_argument("--fixtures", nargs="?", const=BUNDLED[0],
                           default=None, metavar="DOC",
                           help="check the relations of this document instead "
                                "of random instances (default: the bundled "

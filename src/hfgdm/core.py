@@ -30,14 +30,14 @@ _channels is the one stacking, shared with the bounds survey, whose size
 groups may mix labels because no bound reads them.
 
 Every entry point checks its arguments by the rules here, one per kind:
-_choice, _integer, _size, _real, _real_array, _sequence, _group and
-_vertex_attrs, each naming the argument, and _not_a's message for any
-other wrong type of object; the CLI reads a document's values by them
-too, named by their document paths, and its integer flags, named as
-the library names their values. An int that no float holds is refused
-as a number. A refused value is shown by _shown, which never fails, so
-an int past Python's digit limit for str is refused with a typed error
-too.
+_choice, _integer, _size, _real, _real_array, _sequence, _labels, _group
+and _vertex_attrs, each naming the argument, and _not_a's message for
+any other wrong type of object; the CLI reads a document's values by
+them too, named by their document paths, and its integer flags, named
+as the library names their values. An int that no float holds is
+refused as a number. A refused value is shown by _shown, which never
+fails, so an int past Python's digit limit for str is refused with a
+typed error too.
 """
 
 from __future__ import annotations
@@ -138,6 +138,18 @@ def _sequence(name: str, x) -> tuple:
     except TypeError:
         pass
     raise ParameterOutOfRange(f"{name} = {_shown(x)} is not a sequence")
+
+
+def _labels(name: str, x) -> tuple[str, ...]:
+    """x as a tuple of distinct strs, an entry k refused as name[k]."""
+    labels, seen = tuple(map(_plain, _sequence(name, x))), set()
+    for k, s in enumerate(labels):
+        fault = ("is not a string" if not isinstance(s, str)
+                 else "appears more than once" if s in seen else None)
+        if fault:
+            raise ParameterOutOfRange(f"{name}[{k}] = {_shown(s)} {fault}")
+        seen.add(s)
+    return labels
 
 
 def _not_a(name: str, x, kind: str) -> ParameterOutOfRange:
@@ -351,10 +363,11 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     1e-9, reported at the lower-triangle entry; an accepted twin is
     stored as the upper entry's exact mirror), then the optional vertex
     bounds mu_ij <= min(mu1_i, mu1_j), gamma_ij <= max(gamma1_i, gamma1_j),
-    beta_ij <= min(beta1_i, beta1_j). Labels default to t1..tn. An
-    accepted relation is stored inside the exact valid set: a component
-    within the range tolerance outside [0, 1] is clipped to it, and a
-    triple summing above 1 is scaled by 1/sum.
+    beta_ij <= min(beta1_i, beta1_j). Labels are n distinct strs
+    (_labels), t1..tn by default. An accepted relation is stored inside
+    the exact valid set: a component within the range tolerance outside
+    [0, 1] is clipped to it, and a triple summing above 1 is scaled by
+    1/sum.
     """
     a = _real_array("entries", entries)
     if a.ndim != 3 or a.shape[2] != 3 or a.shape[0] != a.shape[1]:
@@ -367,12 +380,7 @@ def make_hfpr(entries, labels=None, vertex_attrs=None) -> HFPR:
     if labels is None:
         labels = tuple(f"t{i + 1}" for i in range(n))
     else:
-        labels = _sequence("labels", labels)
-        try:
-            labels = tuple(map(str, labels))
-        except ValueError:  # an int past Python's digit limit for str
-            raise ParameterOutOfRange(
-                "labels hold an int too large to show") from None
+        labels = _labels("labels", labels)
         if len(labels) != n:
             raise DimensionMismatch(
                 f"{len(labels)} labels for an n = {n} relation")

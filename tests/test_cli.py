@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 import hfgdm.cli as cli
 import hfgdm.spectral as spectral
-from hfgdm import energy, laplacian_energy
+from hfgdm import energy, laplacian_energy, make_hfpr
 from hfgdm.cli import _emit_json, main, parse_input
 from hfgdm.errors import (AsymmetricEntry, DiagonalNotZero,
                           DimensionMismatch, EdgeExceedsVertexBound,
@@ -470,6 +470,20 @@ class TestVerifyBounds:
         assert main_output(["verify-bounds", *args]) == (
             2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "7"], "--seed"),
+        (["--count", "5"], "--count"),
+        (["--n-range", "3:4"], "--n-range"),
+        (["--count", "-3", "--n-range", "x", "--seed", "-9"], "--seed"),
+    ])
+    def test_survey_flags_are_refused_with_fixtures(self, flags, named):
+        # The fixture survey draws nothing, so a flag of the random survey
+        # would be ignored; valid or not, it is refused.
+        for argv in (["--fixtures", *flags],
+                     [*flags, "--fixtures", SHARED_DOC]):
+            assert main_output(["verify-bounds", *argv]) == (
+                2, "", f"error: --fixtures takes no {named}\n"), argv
+
     def test_negative_seed_exits_2(self, capsys):
         # numpy rejects a negative seed; it is refused as input first.
         assert main(["verify-bounds", "--seed", "-5", "--count", "2"]) == 2
@@ -829,9 +843,11 @@ WRONG_TYPED = [
     (("published", "ca"), ["x", 0.3, 0.4], NOT_ONE_PER_EXPERT),
     (("published", "pair_similarity"), [1, 2], (
         SchemaViolation, "field '{}' must be an object")),
-    (("published", "ranking"), 5, (
-        SchemaViolation, "{} must be a list of every alternative exactly "
-        "once")),
+    (("published", "ranking"), 5, NOT_A_SEQUENCE),
+    # The alternatives are read by the library's labels rule.
+    (("alternatives",), 5, NOT_A_SEQUENCE),
+    (("alternatives",), ["a", 1, "b", "c"], (
+        ParameterOutOfRange, "{}[1] = 1 is not a string")),
     (("vertex_attrs",), [1, 2, 3, 4], (
         ParameterOutOfRange, "{}[0]: grades = 1 is not a sequence")),
     (("vertex_attrs",), ["ab", "cd", "ef", "gh"], (
@@ -1099,10 +1115,48 @@ def test_duplicate_alternative_labels_exit_2_naming_one(tmp_path):
     doc = write_doc(tmp_path, edited(("alternatives",), ["a", "b", "a", "c"]))
     rc, out, err = main_output(["run", doc])
     assert (rc, out) == (2, "")
-    assert err == "error: alternative label 'a' appears more than once\n"
-    with pytest.raises(SchemaViolation) as info:
+    assert err == "error: alternatives[2] = 'a' appears more than once\n"
+    with pytest.raises(ParameterOutOfRange):
         parse_input(doc)
-    assert info.value.field == "alternatives"
+
+
+# Candidate labels: short texts over two letters, so repeats are common,
+# and values that are not strings.
+label_items = st.one_of(st.text(alphabet="ab", max_size=2),
+                        st.integers(-2, 2), st.none(), st.booleans())
+
+
+@given(x=st.lists(label_items, min_size=1, max_size=6), n=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_library_and_document_read_labels_by_one_rule(x, n):
+    distinct = all(type(s) is str for s in x) and len(set(x)) == len(x)
+    try:
+        h = make_hfpr(np.zeros((n, n, 3)), labels=x)
+    except ValidationError:
+        assert not (distinct and len(x) == n)
+    else:
+        assert distinct and len(x) == n
+        assert h.labels == tuple(x)
+    # The bundled document (n = 4), its alternatives and published ranking
+    # both x: it runs exactly when the library takes x as 4 labels.
+    doc = edited(("alternatives",), x)
+    doc["published"]["ranking"] = x
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        rc, out, err = main_output(["run", path])
+    if distinct and len(x) == 4:
+        assert rc == 0, err
+        return
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    if not distinct:
+        # Refused by the labels rule, under the document's name for them.
+        with pytest.raises(ParameterOutOfRange) as info:
+            make_hfpr(np.zeros((len(x), len(x), 3)), labels=x)
+        message = str(info.value).replace("labels", "alternatives", 1)
+        assert err == f"error: {message}\n"
 
 
 # -- paths that cannot be read or written ------------------------------------
@@ -1163,19 +1217,21 @@ def test_energy_and_fixture_survey_check_published_and_overrides(tmp_path):
 
 
 # Published vectors the discrepancy rows would have cut short or padded
-# out: one value per expert, and each alternative ranked once.
+# out: one value per expert, and each alternative ranked once. Each is
+# the message after the field's name.
+ONE_PER_EXPERT = " must be a list of 3 numbers, one per expert"
+EVERY_ALTERNATIVE = " must be a list of every alternative exactly once"
 PUBLISHED_MISFITS = [
-    ("ca", [0.3], "a list of 3 numbers, one per expert"),
-    ("ca", [0.3, 0.3, 0.2, 0.2], "a list of 3 numbers, one per expert"),
-    ("similarity_degrees", [1.0, 1.0, 1.0, 1.0],
-     "a list of 3 numbers, one per expert"),
-    ("similarity_degrees", [], "a list of 3 numbers, one per expert"),
-    ("ranking", ["zz"], "a list of every alternative exactly once"),
-    ("ranking", ["t1", "t2", "t4"], "a list of every alternative exactly once"),
-    ("ranking", ["t1", "t2", "t4", "t3", "zz"],
-     "a list of every alternative exactly once"),
-    ("ranking", ["t1", "t2", "t4", "t4"],
-     "a list of every alternative exactly once"),
+    ("ca", [0.3], ONE_PER_EXPERT),
+    ("ca", [0.3, 0.3, 0.2, 0.2], ONE_PER_EXPERT),
+    ("similarity_degrees", [1.0, 1.0, 1.0, 1.0], ONE_PER_EXPERT),
+    ("similarity_degrees", [], ONE_PER_EXPERT),
+    ("ranking", ["zz"], EVERY_ALTERNATIVE),
+    ("ranking", ["t1", "t2", "t4"], EVERY_ALTERNATIVE),
+    ("ranking", ["t1", "t2", "t4", "t3", "zz"], EVERY_ALTERNATIVE),
+    # A repeat is refused by the labels rule, before the permutation test.
+    ("ranking", ["t1", "t2", "t4", "t4"], "[3] = 't4' appears more than once"),
+    ("ranking", ["t1", "t2", "t3", 4], "[3] = 4 is not a string"),
 ]
 
 
@@ -1183,7 +1239,7 @@ PUBLISHED_MISFITS = [
                          ids=[f"{k}={v}" for k, v, _ in PUBLISHED_MISFITS])
 def test_published_vectors_fit_the_document(tmp_path, key, value, what):
     doc = write_doc(tmp_path, edited(("published", key), value))
-    message = f"error: published.{key} must be {what}\n"
+    message = f"error: published.{key}{what}\n"
     for argv in (["run", doc], ["run", doc, "--format", "json"],
                  ["energy", doc], ["verify-bounds", "--fixtures", doc]):
         assert main_output(argv) == (2, "", message), argv

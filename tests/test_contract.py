@@ -387,7 +387,14 @@ REFUSALS = [
      "count = <int of 16610 bits> must be an integer of at least 0"),
     ("make_hfpr label past str",
      lambda: make_hfpr(np.zeros((2, 2, 3)), labels=["a", 10 ** 5000]),
-     ParameterOutOfRange, "labels hold an int too large to show"),
+     ParameterOutOfRange, "labels[1] = <int of 16610 bits> is not a string"),
+    # Labels are the one rule's: distinct strs, none converted.
+    ("make_hfpr repeated label",
+     lambda: make_hfpr(np.zeros((2, 2, 3)), labels=["a", "a"]),
+     ParameterOutOfRange, "labels[1] = 'a' appears more than once"),
+    ("make_hfpr int labels",
+     lambda: make_hfpr(np.zeros((2, 2, 3)), labels=[1, 2]),
+     ParameterOutOfRange, "labels[0] = 1 is not a string"),
     # tuple() would read a mapping's keys, a set in an order no caller
     # gave, bytes as ints.
     ("make_hfpr str grades",

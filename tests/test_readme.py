@@ -94,6 +94,10 @@ ERROR_EXAMPLES = {
         edited(("vertex_attrs",), ["ab", "cd", "ef", "gh"]),
     "error: experts[1].hfpr: mu + gamma + beta = 1.3 at entry (0, 1) "
     "exceeds 1": edited(("experts", 1, "hfpr", 0, 1), [0.6, 0.4, 0.3]),
+    "error: alternatives[2] = 'a' appears more than once":
+        edited(("alternatives",), ["a", "b", "a", "c"]),
+    "error: alternatives[1] = 1 is not a string":
+        edited(("alternatives",), ["a", 1, "b", "c"]),
     "error: published.ca must be a list of 3 numbers, one per expert":
         edited(("published", "ca"), [0.3, 0.4]),
     "error: config.overrides.pair_similarity.e1:e2 is -1.0; it must be "
